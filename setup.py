@@ -1,8 +1,8 @@
 """Build script for the optional compiled integrator kernel.
 
-The package works without the extension: nitm.kernels falls back to the
-pure-Python kernel when the compiled module is missing, so any failure
-here (no Cython, no C compiler) downgrades the build instead of
+The package works without the extension: nitm.kernels then compiles
+_kernels.c on first import, or falls back to the pure-Python kernel, so
+any failure here (no C compiler) downgrades the build instead of
 breaking it.
 """
 
@@ -31,23 +31,14 @@ class optional_build_ext(build_ext):
               "falling back to the pure-Python kernel")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("WARNING: Cython not available; building without the compiled kernel")
-        return []
-    ext = Extension(
-        "nitm._kernels",
-        ["src/nitm/_kernels.pyx"],
-        # -ffp-contract=off keeps the compiled kernel bit-identical with
-        # the pure-Python one (no fused multiply-add).
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[Extension(
+        "nitm._kernels",
+        ["src/nitm/_kernels.c"],
+        # the flags of nitm.kernels.CFLAGS: -ffp-contract=off keeps the
+        # compiled kernel bit-identical with the pure-Python one (no
+        # fused multiply-add)
+        extra_compile_args=["-O3", "-ffp-contract=off"],
+    )],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from . import analysis, solvers
+from . import __version__, analysis, kernels, solvers
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError)
@@ -513,6 +513,15 @@ def rubel(ctx, m_value, fmt, out):
                 f"{'yes' if valid else 'no'})")
     _emit(text, out or file_cfg.get("out"))
     return 0 if valid else 2
+
+
+@cli.command()
+def info():
+    """Package version and the integration kernel in use, with why."""
+    click.echo(f"nitm {__version__}\n"
+               f"backend: {kernels.BACKEND}\n"
+               f"reason: {kernels.BACKEND_REASON}")
+    return 0
 
 
 def main(argv=None) -> int:

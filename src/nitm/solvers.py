@@ -264,7 +264,8 @@ def sweep(variant: str, star_values, sign: float = 1.0,
         try:
             rows.append(solve_variant(variant, value, sign, config))
         except NitmError as exc:
-            rows.append(exc)
+            # without its traceback: that holds this frame, and so rows
+            rows.append(exc.with_traceback(None))
     return rows
 
 

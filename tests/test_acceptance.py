@@ -8,15 +8,17 @@ Where the reference values come from:
   and 6 against the shear of the star IVP cut exactly there. The values
   carried earlier (0.333233336 and 0.332057687) were the step-0.1 shears
   at eta* = 3.9 and 5.9, one grid node short of their labelled boundary.
-* The moving-wall and gasification tables are rebuilt from one
+* The moving-wall, slip and gasification tables are rebuilt from one
   independent converged integration of the stated star IVPs (SciPy
   DOP853 at rtol 1e-13, to a boundary past which doubling changes
   nothing), with the physical cells taken from the closed-form maps of
   the scaling group. Each cell keeps the print precision of the
   tabulated cell it replaces, so every gate is unchanged. The tabulated
-  (literature) value is kept in a comment beside each cell that moved by
-  more than its gate. Each such row agrees with itself: it is the row of
-  one tabulated f'*(inf), off by up to 1.4e-3 relative.
+  (literature) value is kept in a comment beside each cell of the
+  moving-wall and gasification tables that moved by more than its gate,
+  and beside every slip cell that moved (none by more than 0.4 of its
+  gate). Each such row agrees with itself: it is the row of one
+  tabulated f'*(inf), off by up to 1.4e-3 relative.
 
 tests/test_convergence.py holds the evidence: those values to ten
 digits, step refinement of nitm with a Richardson order estimate,
@@ -183,15 +185,24 @@ def test_criterion_3_critical_parameter(capsys):
 # (c_star, fp_inf_star, fp0, fpp0, c); the c cell of c* = 15 is a table
 # typo — the internal identity c = lambda * c* is enforced instead.
 SLIP_ROWS = [
-    (0.0, "2.085393", "0", "0.332061", "0"),
-    (0.1, "2.090453", "0.047836", "0.330856", "0.144584"),
-    (0.5, "2.191907", "0.228112", "0.308153", "0.740255"),
-    (1.0, "2.440648", "0.409727", "0.262266", "1.562257"),
-    (5.0, "5.771518", "0.866323", "0.072122", "12.011992"),
-    (10.0, "10.554805", "0.947436", "0.029162", "32.488159"),
-    (15.0, "15.455238", "0.970545", "0.016458", None),
-    (20.0, "20.394883", "0.980638", "0.010857", "90.321389"),
-    (25.0, "25.353618", "0.986053", "0.007833", "125.880941"),
+    # literature: 2.085393, 0.332061
+    (0.0, "2.085409", "0", "0.332057", "0"),
+    # literature: 2.090453, 0.047836, 0.330856, 0.144584
+    (0.1, "2.090429", "0.047837", "0.330862", "0.144583"),
+    # literature: 2.191907, 0.228112, 0.308153, 0.740255
+    (0.5, "2.191885", "0.228114", "0.308158", "0.740251"),
+    # literature: 2.440648, 0.409727, 0.262266, 1.562257
+    (1.0, "2.440586", "0.409738", "0.262276", "1.562237"),
+    # literature: 5.771518, 0.866323, 0.072122, 12.011992
+    (5.0, "5.771403", "0.866340", "0.072124", "12.011872"),
+    # literature: 10.554805, 0.947436, 32.488159
+    (10.0, "10.554938", "0.947424", "0.029162", "32.488365"),
+    # literature: 15.455238, 0.970545, 0.016458
+    (15.0, "15.455145", "0.970551", "0.016459", None),
+    # literature: 20.394883, 0.980638, 90.321389
+    (20.0, "20.394919", "0.980636", "0.010857", "90.321468"),
+    # literature: 25.353618, 0.986053, 125.880941
+    (25.0, "25.353584", "0.986054", "0.007833", "125.880855"),
 ]
 
 

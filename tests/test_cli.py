@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import nitm
 from nitm.cli import HEADERS, main
 
 
@@ -270,6 +271,14 @@ def test_numerical_failure_exit_two(capsys):
     code, _, err = run(capsys, "moving-wall", "1.2", "--sign", "-1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_info_reports_version_and_backend(capsys):
+    code, out, _ = run(capsys, "info")
+    assert code == 0
+    assert out.splitlines() == [f"nitm {nitm.__version__}",
+                                f"backend: {nitm.kernels.BACKEND}",
+                                f"reason: {nitm.kernels.BACKEND_REASON}"]
 
 
 def test_help_exits_zero(capsys):

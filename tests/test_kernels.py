@@ -1,12 +1,20 @@
-"""Backend selection and bit-identity of the two RK4 fill kernels."""
+"""Backend selection, the kernel loader, the compiled kernel's argument
+checks and bit-identity of the two RK4 fill kernels."""
 
+import importlib.machinery
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nitm
 from nitm import BlasiusFamilyRhs, State3, rk4_step, kernels
 from nitm import _kernels_py
 
@@ -17,6 +25,12 @@ except ImportError:
 
 needs_compiled = pytest.mark.skipif(_kernels_c is None,
                                     reason="compiled kernel not built")
+
+# the compiler nitm.kernels runs to build _kernels.c on first import
+COMPILER = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc")[0]
+needs_compiler = pytest.mark.skipif(shutil.which(COMPILER) is None,
+                                    reason=f"no C compiler {COMPILER!r}")
+PURE_FORCED = os.environ.get("NITM_PURE", "") not in ("", "0")
 
 
 def _run_fill(module, beta, initial, h, n):
@@ -30,7 +44,17 @@ def _run_fill(module, beta, initial, h, n):
 
 def test_backend_is_reported():
     assert kernels.BACKEND in ("compiled", "pure")
+    assert kernels.BACKEND_REASON
     assert callable(kernels.fill_blasius_family)
+
+
+@needs_compiler
+@pytest.mark.skipif(PURE_FORCED, reason="NITM_PURE is set")
+def test_compiled_backend_is_active_where_a_compiler_is():
+    # otherwise every needs_compiled test would skip unnoticed
+    assert kernels.BACKEND == "compiled", kernels.BACKEND_REASON
+    assert _kernels_c is not None
+    assert kernels.fill_blasius_family is _kernels_c.fill_blasius_family
 
 
 def test_pure_kernel_matches_single_python_step():
@@ -71,13 +95,141 @@ def test_blowup_index_and_prefix_agree():
         assert np.array_equal(compiled[:bad_c], pure[:bad_p])
 
 
+_FINITE = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e13, 1e13))
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 1.0]), st.tuples(_FINITE, _FINITE, _FINITE),
+       st.floats(1e-4, 1.0), st.integers(0, 400))
+def test_fills_are_bit_identical_for_random_states(beta, initial, h, n):
+    # large states and steps blow up, so the blow-up index and the
+    # unwritten tail are compared as well
+    bad_c, *arrays_c = _run_fill(_kernels_c, beta, initial, h, n)
+    bad_p, *arrays_p = _run_fill(_kernels_py, beta, initial, h, n)
+    assert bad_c == bad_p
+    for compiled, pure in zip(arrays_c, arrays_p):
+        assert np.array_equal(compiled, pure, equal_nan=True)
+
+
+def _read_only(n):
+    array = np.zeros(n)
+    array.setflags(write=False)
+    return array
+
+
+@needs_compiled
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("make_bad", [
+    lambda n: np.zeros(n, dtype=np.float32),
+    lambda n: np.zeros(2 * n)[::2],
+    _read_only,
+    lambda n: np.zeros((n, 1)),
+    lambda n: [0.0] * n,
+], ids=["float32", "strided", "read-only", "2-d", "list"])
+def test_compiled_kernel_rejects_unusable_arrays(slot, make_bad):
+    arrays = [np.ones(11) for _ in range(3)]
+    arrays[slot] = make_bad(11)
+    with pytest.raises((TypeError, ValueError)):
+        _kernels_c.fill_blasius_family(0.5, *arrays, 0.1, 0, 10)
+    assert all(np.all(np.asarray(a) == (0.0 if i == slot else 1.0))
+               for i, a in enumerate(arrays))
+
+
+@needs_compiled
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("start, stop", [(0, 8), (5, 4), (-1, 3), (6, 6)],
+                         ids=["stop-past-end", "start-after-stop",
+                              "negative-start", "start-past-end"])
+def test_compiled_kernel_rejects_nodes_outside_a_buffer(slot, start, stop):
+    # the buffer in slot has 6 nodes, the other two 11
+    arrays = [np.zeros(11) for _ in range(3)]
+    arrays[slot] = np.zeros(6)
+    with pytest.raises(IndexError):
+        _kernels_c.fill_blasius_family(0.5, *arrays, 0.1, start, stop)
+    assert not any(a.any() for a in arrays)
+
+
+def _package_copy(tmp_path):
+    copy = tmp_path / "nitm"
+    shutil.copytree(Path(nitm.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    return copy
+
+
+def _import_backend(root, **env):
+    """BACKEND, BACKEND_REASON and the cold-path modules it loaded, from
+    a fresh process that imports the nitm under root."""
+    code = ("import sys, nitm.kernels as k; print(k.BACKEND); "
+            "print(k.BACKEND_REASON); "
+            "print(sorted({'subprocess', 'sysconfig'} & set(sys.modules)))")
+    path = [str(root)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    env.pop("NITM_PURE", None)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=root, check=True)
+    return out.stdout.splitlines()
+
+
+@needs_compiler
+def test_loader_builds_once_into_the_cache(tmp_path):
+    package = _package_copy(tmp_path)
+    backend, reason, _ = _import_backend(tmp_path)
+    assert backend == "compiled", reason
+    built = list((package / "__pycache__").glob("_kernels.*"))
+    assert len(built) == 1
+    assert built[0].name.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
+    assert reason == f"_kernels.c built into the cache {built[0]}"
+    mtime = built[0].stat().st_mtime_ns
+
+    # a second process loads that file without compiling
+    assert _import_backend(tmp_path) == [backend, reason, "[]"]
+    assert list((package / "__pycache__").glob("_kernels.*")) == built
+    assert built[0].stat().st_mtime_ns == mtime
+
+
+def _break_source(package, tmp_path):
+    (package / "_kernels.c").write_text("this is not C\n")
+    return {}
+
+
+def _hide_compiler(package, tmp_path):
+    (tmp_path / "empty").mkdir()
+    return {"PATH": str(tmp_path / "empty")}
+
+
+def _block_cache(package, tmp_path):
+    (package / "__pycache__").write_text("a file, not a directory\n")
+    return {}
+
+
+@pytest.mark.parametrize("breakage, named", [
+    pytest.param(_break_source, "error:", marks=needs_compiler),
+    (_hide_compiler, "No such file or directory"),
+    (_block_cache, "__pycache__"),
+], ids=["broken-source", "no-compiler", "unwritable-cache"])
+def test_loader_failure_falls_back_to_pure(tmp_path, breakage, named):
+    if breakage is _hide_compiler and os.path.isabs(COMPILER):
+        pytest.skip("the compiler is named by an absolute path")
+    package = _package_copy(tmp_path)
+    env = breakage(package, tmp_path)
+    backend, reason, _ = _import_backend(tmp_path, **env)
+    assert backend == "pure"
+    assert reason.startswith("compiled kernel unavailable: ")
+    assert named in reason
+    if (package / "__pycache__").is_dir():
+        assert not list((package / "__pycache__").glob("_kernels.*"))
+
+
 def test_env_override_forces_pure_backend():
     env = dict(os.environ, NITM_PURE="1")
     out = subprocess.run(
-        [sys.executable, "-c", "import nitm; print(nitm.kernels.BACKEND)"],
+        [sys.executable, "-c", "import nitm; k = nitm.kernels; "
+         "print(k.BACKEND); print(k.BACKEND_REASON)"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "pure"
+    assert out.stdout.splitlines() == ["pure", "NITM_PURE is set"]
 
 
 def test_solver_results_identical_across_backends():

@@ -1,6 +1,8 @@
 """End-to-end non-iterative solves, sweeps, and parameter searches."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +232,22 @@ def test_sweep_collects_rows_and_errors():
     rows = sweep("moving-wall", [1.2, 2.0], sign=-1.0)
     assert isinstance(rows[0], ScalingBreakdownError)
     assert rows[1].physical_param == pytest.approx(0.79092739, abs=5e-5)
+
+
+def test_sweep_error_rows_keep_no_reference_cycle():
+    # a failed row's traceback would hold sweep's frame and so the rows
+    # list: every table of the sweep would then wait for a full collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = sweep("moving-wall", [1.2, 2.0], sign=-1.0)
+        assert isinstance(rows[0], ScalingBreakdownError)
+        solved, failed = weakref.ref(rows[1]), weakref.ref(rows[0])
+        del rows
+        assert solved() is None and failed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sweep_classic_is_rejected():

@@ -54,11 +54,26 @@ def series_coefficients(shear: float) -> BlasiusSeries:
     ))
 
 
-def series_eval(series: BlasiusSeries, eta: float) -> float:
-    """Sum of the series through the eta^11 term."""
+def series_eval(series: BlasiusSeries, eta: float | np.ndarray) -> float | np.ndarray:
+    """Sum of the series through the eta^11 term, elementwise for an array.
+
+    The cube is a product, not a power: numpy's vectorised pow can
+    differ from the scalar one in the last bit, while products round
+    alike, so an array call equals scalar calls bit for bit.
+    """
     c2, c5, c8, c11 = series.coefficients
-    e3 = eta ** 3
+    e3 = eta * eta * eta
     return eta * eta * (c2 + e3 * (c5 + e3 * (c8 + e3 * c11)))
+
+
+def _fit_order(etas: np.ndarray, errs: np.ndarray,
+               window: tuple[float, float]) -> float:
+    """Least-squares slope of log errs versus log etas over the window."""
+    mask = (etas >= window[0]) & (etas <= window[1]) & (errs > 1e-14)
+    if mask.sum() < 2:
+        raise ValueError("window leaves too few usable nodes for the fit")
+    slope = np.polyfit(np.log(etas[mask]), np.log(errs[mask]), 1)[0]
+    return float(slope)
 
 
 def truncation_order(series: BlasiusSeries, table: SolutionTable,
@@ -71,12 +86,7 @@ def truncation_order(series: BlasiusSeries, table: SolutionTable,
     as roundoff-dominated.
     """
     etas = table.etas()
-    errs = np.abs(table.f - np.array([series_eval(series, e) for e in etas]))
-    mask = (etas >= window[0]) & (etas <= window[1]) & (errs > 1e-14)
-    if mask.sum() < 2:
-        raise ValueError("window leaves too few usable nodes for the fit")
-    slope = np.polyfit(np.log(etas[mask]), np.log(errs[mask]), 1)[0]
-    return float(slope)
+    return _fit_order(etas, np.abs(table.f - series_eval(series, etas)), window)
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,5 @@ def series_deviation(eta_max: float = 0.5, step: float = 1e-4,
     star = integrate(BlasiusFamilyRhs(0.5), (0.0, 0.0, shear), grid)
     series = series_coefficients(shear)
     etas = star.etas()
-    errs = np.abs(star.f - np.array([series_eval(series, e) for e in etas]))
-    order = truncation_order(series, star, window=(0.6 * eta_max, eta_max))
-    return float(errs.max()), order
+    errs = np.abs(star.f - series_eval(series, etas))
+    return float(errs.max()), _fit_order(etas, errs, (0.6 * eta_max, eta_max))

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import click
@@ -545,3 +546,7 @@ def main(argv=None) -> int:
         click.echo(f"error: {exc}", err=True)
         return 1
     return rv if isinstance(rv, int) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

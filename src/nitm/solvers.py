@@ -56,6 +56,8 @@ class ProblemSpec:
             raise ValueError("the classic problem carries no star parameter")
         if self.variant != "classic" and self.star_param is None:
             raise ValueError(f"variant {self.variant!r} needs a star parameter")
+        if self.star_param is not None and not math.isfinite(self.star_param):
+            raise ValueError(f"star_param must be finite, got {self.star_param}")
 
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
@@ -373,6 +375,10 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
         )
     if variant not in PARAM_EXPONENT:
         raise UnsupportedVariantError(f"unknown variant {variant!r}")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    if bracket is not None and not all(map(math.isfinite, bracket)):
+        raise ValueError(f"bracket must be finite, got {bracket}")
     lo, hi = bracket if bracket is not None else _default_bracket(variant, target, sign)
     if not lo < hi:
         raise BracketingError(f"empty bracket ({lo:.6g}, {hi:.6g})")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (BlasiusFamilyRhs, GridConfig, State3, integrate,
+from nitm import (BlasiusFamilyRhs, GridConfig, State3, analysis, integrate,
                   rubel_bound, series_coefficients, series_deviation,
                   series_eval, truncated_solution, truncation_order)
 from nitm.analysis import SERIES_POWERS, BlasiusSeries
@@ -56,6 +56,41 @@ def test_series_scaling_identity(shear, eta):
     lhs = series_eval(series_coefficients(shear), eta)
     rhs = nu * series_eval(series_coefficients(1.0), nu * eta)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=0.1, max_value=10.0),
+       st.floats(min_value=0.5, max_value=3.0),
+       st.integers(min_value=500, max_value=4000))
+def test_series_eval_array_matches_scalar_calls_bitwise(shear, eta_max, nodes):
+    # Written with a power, the cube differs from the scalar pow in the
+    # last bit at about one node in twenty; on grids this long some of
+    # those differences survive into the sum.
+    series = series_coefficients(shear)
+    etas = GridConfig(eta_max, eta_max / nodes).etas()
+    scalars = np.array([series_eval(series, float(e)) for e in etas])
+    assert series_eval(series, etas).tobytes() == scalars.tobytes()
+
+
+def test_series_deviation_evaluates_series_once(monkeypatch):
+    calls = []
+
+    def counting(series, eta):
+        calls.append(eta)
+        return series_eval(series, eta)
+
+    monkeypatch.setattr(analysis, "series_eval", counting)
+    series_deviation(0.5, 0.5 / 4250)
+    assert len(calls) == 1
+
+
+def test_truncation_order_matches_series_deviation():
+    eta_max, step, shear = 0.45, 0.45 / 3000, 1.3
+    table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, shear),
+                      GridConfig(eta_max, step))
+    order = truncation_order(series_coefficients(shear), table,
+                             window=(0.6 * eta_max, eta_max))
+    assert order == series_deviation(eta_max, step, shear)[1]
 
 
 def test_series_against_fine_integration():

@@ -1,6 +1,10 @@
 """Command-line interface: formats, exit codes, config file, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +283,15 @@ def test_info_reports_version_and_backend(capsys):
     assert out.splitlines() == [f"nitm {nitm.__version__}",
                                 f"backend: {nitm.kernels.BACKEND}",
                                 f"reason: {nitm.kernels.BACKEND_REASON}"]
+
+
+def test_python_m_runs_the_cli():
+    # the nitm under test, whether installed or on PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=str(Path(nitm.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "nitm.cli", "info"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0
+    assert "backend:" in out.stdout
 
 
 def test_help_exits_zero(capsys):

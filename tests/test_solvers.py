@@ -12,7 +12,7 @@ from nitm import (DEFAULT_SCHEDULE, NitmConfig, State3, classic_problem,
                   find_critical_b, find_star_for_target, gasification_problem,
                   initial_state, moving_wall_problem, slip_problem,
                   solve_auxiliary, solve_gasification, solve_moving_wall,
-                  solve_slip, solve_variant, sweep)
+                  solve_slip, solve_variant, solvers, sweep)
 from nitm.errors import (BracketingError, NoConvergenceError,
                          ScalingBreakdownError, UnsupportedVariantError)
 
@@ -40,6 +40,14 @@ def test_problem_validation():
         slip_problem(-1.0)
     with pytest.raises(ValueError):
         gasification_problem(-0.1)
+
+
+@pytest.mark.parametrize("solve, value", [(solve_moving_wall, math.nan),
+                                          (solve_slip, math.nan),
+                                          (solve_gasification, math.inf)])
+def test_non_finite_star_param_rejected(solve, value):
+    with pytest.raises(ValueError, match="star_param"):
+        solve(value)
 
 
 def test_gasification_uses_unit_beta():
@@ -250,6 +258,11 @@ def test_sweep_error_rows_keep_no_reference_cycle():
             gc.enable()
 
 
+def test_sweep_non_finite_value_fails_the_call():
+    with pytest.raises(ValueError, match="star_param"):
+        sweep("slip", [1.0, math.nan])
+
+
 def test_sweep_classic_is_rejected():
     with pytest.raises(UnsupportedVariantError):
         sweep("classic", [1.0])
@@ -333,6 +346,22 @@ def test_target_requires_sign_change():
 def test_target_rejects_empty_bracket():
     with pytest.raises(BracketingError):
         find_star_for_target("slip", 1.0, bracket=(2.0, 1.0))
+
+
+@pytest.mark.parametrize("target, bracket, name", [
+    (math.nan, None, "target"),
+    (math.inf, (0.5, 2.0), "target"),
+    (1.0, (0.5, math.nan), "bracket"),
+    (1.0, (-math.inf, 2.0), "bracket"),
+])
+def test_target_rejects_non_finite_input_before_solving(monkeypatch, target,
+                                                        bracket, name):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_variant ran")
+
+    monkeypatch.setattr(solvers, "solve_variant", no_solve)
+    with pytest.raises(ValueError, match=name):
+        find_star_for_target("slip", target, bracket=bracket)
 
 
 def test_solve_variant_dispatch():

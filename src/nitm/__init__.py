@@ -13,7 +13,7 @@ from .analysis import (BlasiusSeries, RubelBound, TruncatedSolution,
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError)
-from .models import BlasiusFamilyRhs, FalknerSkanRhs, blasius_rhs, falkner_skan_rhs
+from .models import BlasiusFamilyRhs, FalknerSkanRhs
 from .ode import GridConfig, SolutionTable, State3, integrate, rk4_step
 from .scaling import (ExponentSystem, InvarianceSolution, ScalingGroup,
                       blasius_exponent_system, falkner_skan_exponent_system,
@@ -34,8 +34,8 @@ __all__ = [
     "NitmResult", "NoConvergenceError", "ProblemSpec", "RubelBound",
     "ScalingBreakdownError", "ScalingGroup", "SolutionTable", "State3",
     "TruncatedSolution", "UnsupportedVariantError", "analysis",
-    "blasius_exponent_system", "blasius_rhs", "classic_problem",
-    "falkner_skan_exponent_system", "falkner_skan_rhs", "find_critical_b",
+    "blasius_exponent_system", "classic_problem",
+    "falkner_skan_exponent_system", "find_critical_b",
     "find_star_for_target", "gasification_problem", "initial_state",
     "integrate", "kernels", "models", "moving_wall_problem",
     "numeric_invariance_check", "ode", "rk4_step", "rubel_bound", "scaling",

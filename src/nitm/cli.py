@@ -47,6 +47,13 @@ def _parse_sign(value, name: str = "--sign") -> float:
     return sign
 
 
+def _parse_format(value) -> str:
+    fmt = _DEFAULTS["format"] if value is None else str(value)
+    if fmt not in _FORMATS:
+        raise click.UsageError(f"--format must be one of {_FORMATS}, got {fmt!r}")
+    return fmt
+
+
 def _parse_boundaries(text) -> tuple[float, ...]:
     parts = [p for p in str(text).split(",") if p.strip()]
     if not parts:
@@ -115,10 +122,7 @@ class Settings:
         self.boundaries = None if boundaries is None else _parse_boundaries(boundaries)
         sign = pick("sign")
         self.sign = _DEFAULTS["sign"] if sign is None else _parse_sign(sign)
-        fmt = pick("format")
-        self.fmt = _DEFAULTS["format"] if fmt is None else str(fmt)
-        if self.fmt not in _FORMATS:
-            raise click.UsageError(f"--format must be one of {_FORMATS}, got {self.fmt!r}")
+        self.fmt = _parse_format(pick("format"))
         self.out = pick("out")
         self.profile = pick("profile")
 
@@ -248,6 +252,16 @@ def _emit_rows(rows, st: Settings, single: bool, preamble: str = "") -> None:
         if preamble:
             text = preamble + "\n" + text
     _emit(text, st.out)
+
+
+def _render_record(record: dict, fmt: str, table_text: str) -> str:
+    """One named record as JSON, as a CSV header and %.17g row, or as text."""
+    if fmt == "json":
+        return json.dumps(record, indent=2)
+    if fmt == "csv":
+        return ",".join(record) + "\n" + ",".join(
+            "%.17g" % v for v in record.values())
+    return table_text
 
 
 def _write_profile(table, path) -> None:
@@ -396,14 +410,10 @@ def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
         )
     result = solvers.find_critical_b(st.nitm_config(), scan_lo=lo, scan_hi=hi,
                                      scan_points=points)
-    if as_json or st.fmt == "json":
-        text = json.dumps({"b_c": result.b_c, "b_star": result.b_star}, indent=2)
-    elif st.fmt == "csv":
-        text = "b_c,b_star\n" + ",".join(
-            "%.17g" % v for v in (result.b_c, result.b_star))
-    else:
-        text = (f"b_c = {result.b_c:.6f}\n"
-                f"b_star = {result.b_star:.6f}")
+    text = _render_record(
+        {"b_c": result.b_c, "b_star": result.b_star},
+        "json" if as_json else st.fmt,
+        f"b_c = {result.b_c:.6f}\nb_star = {result.b_star:.6f}")
     _emit(text, st.out)
     return 0
 
@@ -466,16 +476,15 @@ def series_check(ctx, eta_max, step, fmt, out):
     step_value = 1e-4 if step is None else _parse_float(step, "--step")
     if eta_max_value <= 0 or step_value <= 0 or eta_max_value < 10 * step_value:
         raise click.UsageError("need 0 < step << eta-max")
-    fmt_value = fmt or file_cfg.get("format", "table")
+    fmt_value = _parse_format(fmt or file_cfg.get("format"))
     deviation, order = analysis.series_deviation(eta_max_value, step_value)
     ok = order >= 13.0
-    if fmt_value == "json":
-        text = json.dumps({"max_deviation": deviation, "fitted_order": order,
-                           "order_ok": ok}, indent=2)
-    else:
-        text = (f"max deviation = {deviation:.3e}\n"
-                f"fitted order = {order:.2f}\n"
-                f"order >= 13: {'yes' if ok else 'NO'}")
+    text = _render_record(
+        {"max_deviation": deviation, "fitted_order": order, "order_ok": ok},
+        fmt_value,
+        f"max deviation = {deviation:.3e}\n"
+        f"fitted order = {order:.2f}\n"
+        f"order >= 13: {'yes' if ok else 'NO'}")
     _emit(text, out or file_cfg.get("out"))
     return 0 if ok else 2
 
@@ -491,27 +500,24 @@ def rubel(ctx, m_value, fmt, out):
     M = _parse_float(m_value, "--M")
     if M < 1.0:
         raise click.UsageError(f"--M must be at least 1, got {M}")
-    fmt_value = fmt or file_cfg.get("format", "table")
+    fmt_value = _parse_format(fmt or file_cfg.get("format"))
     sol = analysis.truncated_solution(M)
     sol2 = analysis.truncated_solution(2.0 * M)
     bound = analysis.rubel_bound(sol.table)
     n = sol.table.grid.nodes
     empirical = float(abs(sol2.table.f[:n] - sol.table.f[:n]).max())
     valid = empirical <= bound.bound
-    if fmt_value == "json":
-        text = json.dumps({
-            "M": M, "t_star": sol.t_star, "lambda": sol.lam,
-            "bound": bound.bound, "empirical_max_error": empirical,
-            "valid": valid,
-        }, indent=2)
-    else:
-        text = (f"M = {M:g}\n"
-                f"t_star = {sol.t_star:.9f}\n"
-                f"lambda = {sol.lam:.9f}\n"
-                f"bound = {bound.bound:.6e}\n"
-                f"empirical max error = {empirical:.6e}\n"
-                f"{'VALID' if valid else 'INVALID'} (error <= bound: "
-                f"{'yes' if valid else 'no'})")
+    text = _render_record(
+        {"M": M, "t_star": sol.t_star, "lambda": sol.lam, "bound": bound.bound,
+         "empirical_max_error": empirical, "valid": valid},
+        fmt_value,
+        f"M = {M:g}\n"
+        f"t_star = {sol.t_star:.9f}\n"
+        f"lambda = {sol.lam:.9f}\n"
+        f"bound = {bound.bound:.6e}\n"
+        f"empirical max error = {empirical:.6e}\n"
+        f"{'VALID' if valid else 'INVALID'} (error <= bound: "
+        f"{'yes' if valid else 'no'})")
     _emit(text, out or file_cfg.get("out"))
     return 0 if valid else 2
 

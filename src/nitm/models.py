@@ -38,12 +38,3 @@ class FalknerSkanRhs:
     def __call__(self, eta: float, s: State3) -> State3:
         return State3(s.fp, s.fpp, -s.f * s.fpp - self.P * (1.0 - s.fp * s.fp))
 
-
-def blasius_rhs(eta: float, s: State3, beta: float) -> State3:
-    """Derivative of the Blasius-family system at state s."""
-    return BlasiusFamilyRhs(beta)(eta, s)
-
-
-def falkner_skan_rhs(eta: float, s: State3, P: float) -> State3:
-    """Derivative of the Falkner-Skan system at state s."""
-    return FalknerSkanRhs(P)(eta, s)

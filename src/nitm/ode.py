@@ -28,6 +28,18 @@ class State3(NamedTuple):
     fpp: float
 
 
+def node_index(eta: float, step: float, name: str) -> int:
+    """Index of the grid node at eta, which must be a positive whole number of steps."""
+    ratio = eta / step
+    n = round(ratio) if math.isfinite(ratio) else 0
+    # tolerate float representation of step*n, not genuine misalignment
+    if n < 1 or abs(n * step - eta) > 1e-9 * max(1.0, eta):
+        raise ValueError(
+            f"{name} = {eta} is not a positive integer multiple of step {step}"
+        )
+    return n
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Uniform grid on [0, eta_max] with eta_max an integer multiple of step."""
@@ -38,14 +50,7 @@ class GridConfig:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive, got {self.step}")
-        if not (math.isfinite(self.eta_max) and self.eta_max >= self.step):
-            raise ValueError(f"eta_max must be at least one step, got {self.eta_max}")
-        n = round(self.eta_max / self.step)
-        # tolerate float representation of step*n, not genuine misalignment
-        if abs(n * self.step - self.eta_max) > 1e-9 * max(1.0, self.eta_max):
-            raise ValueError(
-                f"eta_max = {self.eta_max} is not an integer multiple of step = {self.step}"
-            )
+        node_index(self.eta_max, self.step, "eta_max")
 
     @property
     def nodes(self) -> int:
@@ -54,29 +59,6 @@ class GridConfig:
     def etas(self) -> np.ndarray:
         """Node coordinates, exactly i*step for node i."""
         return np.arange(self.nodes) * self.step
-
-
-class _StateView:
-    """Sequence view presenting table columns as State3 tuples."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "SolutionTable"):
-        self._table = table
-
-    def __len__(self) -> int:
-        return self._table.grid.nodes
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        t = self._table
-        return State3(float(t.f[i]), float(t.fp[i]), float(t.fpp[i]))
-
-    def __iter__(self) -> Iterator[State3]:
-        t = self._table
-        for f, fp, fpp in zip(t.f, t.fp, t.fpp):
-            yield State3(float(f), float(fp), float(fpp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +71,9 @@ class SolutionTable:
     fpp: np.ndarray
 
     @property
-    def states(self) -> _StateView:
-        return _StateView(self)
-
-    @property
     def fp_inf(self) -> float:
         """Last-node fp, the finite-boundary estimate of the asymptote."""
         return float(self.fp[-1])
-
-    def state(self, i: int) -> State3:
-        return State3(float(self.f[i]), float(self.fp[i]), float(self.fpp[i]))
 
     def etas(self) -> np.ndarray:
         return self.grid.etas()
@@ -110,8 +85,9 @@ Rhs = Callable[[float, State3], tuple]
 def rk4_step(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
     """One classical four-stage RK4 update of size h.
 
-    Mirrors the kernel arithmetic exactly, so a single generic step
-    agrees bit for bit with the specialized Blasius-family fill.
+    The textbook reference for the kernels: it mirrors their arithmetic
+    exactly, so stepping it over a grid agrees bit for bit with the
+    specialized Blasius-family fill.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
@@ -140,31 +116,37 @@ def rk4_step(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
     return State3(nf, np_, nq)
 
 
-def integrate(rhs: Rhs, initial, grid: GridConfig) -> SolutionTable:
-    """Integrate rhs from eta=0 to grid.eta_max, storing every node.
+def walk(beta: float, initial, step: float,
+         stops) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Integrate f''' = -beta*f*f'' from node 0 through each stop index in turn.
 
-    Blasius-family right-hand sides are dispatched to the compiled
-    kernel; anything else goes through the generic rk4_step loop.
+    The arrays are allocated once, up to stops[-1], and (stop, f, fp,
+    fpp) is yielded as soon as nodes 0..stop hold the solution. Nothing
+    past the last stop a caller consumes is integrated.
     """
     start = State3(*initial)
     if not all(math.isfinite(v) for v in start):
         raise ValueError(f"initial state must be finite, got {start}")
-    n = grid.nodes
-    h = grid.step
+    n = stops[-1] + 1
     f = np.empty(n)
     fp = np.empty(n)
     fpp = np.empty(n)
     f[0], fp[0], fpp[0] = start
+    filled = 0
+    for stop in stops:
+        # looked up at each call, so a kernel patched onto the module is used
+        bad = kernels.fill_blasius_family(beta, f, fp, fpp, step, filled, stop)
+        if bad >= 0:
+            raise BlowupError(bad * step)
+        filled = stop
+        yield stop, f, fp, fpp
 
+
+def integrate(rhs, initial, grid: GridConfig) -> SolutionTable:
+    """Integrate a Blasius-family rhs from eta=0 to grid.eta_max, storing every node."""
     from .models import BlasiusFamilyRhs  # deferred: models imports State3
 
-    if isinstance(rhs, BlasiusFamilyRhs):
-        bad = kernels.fill_blasius_family(rhs.beta, f, fp, fpp, h, 0, n - 1)
-        if bad >= 0:
-            raise BlowupError(bad * h)
-    else:
-        state = start
-        for i in range(n - 1):
-            state = rk4_step(rhs, i * h, state, h)
-            f[i + 1], fp[i + 1], fpp[i + 1] = state
+    if not isinstance(rhs, BlasiusFamilyRhs):
+        raise TypeError(f"integrate needs a BlasiusFamilyRhs, got {rhs!r}")
+    [(_, f, fp, fpp)] = walk(rhs.beta, initial, grid.step, (grid.nodes - 1,))
     return SolutionTable(grid, f, fp, fpp)

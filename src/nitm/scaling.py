@@ -21,14 +21,10 @@ from .ode import GridConfig, SolutionTable, State3
 class ScalingGroup:
     """Power-law group f* = lambda f, eta* = lambda^delta eta.
 
-    param_exponent is the k with param* = lambda^k * param (2 for the
-    moving-wall b, -1 for the slip c, -2 for the gasification s; None
-    for the classic problem). d is the asymptotic slope the physical
-    solution must reach.
+    d is the asymptotic slope the physical solution must reach.
     """
 
     delta: float = -1.0
-    param_exponent: float | None = None
     d: float = 1.0
 
     def __post_init__(self):
@@ -96,12 +92,11 @@ class ExponentSystem:
     """Linear invariance conditions on the scaling exponents.
 
     Each row holds the coefficients of (alpha_1, ..., alpha_n) in one
-    homogeneous condition; rhs is kept for completeness and must be
-    zero (scaling invariance never produces an inhomogeneous system).
+    homogeneous condition (scaling invariance never produces an
+    inhomogeneous system).
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         if not self.rows:
@@ -109,10 +104,6 @@ class ExponentSystem:
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise ValueError("condition rows must have equal width")
-        rhs = self.rhs if self.rhs else tuple(Fraction(0) for _ in self.rows)
-        if len(rhs) != len(self.rows) or any(v != 0 for v in rhs):
-            raise ValueError("invariance conditions must be homogeneous")
-        object.__setattr__(self, "rhs", rhs)
 
     @property
     def unknowns(self) -> int:

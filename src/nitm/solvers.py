@@ -8,15 +8,14 @@ boundaries and accept as soon as two successive lambda values agree.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
-from .errors import (BlowupError, BracketingError, NitmError,
-                     NoConvergenceError, UnsupportedVariantError)
-from .ode import GridConfig, SolutionTable, State3
+from .errors import (BracketingError, NitmError, NoConvergenceError,
+                     UnsupportedVariantError)
+from .ode import GridConfig, SolutionTable, State3, node_index, walk
 from .scaling import (ScalingGroup, lambda_from_asymptote, lambda_moving_wall,
                       map_parameter, rescale)
 
@@ -74,10 +73,20 @@ def slip_problem(c_star: float, sign: float = 1.0) -> ProblemSpec:
     return ProblemSpec("slip", 0.5, c_star, sign)
 
 
-def gasification_problem(s_star: float) -> ProblemSpec:
+def gasification_problem(s_star: float, sign: float = 1.0) -> ProblemSpec:
     if s_star < 0.0:
         raise ValueError(f"s_star must be nonnegative, got {s_star}")
+    if sign != 1.0:
+        raise ValueError(f"gasification has only the +1 branch, got sign {sign}")
     return ProblemSpec("gasification", 1.0, s_star, 1.0)
+
+
+# constructor of each parametrized variant's ProblemSpec from (star, sign)
+PROBLEMS = {
+    "moving-wall": moving_wall_problem,
+    "slip": slip_problem,
+    "gasification": gasification_problem,
+}
 
 
 def initial_state(spec: ProblemSpec) -> State3:
@@ -98,12 +107,15 @@ class NitmConfig:
 
     A single-entry schedule skips the agreement test and accepts that
     boundary as given (used for fixed-boundary reports and the
-    truncated-boundary analysis).
+    truncated-boundary analysis). stops holds the node index of each
+    boundary, derived here, so a boundary off the grid is rejected on
+    construction.
     """
 
     step: float = 0.01
     boundary_schedule: tuple[float, ...] = DEFAULT_SCHEDULE
     lambda_tol: float = 1e-6
+    stops: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -111,13 +123,14 @@ class NitmConfig:
         sched = tuple(float(b) for b in self.boundary_schedule)
         if not sched:
             raise ValueError("boundary schedule must be nonempty")
-        if any(b <= 0.0 for b in sched) or any(
-                b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
-            raise ValueError(f"boundary schedule must be positive and strictly "
-                             f"increasing, got {sched}")
+        stops = tuple(node_index(b, self.step, "boundary") for b in sched)
+        if any(s2 <= s1 for s1, s2 in zip(stops, stops[1:])):
+            raise ValueError(f"boundary schedule must be strictly increasing, "
+                             f"got {sched}")
         if not (math.isfinite(self.lambda_tol) and self.lambda_tol > 0.0):
             raise ValueError(f"lambda_tol must be positive, got {self.lambda_tol}")
         object.__setattr__(self, "boundary_schedule", sched)
+        object.__setattr__(self, "stops", stops)
 
 
 DEFAULT_CONFIG = NitmConfig()
@@ -137,15 +150,6 @@ class NitmResult:
     table: SolutionTable
 
 
-def _boundary_index(boundary: float, step: float) -> int:
-    idx = round(boundary / step)
-    if idx < 1 or abs(idx * step - boundary) > 1e-9 * max(1.0, boundary):
-        raise ValueError(
-            f"boundary {boundary} is not an integer multiple of step {step}"
-        )
-    return idx
-
-
 def _lambda_at(spec: ProblemSpec, fp_boundary: float) -> float:
     if spec.variant == "moving-wall":
         return lambda_moving_wall(fp_boundary, spec.star_param)
@@ -163,35 +167,18 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     accepted boundary.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    h = cfg.step
-    schedule = cfg.boundary_schedule
-    stops = [_boundary_index(b, h) for b in schedule]
-
-    n = stops[-1] + 1
-    f = np.empty(n)
-    fp = np.empty(n)
-    fpp = np.empty(n)
-    f[0], fp[0], fpp[0] = initial_state(spec)
-
-    fixed_boundary = len(schedule) == 1
+    fixed_boundary = len(cfg.stops) == 1
     lambdas: list[float] = []
-    accepted = None
-    start = 0
-    for boundary, stop in zip(schedule, stops):
-        bad = kernels.fill_blasius_family(spec.beta, f, fp, fpp, h, start, stop)
-        if bad >= 0:
-            raise BlowupError(bad * h)
-        start = stop
-        lam = _lambda_at(spec, float(fp[stop]))
-        lambdas.append(lam)
+    for stop, f, fp, fpp in walk(spec.beta, initial_state(spec), cfg.step,
+                                 cfg.stops):
+        lambdas.append(_lambda_at(spec, float(fp[stop])))
         if fixed_boundary or (len(lambdas) >= 2
                               and abs(lambdas[-1] - lambdas[-2]) <= cfg.lambda_tol):
-            accepted = (boundary, stop)
             break
-    if accepted is None:
+    else:
         raise NoConvergenceError(lambdas)
 
-    boundary, stop = accepted
+    boundary = cfg.boundary_schedule[len(lambdas) - 1]
     lam = lambdas[-1]
     fp_inf_star = float(fp[stop])
 
@@ -199,10 +186,10 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     physical = None if k is None else map_parameter(spec.star_param, lam, k)
     d = 1.0 - physical if spec.variant == "moving-wall" else spec.d
 
-    star_grid = GridConfig(eta_max=boundary, step=h)
+    star_grid = GridConfig(eta_max=boundary, step=cfg.step)
     star_table = SolutionTable(star_grid, f[:stop + 1].copy(),
                                fp[:stop + 1].copy(), fpp[:stop + 1].copy())
-    group = ScalingGroup(delta=-1.0, param_exponent=k, d=d)
+    group = ScalingGroup(delta=-1.0, d=d)
     table = rescale(star_table, lam, group)
 
     return NitmResult(
@@ -233,18 +220,20 @@ def solve_gasification(s_star: float, config: NitmConfig | None = None) -> NitmR
     return solve_auxiliary(gasification_problem(s_star), config)
 
 
+def _problem(variant: str, star_value: float, sign: float) -> ProblemSpec:
+    try:
+        make = PROBLEMS[variant]
+    except KeyError:
+        raise UnsupportedVariantError(
+            f"variant {variant!r} does not take a star parameter"
+        ) from None
+    return make(star_value, sign)
+
+
 def solve_variant(variant: str, star_value: float, sign: float = 1.0,
                   config: NitmConfig | None = None) -> NitmResult:
     """Dispatch a single solve by variant name."""
-    if variant == "moving-wall":
-        return solve_moving_wall(star_value, sign, config)
-    if variant == "slip":
-        return solve_slip(star_value, config)
-    if variant == "gasification":
-        return solve_gasification(star_value, config)
-    raise UnsupportedVariantError(
-        f"variant {variant!r} does not take a star parameter"
-    )
+    return solve_auxiliary(_problem(variant, star_value, sign), config)
 
 
 def sweep(variant: str, star_values, sign: float = 1.0,
@@ -253,18 +242,19 @@ def sweep(variant: str, star_values, sign: float = 1.0,
 
     A row that fails carries the error object in place of a result, so
     a sweep across a critical region still reports its solvable rows.
+    Every star value is checked before the first solve.
     """
-    if variant not in PARAM_EXPONENT:
+    if variant not in PROBLEMS:
         raise UnsupportedVariantError(
             f"sweep needs a parametrized variant, got {variant!r}"
         )
-    star_values = list(star_values)
-    if not star_values:
+    specs = [_problem(variant, value, sign) for value in star_values]
+    if not specs:
         raise ValueError("sweep needs at least one star value")
     rows: list[NitmResult | NitmError] = []
-    for value in star_values:
+    for spec in specs:
         try:
-            rows.append(solve_variant(variant, value, sign, config))
+            rows.append(solve_auxiliary(spec, config))
         except NitmError as exc:
             # without its traceback: that holds this frame, and so rows
             rows.append(exc.with_traceback(None))
@@ -346,10 +336,15 @@ _TARGET_BRACKETS = {
 }
 
 
+# find_critical_b's b* (-1.232273 at the default step), rounded towards
+# the left lobe of the non-monotone b(b*) map, the lobe that runs from
+# the critical b* up to b* = 0: a bracket starting here holds one root.
+_CRITICAL_B_STAR = -1.2322
+
+
 def _default_bracket(variant: str, target: float, sign: float) -> tuple[float, float]:
     if variant == "moving-wall" and sign == 1.0 and target < 0.0:
-        # left lobe of the non-monotone b(b*) map, up to the critical b*
-        return (-1.2322, -1e-6)
+        return (_CRITICAL_B_STAR, -1e-6)
     try:
         return _TARGET_BRACKETS[(variant, sign)]
     except KeyError:
@@ -373,7 +368,7 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
         raise UnsupportedVariantError(
             "the classic problem has no physical parameter to target"
         )
-    if variant not in PARAM_EXPONENT:
+    if variant not in PROBLEMS:
         raise UnsupportedVariantError(f"unknown variant {variant!r}")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")

@@ -367,7 +367,7 @@ def test_criterion_8_invariance_analysis(capsys):
 
         table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
                           GridConfig(4.0, 0.05))
-        samples = [table.state(i) for i in (0, 20, 40, 80)]
+        samples = [(table.f[i], table.fp[i], table.fpp[i]) for i in (0, 20, 40, 80)]
         residual = numeric_invariance_check(BlasiusFamilyRhs(0.5), group,
                                             1.7, samples)
         assert residual <= 1e-12

@@ -137,6 +137,22 @@ def test_sweep_all_failed_exit_code(capsys):
     assert out.count("ERROR(") >= 2
 
 
+def test_sweep_slip_minus_branch_is_solved(capsys):
+    # the -1 branch of slip blows up; it used to print the +1 rows
+    code, out, _ = run(capsys, "sweep", "--problem", "slip",
+                       "--values", "1,2", "--sign", "-1")
+    assert code == 2
+    assert out.count("ERROR(integration blowup") == 2 * (len(HEADERS) - 1)
+
+
+def test_sweep_gasification_rejects_minus_sign(capsys):
+    code, out, err = run(capsys, "sweep", "--problem", "gasification",
+                         "--values", "1,2", "--sign", "-1")
+    assert code == 1
+    assert not out
+    assert "sign" in err
+
+
 def test_sweep_json_error_objects(capsys):
     code, out, _ = run(capsys, "sweep", "--problem", "moving-wall",
                        "--sign", "-1", "--values", "1.2,2.0",
@@ -219,6 +235,31 @@ def test_rubel_report(capsys):
     assert "bound = 9.762554e-03" in out
 
 
+@pytest.mark.parametrize("argv, header", [
+    (("series-check",), "max_deviation,fitted_order,order_ok"),
+    (("rubel", "--M", "3"), "M,t_star,lambda,bound,empirical_max_error,valid"),
+], ids=["series-check", "rubel"])
+def test_analysis_commands_csv(capsys, argv, header):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == header
+    cells = [float(c) for c in lines[1].split(",")]
+    assert len(cells) == len(header.split(","))
+    assert cells[-1] == 1.0          # order_ok / valid
+
+
+@pytest.mark.parametrize("argv", [("series-check",), ("rubel", "--M", "3")],
+                         ids=["series-check", "rubel"])
+def test_analysis_commands_reject_config_format(capsys, tmp_path, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 1
+    assert not out
+    assert "--format must be one of" in err
+
+
 def test_rubel_json(capsys):
     code, out, _ = run(capsys, "rubel", "--M", "3", "--format", "json")
     assert code == 0
@@ -257,6 +298,7 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     ("blasius", "--step", "-0.5"),
     ("blasius", "--step", "abc"),
     ("blasius", "--boundaries", "4.005"),
+    ("blasius", "--step", "0.03"),          # default schedule off its grid
     ("blasius", "--lambda-tol", "0"),
     ("blasius", "--sign", "2"),
     ("sweep", "--problem", "slip", "--values", "1,2",

@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (BlasiusFamilyRhs, FalknerSkanRhs, State3, blasius_rhs,
-                  falkner_skan_rhs)
+from nitm import BlasiusFamilyRhs, FalknerSkanRhs, State3
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -36,12 +35,6 @@ def test_falkner_skan_zero_pressure_is_unit_beta_blasius(f, fp, fpp):
     # exactly, float for float.
     s = State3(f, fp, fpp)
     assert FalknerSkanRhs(0.0)(0.0, s) == BlasiusFamilyRhs(1.0)(0.0, s)
-
-
-def test_module_level_wrappers():
-    s = State3(1.0, 2.0, 3.0)
-    assert blasius_rhs(0.0, s, 0.5) == BlasiusFamilyRhs(0.5)(0.0, s)
-    assert falkner_skan_rhs(0.0, s, 1.0) == FalknerSkanRhs(1.0)(0.0, s)
 
 
 @pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf])

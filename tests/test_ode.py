@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from nitm import BlasiusFamilyRhs, GridConfig, State3, integrate, rk4_step
 from nitm.errors import BlowupError
-from nitm.ode import SolutionTable
 
 
 def test_grid_nodes_and_etas():
@@ -100,25 +99,30 @@ def test_integrate_blowup_reports_location():
 def test_solution_table_views():
     table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
                       GridConfig(1.0, 0.1))
-    assert len(table.states) == table.grid.nodes == 11
-    first = table.state(0)
-    assert first == State3(0.0, 0.0, 1.0)
-    assert table.states[-1] == table.state(10)
-    assert isinstance(table.states[2:4], list)
+    assert len(table.f) == len(table.fp) == len(table.fpp) == table.grid.nodes == 11
+    assert (table.f[0], table.fp[0], table.fpp[0]) == (0.0, 0.0, 1.0)
     assert table.fp_inf == table.fp[-1]
     assert np.array_equal(table.etas(), table.grid.etas())
 
 
 def test_generic_rhs_path_matches_kernel_path():
-    # A plain callable wrapping the same right-hand side must take the
-    # generic stepping path and land on identical floats.
+    # The textbook rk4_step, stepped over the grid, lands on the kernel's
+    # floats at every node.
     rhs = BlasiusFamilyRhs(0.5)
     grid = GridConfig(2.0, 0.05)
-    fast = integrate(rhs, State3(0.0, 0.0, 1.0), grid)
-    slow = integrate(lambda eta, s: rhs(eta, s), State3(0.0, 0.0, 1.0), grid)
-    assert np.array_equal(fast.f, slow.f)
-    assert np.array_equal(fast.fp, slow.fp)
-    assert np.array_equal(fast.fpp, slow.fpp)
+    table = integrate(rhs, State3(0.0, 0.0, 1.0), grid)
+    state = State3(0.0, 0.0, 1.0)
+    for i in range(grid.nodes):
+        assert state == (table.f[i], table.fp[i], table.fpp[i])
+        if i < grid.nodes - 1:
+            state = rk4_step(rhs, i * grid.step, state, grid.step)
+
+
+def test_integrate_rejects_other_rhs():
+    rhs = BlasiusFamilyRhs(0.5)
+    with pytest.raises(TypeError):
+        integrate(lambda eta, s: rhs(eta, s), State3(0.0, 0.0, 1.0),
+                  GridConfig(1.0, 0.1))
 
 
 @settings(max_examples=50, deadline=None)

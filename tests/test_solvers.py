@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from nitm import (DEFAULT_SCHEDULE, NitmConfig, State3, classic_problem,
                   find_critical_b, find_star_for_target, gasification_problem,
-                  initial_state, moving_wall_problem, slip_problem,
+                  initial_state, kernels, moving_wall_problem, slip_problem,
                   solve_auxiliary, solve_gasification, solve_moving_wall,
                   solve_slip, solve_variant, solvers, sweep)
-from nitm.errors import (BracketingError, NoConvergenceError,
+from nitm.errors import (BlowupError, BracketingError, NoConvergenceError,
                          ScalingBreakdownError, UnsupportedVariantError)
 
 
@@ -68,7 +68,13 @@ def test_config_validation():
 
 def test_boundary_must_sit_on_grid():
     with pytest.raises(ValueError):
-        solve_auxiliary(classic_problem(), _fixed(4.005))
+        _fixed(4.005)
+    # the default schedule is off a 0.03 grid: rejected before any solve
+    with pytest.raises(ValueError, match="boundary"):
+        NitmConfig(step=0.03)
+    assert NitmConfig(step=0.1, boundary_schedule=(4.0, 6.0)).stops == (40, 60)
+    with pytest.raises(TypeError):
+        NitmConfig(stops=(40,))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +113,20 @@ def test_classic_agreement_walk_at_coarse_step():
     res = solve_auxiliary(classic_problem(), NitmConfig(step=0.1))
     assert res.eta_inf_star == 8.0
     assert res.lam == pytest.approx(1.4440945365988662, rel=1e-12)
+
+
+def test_classic_solve_integrates_only_to_the_accepted_boundary(monkeypatch):
+    fills = []
+    fill = kernels.fill_blasius_family
+
+    def counting_fill(beta, f, fp, fpp, h, start, stop):
+        fills.append(stop - start)
+        return fill(beta, f, fp, fpp, h, start, stop)
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", counting_fill)
+    res = solve_auxiliary(classic_problem())
+    assert fills == [400, 200, 200]            # boundaries 4, 6 and 8
+    assert sum(fills) == round(res.eta_inf_star / 0.01)
 
 
 def test_classic_no_convergence_with_tight_tolerance():
@@ -258,9 +278,22 @@ def test_sweep_error_rows_keep_no_reference_cycle():
             gc.enable()
 
 
-def test_sweep_non_finite_value_fails_the_call():
+def test_sweep_non_finite_value_fails_the_call(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_auxiliary ran")
+
+    monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
     with pytest.raises(ValueError, match="star_param"):
         sweep("slip", [1.0, math.nan])
+
+
+def test_sweep_honours_sign_on_every_variant():
+    # slip's -1 branch blows up for every c*; gasification has no -1 branch
+    rows = sweep("slip", [0.0, 1.0, 2.0], sign=-1.0)
+    assert all(isinstance(row, BlowupError) for row in rows)
+    assert slip_problem(1.0, -1.0).p == -1.0
+    with pytest.raises(ValueError, match="sign"):
+        sweep("gasification", [1.0, 2.0], sign=-1.0)
 
 
 def test_sweep_classic_is_rejected():
@@ -289,6 +322,8 @@ def test_critical_b():
     crit = find_critical_b()
     assert crit.b_c == pytest.approx(-0.5482461651938919, rel=1e-9)
     assert crit.b_star == pytest.approx(-1.23227, abs=1e-3)
+    # the default bracket for a negative target starts just right of b*
+    assert crit.b_star < solvers._CRITICAL_B_STAR < crit.b_star + 1e-3
 
 
 def test_critical_b_needs_interior_minimum():

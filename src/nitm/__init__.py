@@ -14,7 +14,7 @@ from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError)
 from .models import BlasiusFamilyRhs, FalknerSkanRhs
-from .ode import GridConfig, SolutionTable, State3, integrate, rk4_step
+from .ode import GridConfig, SolutionTable, State3, integrate
 from .scaling import (ExponentSystem, InvarianceSolution, ScalingGroup,
                       blasius_exponent_system, falkner_skan_exponent_system,
                       numeric_invariance_check, solve_invariance_exponents)
@@ -38,7 +38,7 @@ __all__ = [
     "falkner_skan_exponent_system", "find_critical_b",
     "find_star_for_target", "gasification_problem", "initial_state",
     "integrate", "kernels", "models", "moving_wall_problem",
-    "numeric_invariance_check", "ode", "rk4_step", "rubel_bound", "scaling",
+    "numeric_invariance_check", "ode", "rubel_bound", "scaling",
     "series_coefficients", "series_deviation", "series_eval", "slip_problem",
     "solve_auxiliary", "solve_gasification", "solve_invariance_exponents",
     "solve_moving_wall", "solve_slip", "solve_variant", "solvers", "sweep",

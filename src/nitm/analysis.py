@@ -18,8 +18,6 @@ from .scaling import ScalingGroup, rescale
 # eta^13 vanishes, the next nonzero term is eta^14
 SERIES_POWERS = (2, 5, 8, 11)
 
-_ZERO_POWERS = (0, 1, 3, 4, 6, 7, 9, 10)
-
 
 @dataclass(frozen=True)
 class BlasiusSeries:
@@ -27,15 +25,6 @@ class BlasiusSeries:
 
     shear: float
     coefficients: tuple[float, float, float, float]
-
-    def coefficient(self, power: int) -> float:
-        """Series coefficient of eta**power, for power in 0..11."""
-        if power in _ZERO_POWERS:
-            return 0.0
-        try:
-            return self.coefficients[SERIES_POWERS.index(power)]
-        except ValueError:
-            raise ValueError(f"series is truncated past eta^11, got power {power}")
 
 
 def series_coefficients(shear: float) -> BlasiusSeries:

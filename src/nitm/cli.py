@@ -6,6 +6,7 @@ One subcommand per solver or analysis entry point. Numbers print with
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
+import inspect
 import json
 import math
 import sys
@@ -27,7 +28,8 @@ _FORMATS = ("table", "csv", "json")
 _CONFIG_KEYS = ("step", "boundaries", "lambda_tol", "sign", "format",
                 "out", "profile")
 
-_DEFAULTS = {"step": 0.01, "lambda_tol": 1e-6, "sign": 1.0, "format": "table"}
+# find_critical_b's own defaults, quoted in critical-b's help
+_SCAN_DEFAULTS = inspect.signature(solvers.find_critical_b).parameters
 
 
 def _parse_float(text, name: str) -> float:
@@ -38,20 +40,6 @@ def _parse_float(text, name: str) -> float:
     if not math.isfinite(value):
         raise click.UsageError(f"{name} must be finite, got {text!r}")
     return value
-
-
-def _parse_sign(value, name: str = "--sign") -> float:
-    sign = _parse_float(value, name)
-    if sign not in (1.0, -1.0):
-        raise click.UsageError(f"{name} must be +1 or -1, got {value!r}")
-    return sign
-
-
-def _parse_format(value) -> str:
-    fmt = _DEFAULTS["format"] if value is None else str(value)
-    if fmt not in _FORMATS:
-        raise click.UsageError(f"--format must be one of {_FORMATS}, got {fmt!r}")
-    return fmt
 
 
 def _parse_boundaries(text) -> tuple[float, ...]:
@@ -100,7 +88,11 @@ def _load_config_file(path: str) -> dict:
 
 
 class Settings:
-    """Merged run configuration: flags override the config file."""
+    """Merged run configuration: flags override the config file.
+
+    Only turns strings into values. NitmConfig holds the solver
+    defaults and checks the ranges, so only the values given reach it.
+    """
 
     _FLAG_NAMES = {"format": "fmt"}
 
@@ -109,53 +101,71 @@ class Settings:
             flag = flags.get(self._FLAG_NAMES.get(key, key))
             return flag if flag is not None else file_cfg.get(key)
 
-        step = pick("step")
-        self.step = _DEFAULTS["step"] if step is None else _parse_float(step, "--step")
-        if self.step <= 0.0:
-            raise click.UsageError(f"--step must be positive, got {self.step}")
-        tol = pick("lambda_tol")
-        self.lambda_tol = (_DEFAULTS["lambda_tol"] if tol is None
-                           else _parse_float(tol, "--lambda-tol"))
-        if self.lambda_tol <= 0.0:
-            raise click.UsageError(f"--lambda-tol must be positive, got {self.lambda_tol}")
+        self._given = {}
+        for key, flag in (("step", "--step"), ("lambda_tol", "--lambda-tol")):
+            value = pick(key)
+            if value is not None:
+                self._given[key] = _parse_float(value, flag)
         boundaries = pick("boundaries")
         self.boundaries = None if boundaries is None else _parse_boundaries(boundaries)
         sign = pick("sign")
-        self.sign = _DEFAULTS["sign"] if sign is None else _parse_sign(sign)
-        self.fmt = _parse_format(pick("format"))
+        self.sign = 1.0 if sign is None else _parse_float(sign, "--sign")
+        if self.sign not in (1.0, -1.0):
+            raise click.UsageError(f"--sign must be +1 or -1, got {sign!r}")
+        fmt = pick("format")
+        self.fmt = "table" if fmt is None else fmt
+        if self.fmt not in _FORMATS:
+            raise click.UsageError(
+                f"--format must be one of {_FORMATS}, got {self.fmt!r}")
         self.out = pick("out")
         self.profile = pick("profile")
 
     def nitm_config(self, boundaries=None) -> NitmConfig:
-        schedule = boundaries
-        if schedule is None:
-            schedule = self.boundaries
-        if schedule is None:
-            schedule = solvers.DEFAULT_SCHEDULE
+        schedule = boundaries or self.boundaries
+        kwargs = dict(self._given)
+        if schedule is not None:
+            kwargs["boundary_schedule"] = schedule
         try:
-            return NitmConfig(step=self.step, boundary_schedule=schedule,
-                              lambda_tol=self.lambda_tol)
+            return NitmConfig(**kwargs)
         except ValueError as exc:
             raise click.UsageError(str(exc))
 
 
-def _run_options(fn):
-    for option in reversed((
-            click.option("--step", default=None, help="Grid step (default 0.01)."),
-            click.option("--boundaries", default=None,
-                         help="Comma-separated truncated-boundary schedule."),
-            click.option("--lambda-tol", "lambda_tol", default=None,
-                         help="Agreement tolerance on successive lambda values."),
-            click.option("--format", "fmt", default=None,
-                         type=click.Choice(_FORMATS),
-                         help="Output format (default table)."),
-            click.option("--out", default=None, type=click.Path(),
-                         help="Write the report here instead of stdout."),
-            click.option("--profile", default=None, type=click.Path(),
-                         help="Write the rescaled profile as CSV (eta,f,fp,fpp)."),
-    )):
-        fn = option(fn)
-    return fn
+def _options(*decorators):
+    """One decorator applying several click options in the order listed."""
+    def apply(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+    return apply
+
+
+# on every command that prints a report
+_report_options = _options(
+    click.option("--format", "fmt", default=None, type=click.Choice(_FORMATS),
+                 help="Output format (default table)."),
+    click.option("--out", default=None, type=click.Path(),
+                 help="Write the report here instead of stdout."),
+)
+
+# on every command that solves
+_grid_options = _options(
+    click.option("--step", default=None,
+                 help=f"Grid step (default {solvers.DEFAULT_CONFIG.step:g})."),
+    click.option("--boundaries", default=None,
+                 help="Comma-separated truncated-boundary schedule."),
+    click.option("--lambda-tol", "lambda_tol", default=None,
+                 help="Agreement tolerance on successive lambda values."),
+    _report_options,
+    click.option("--profile", default=None, type=click.Path(),
+                 help="Write the rescaled profile as CSV (eta,f,fp,fpp)."),
+)
+
+# on every command that solves, but critical-b, which has only the +1 branch
+_run_options = _options(
+    _grid_options,
+    click.option("--sign", default=None, help="Seeded f''*(0), +1 or -1."),
+)
 
 
 def _settings(ctx, **flags) -> Settings:
@@ -283,17 +293,16 @@ def cli(ctx, config_path):
 
 @cli.command()
 @_run_options
-@click.option("--sign", default=None, help="Seeded f''*(0), +1 or -1.")
 @click.pass_context
-def blasius(ctx, sign, **flags):
+def blasius(ctx, **flags):
     """Classic Blasius via the Topfer transformation.
 
     With --boundaries, solves each listed boundary as fixed and reports
-    its shear; otherwise walks the default schedule to lambda agreement.
+    its shear; otherwise walks the default schedule to lambda agreement
+    and reports the shear at each boundary walked.
     """
     st = _settings(ctx, **flags)
-    p = _parse_sign(sign) if sign is not None else st.sign
-    spec = solvers.classic_problem(p=p)
+    spec = solvers.classic_problem(p=st.sign)
 
     report_lines = []
     if st.boundaries is not None:
@@ -303,12 +312,12 @@ def blasius(ctx, sign, **flags):
             report_lines.append(f"boundary {b:g}: shear {res.fpp0:.9f}")
         final = results[-1]
     else:
-        final = solvers.solve_auxiliary(spec, st.nitm_config())
-        for b in solvers.DEFAULT_SCHEDULE:
-            if b > final.eta_inf_star:
-                break
-            res = solvers.solve_auxiliary(spec, st.nitm_config((b,)))
-            report_lines.append(f"boundary {b:g}: shear {res.fpp0:.9f}")
+        config = st.nitm_config()
+        final = solvers.solve_auxiliary(spec, config)
+        # rescale's fpp0 at each boundary, so the same bits a fixed solve
+        # at b prints: the walk reached b through the same steps
+        for b, lam in zip(config.boundary_schedule, final.lambdas):
+            report_lines.append(f"boundary {b:g}: shear {st.sign * lam ** -3.0:.9f}")
         report_lines.append(f"accepted boundary {final.eta_inf_star:g}: "
                             f"shear {final.fpp0:.9f}")
     _emit_rows([_row_from_result(None, final)], st, single=True,
@@ -324,16 +333,14 @@ def blasius(ctx, sign, **flags):
               type=click.Choice(("moving-wall", "slip", "gasification")))
 @click.option("--values", "values_text", required=True,
               help="Star values: comma list or lo:hi:count.")
-@click.option("--sign", default=None, help="Seeded f''*(0), +1 or -1.")
 @click.pass_context
-def sweep(ctx, problem, values_text, sign, **flags):
+def sweep(ctx, problem, values_text, **flags):
     """Solve one row per star value, like the reference tables."""
     st = _settings(ctx, **flags)
     if st.profile:
         raise click.UsageError("--profile applies to single solves, not sweeps")
     values = _parse_values(values_text)
-    sign_value = _parse_sign(sign) if sign is not None else st.sign
-    rows = solvers.sweep(problem, values, sign_value, st.nitm_config())
+    rows = solvers.sweep(problem, values, st.sign, st.nitm_config())
     out_rows = []
     succeeded = 0
     for star, row in zip(values, rows):
@@ -346,11 +353,10 @@ def sweep(ctx, problem, values_text, sign, **flags):
     return 0 if succeeded else 2
 
 
-def _single_solve(ctx, variant, star, sign, flags):
+def _single_solve(ctx, variant, star, flags):
     st = _settings(ctx, **flags)
-    sign_value = _parse_sign(sign) if sign is not None else st.sign
     star_value = _parse_float(star, "star parameter")
-    res = solvers.solve_variant(variant, star_value, sign_value, st.nitm_config())
+    res = solvers.solve_variant(variant, star_value, st.sign, st.nitm_config())
     _emit_rows([_row_from_result(star_value, res)], st, single=True)
     if st.profile:
         _write_profile(res.table, st.profile)
@@ -360,11 +366,10 @@ def _single_solve(ctx, variant, star, sign, flags):
 @cli.command("moving-wall")
 @_run_options
 @click.argument("b_star")
-@click.option("--sign", default=None, help="Seeded f''*(0), +1 or -1.")
 @click.pass_context
-def moving_wall(ctx, b_star, sign, **flags):
+def moving_wall(ctx, b_star, **flags):
     """Moving-wall solve for one b*."""
-    return _single_solve(ctx, "moving-wall", b_star, sign, flags)
+    return _single_solve(ctx, "moving-wall", b_star, flags)
 
 
 @cli.command()
@@ -373,7 +378,7 @@ def moving_wall(ctx, b_star, sign, **flags):
 @click.pass_context
 def slip(ctx, c_star, **flags):
     """Slip-flow solve for one c*."""
-    return _single_solve(ctx, "slip", c_star, None, flags)
+    return _single_solve(ctx, "slip", c_star, flags)
 
 
 @cli.command()
@@ -382,34 +387,26 @@ def slip(ctx, c_star, **flags):
 @click.pass_context
 def gasification(ctx, s_star, **flags):
     """Surface-gasification solve for one s*."""
-    return _single_solve(ctx, "gasification", s_star, None, flags)
+    return _single_solve(ctx, "gasification", s_star, flags)
 
 
 @cli.command("critical-b")
-@_run_options
-@click.option("--scan-lo", default=None, help="Most negative scanned b* (default -5).")
-@click.option("--scan-hi", default=None, help="Least negative scanned b* (default -1e-3).")
-@click.option("--scan-points", default=None, help="Scan resolution (default 200).")
+@_grid_options
+@click.option("--scan-lo", type=float, default=None,
+              help=f"Most negative scanned b* (default {_SCAN_DEFAULTS['scan_lo'].default:g}).")
+@click.option("--scan-hi", type=float, default=None,
+              help=f"Least negative scanned b* (default {_SCAN_DEFAULTS['scan_hi'].default:g}).")
+@click.option("--scan-points", type=int, default=None,
+              help=f"Scan resolution (default {_SCAN_DEFAULTS['scan_points'].default}).")
 @click.option("--json", "as_json", is_flag=True, help="Shorthand for --format json.")
 @click.pass_context
 def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
     """Most negative physical b on the plus branch."""
     st = _settings(ctx, **flags)
-    lo = -5.0 if scan_lo is None else _parse_float(scan_lo, "--scan-lo")
-    hi = -1e-3 if scan_hi is None else _parse_float(scan_hi, "--scan-hi")
-    points = 200
-    if scan_points is not None:
-        try:
-            points = int(scan_points)
-        except ValueError:
-            raise click.UsageError(f"--scan-points must be an integer, got {scan_points!r}")
-    if not (lo < hi < 0.0) or points < 3:
-        raise click.UsageError(
-            f"scan needs scan_lo < scan_hi < 0 and at least 3 points, "
-            f"got ({lo}, {hi}) with {points}"
-        )
-    result = solvers.find_critical_b(st.nitm_config(), scan_lo=lo, scan_hi=hi,
-                                     scan_points=points)
+    scan = {"scan_lo": scan_lo, "scan_hi": scan_hi, "scan_points": scan_points}
+    # flags left unset take find_critical_b's defaults
+    result = solvers.find_critical_b(
+        st.nitm_config(), **{k: v for k, v in scan.items() if v is not None})
     text = _render_record(
         {"b_c": result.b_c, "b_star": result.b_star},
         "json" if as_json else st.fmt,
@@ -425,13 +422,11 @@ def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
 @click.option("--b", "b_target", default=None, help="Target moving-wall b.")
 @click.option("--c", "c_target", default=None, help="Target slip c.")
 @click.option("--s", "s_target", default=None, help="Target gasification s.")
-@click.option("--sign", default=None, help="Seeded f''*(0), +1 or -1.")
 @click.option("--bracket", default=None, help="Star bracket as lo,hi.")
 @click.pass_context
-def target(ctx, problem, b_target, c_target, s_target, sign, bracket, **flags):
+def target(ctx, problem, b_target, c_target, s_target, bracket, **flags):
     """Find the star value whose physical parameter hits a target."""
     st = _settings(ctx, **flags)
-    sign_value = _parse_sign(sign) if sign is not None else st.sign
     by_flag = {"moving-wall": b_target, "slip": c_target, "gasification": s_target}
     given = [(k, v) for k, v in (("--b", b_target), ("--c", c_target),
                                  ("--s", s_target)) if v is not None]
@@ -449,7 +444,7 @@ def target(ctx, problem, b_target, c_target, s_target, sign, bracket, **flags):
             raise click.UsageError(f"--bracket must be lo,hi, got {bracket!r}")
         bracket_pair = (_parse_float(parts[0], "--bracket"),
                         _parse_float(parts[1], "--bracket"))
-    res = solvers.find_star_for_target(problem, target_value, sign_value,
+    res = solvers.find_star_for_target(problem, target_value, st.sign,
                                        st.nitm_config(), bracket=bracket_pair)
     star = _star_of(res, problem)
     _emit_rows([_row_from_result(star, res)], st, single=True)
@@ -466,41 +461,37 @@ def _star_of(res, variant: str) -> float:
 @cli.command("series-check")
 @click.option("--eta-max", default=None, help="Comparison window end (default 0.5).")
 @click.option("--step", default=None, help="Fine comparison step (default 1e-4).")
-@click.option("--format", "fmt", default=None, type=click.Choice(_FORMATS))
-@click.option("--out", default=None, type=click.Path())
+@_report_options
 @click.pass_context
-def series_check(ctx, eta_max, step, fmt, out):
+def series_check(ctx, eta_max, step, **flags):
     """Compare the wall series against a fine star-IVP solve."""
-    file_cfg = ctx.obj or {}
+    st = _settings(ctx, **flags)
     eta_max_value = 0.5 if eta_max is None else _parse_float(eta_max, "--eta-max")
     step_value = 1e-4 if step is None else _parse_float(step, "--step")
     if eta_max_value <= 0 or step_value <= 0 or eta_max_value < 10 * step_value:
         raise click.UsageError("need 0 < step << eta-max")
-    fmt_value = _parse_format(fmt or file_cfg.get("format"))
     deviation, order = analysis.series_deviation(eta_max_value, step_value)
     ok = order >= 13.0
     text = _render_record(
         {"max_deviation": deviation, "fitted_order": order, "order_ok": ok},
-        fmt_value,
+        st.fmt,
         f"max deviation = {deviation:.3e}\n"
         f"fitted order = {order:.2f}\n"
         f"order >= 13: {'yes' if ok else 'NO'}")
-    _emit(text, out or file_cfg.get("out"))
+    _emit(text, st.out)
     return 0 if ok else 2
 
 
 @cli.command()
 @click.option("--M", "m_value", required=True, help="Truncated boundary.")
-@click.option("--format", "fmt", default=None, type=click.Choice(_FORMATS))
-@click.option("--out", default=None, type=click.Path())
+@_report_options
 @click.pass_context
-def rubel(ctx, m_value, fmt, out):
+def rubel(ctx, m_value, **flags):
     """Truncation error bound at M, validated against the 2M solution."""
-    file_cfg = ctx.obj or {}
+    st = _settings(ctx, **flags)
     M = _parse_float(m_value, "--M")
     if M < 1.0:
         raise click.UsageError(f"--M must be at least 1, got {M}")
-    fmt_value = _parse_format(fmt or file_cfg.get("format"))
     sol = analysis.truncated_solution(M)
     sol2 = analysis.truncated_solution(2.0 * M)
     bound = analysis.rubel_bound(sol.table)
@@ -510,7 +501,7 @@ def rubel(ctx, m_value, fmt, out):
     text = _render_record(
         {"M": M, "t_star": sol.t_star, "lambda": sol.lam, "bound": bound.bound,
          "empirical_max_error": empirical, "valid": valid},
-        fmt_value,
+        st.fmt,
         f"M = {M:g}\n"
         f"t_star = {sol.t_star:.9f}\n"
         f"lambda = {sol.lam:.9f}\n"
@@ -518,7 +509,7 @@ def rubel(ctx, m_value, fmt, out):
         f"empirical max error = {empirical:.6e}\n"
         f"{'VALID' if valid else 'INVALID'} (error <= bound: "
         f"{'yes' if valid else 'no'})")
-    _emit(text, out or file_cfg.get("out"))
+    _emit(text, st.out)
     return 0 if valid else 2
 
 
@@ -535,9 +526,6 @@ def main(argv=None) -> int:
     """Entry point with the package's exit-code contract."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

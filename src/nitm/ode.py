@@ -8,16 +8,18 @@ keep the last node exactly on the requested boundary.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import BlowupError
 
-BLOWUP_LIMIT = kernels.BLOWUP_LIMIT
-
 DEFAULT_STEP = 0.01
+
+# most nodes one grid may have, checked before anything is allocated:
+# a solve's three float64 arrays then take at most 2.4 GB
+MAX_NODES = 10**8
 
 
 class State3(NamedTuple):
@@ -31,6 +33,9 @@ class State3(NamedTuple):
 def node_index(eta: float, step: float, name: str) -> int:
     """Index of the grid node at eta, which must be a positive whole number of steps."""
     ratio = eta / step
+    if ratio >= MAX_NODES:
+        raise ValueError(f"{name} = {eta} at step {step} needs more than "
+                         f"{MAX_NODES} grid nodes")
     n = round(ratio) if math.isfinite(ratio) else 0
     # tolerate float representation of step*n, not genuine misalignment
     if n < 1 or abs(n * step - eta) > 1e-9 * max(1.0, eta):
@@ -77,43 +82,6 @@ class SolutionTable:
 
     def etas(self) -> np.ndarray:
         return self.grid.etas()
-
-
-Rhs = Callable[[float, State3], tuple]
-
-
-def rk4_step(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
-    """One classical four-stage RK4 update of size h.
-
-    The textbook reference for the kernels: it mirrors their arithmetic
-    exactly, so stepping it over a grid agrees bit for bit with the
-    specialized Blasius-family fill.
-    """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    cf, cp, cq = state
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    k1f, k1p, k1q = rhs(eta, State3(cf, cp, cq))
-    tf = cf + h2 * k1f
-    tp = cp + h2 * k1p
-    tq = cq + h2 * k1q
-    k2f, k2p, k2q = rhs(eta + h2, State3(tf, tp, tq))
-    tf = cf + h2 * k2f
-    tp = cp + h2 * k2p
-    tq = cq + h2 * k2q
-    k3f, k3p, k3q = rhs(eta + h2, State3(tf, tp, tq))
-    tf = cf + h * k3f
-    tp = cp + h * k3p
-    tq = cq + h * k3q
-    k4f, k4p, k4q = rhs(eta + h, State3(tf, tp, tq))
-    nf = cf + h6 * (k1f + 2.0 * (k2f + k3f) + k4f)
-    np_ = cp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-    nq = cq + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
-    if not (abs(nf) <= BLOWUP_LIMIT and abs(np_) <= BLOWUP_LIMIT
-            and abs(nq) <= BLOWUP_LIMIT):
-        raise BlowupError(eta + h)
-    return State3(nf, np_, nq)
 
 
 def walk(beta: float, initial, step: float,

@@ -138,9 +138,14 @@ DEFAULT_CONFIG = NitmConfig()
 
 @dataclass(frozen=True, eq=False)
 class NitmResult:
-    """One non-ITM solve: group parameter, rescaled table, and wall values."""
+    """One non-ITM solve: group parameter, rescaled table, and wall values.
+
+    lambdas holds the lambda recovered at each boundary walked, in
+    schedule order; its last entry is lam.
+    """
 
     lam: float
+    lambdas: tuple[float, ...]
     eta_inf_star: float
     fp_inf_star: float
     physical_param: float | None
@@ -194,6 +199,7 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
 
     return NitmResult(
         lam=lam,
+        lambdas=tuple(lambdas),
         eta_inf_star=boundary,
         fp_inf_star=fp_inf_star,
         physical_param=physical,
@@ -275,7 +281,7 @@ def find_critical_b(config: NitmConfig | None = None,
     the minimum of b(b*), then refines by golden-section search to tol
     in b*. Returns the minimum b and the b* attaining it.
     """
-    if not (scan_lo < scan_hi < 0.0):
+    if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
         raise ValueError(
             f"scan range must satisfy scan_lo < scan_hi < 0, "
             f"got ({scan_lo}, {scan_hi})"

@@ -15,14 +15,9 @@ from nitm.analysis import SERIES_POWERS, BlasiusSeries
 def test_series_coefficient_values():
     series = series_coefficients(1.0)
     assert series.shear == 1.0
-    assert series.coefficient(2) == 0.5
-    assert series.coefficient(5) == -1.0 / 240.0
-    assert series.coefficient(8) == 11.0 / 161280.0
-    assert series.coefficient(11) == -375.0 / 319334400.0
-    for power in (0, 1, 3, 4, 6, 7, 9, 10):
-        assert series.coefficient(power) == 0.0
-    with pytest.raises(ValueError):
-        series.coefficient(12)
+    # the coefficients of eta^2, eta^5, eta^8 and eta^11 (SERIES_POWERS)
+    assert series.coefficients == (0.5, -1.0 / 240.0, 11.0 / 161280.0,
+                                   -375.0 / 319334400.0)
 
 
 def test_series_powers_constant():

@@ -313,6 +313,23 @@ def test_usage_errors_exit_one(capsys, argv):
     assert err  # complaint goes to stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("blasius",), 2),                   # the -1 branch blows up
+    (("moving-wall", "5"), 0),
+    (("slip", "1.0"), 2),
+    (("gasification", "1.0"), 1),        # only the +1 branch exists
+    (("sweep", "--problem", "moving-wall", "--values", "2,5"), 0),
+    (("target", "--problem", "moving-wall", "--b", "0.7"), 0),
+], ids=["blasius", "moving-wall", "slip", "gasification", "sweep", "target"])
+def test_sign_flag_matches_config_file(capsys, tmp_path, argv, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sign = -1\n")
+    by_file = run(capsys, "--config", str(cfg), *argv)
+    by_flag = run(capsys, *argv, "--sign", "-1")
+    assert by_flag == by_file
+    assert by_flag[0] == code
+
+
 def test_numerical_failure_exit_two(capsys):
     code, _, err = run(capsys, "moving-wall", "1.2", "--sign", "-1")
     assert code == 2

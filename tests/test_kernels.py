@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nitm
-from nitm import BlasiusFamilyRhs, State3, rk4_step, kernels
+from nitm import BlasiusFamilyRhs, State3, kernels
 from nitm import _kernels_py
+from rk4_reference import rk4_step
 
 try:
     from nitm import _kernels as _kernels_c

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import BlasiusFamilyRhs, GridConfig, State3, integrate, rk4_step
+from nitm import BlasiusFamilyRhs, GridConfig, State3, integrate
 from nitm.errors import BlowupError
+from rk4_reference import rk4_step
 
 
 def test_grid_nodes_and_etas():
@@ -28,6 +29,7 @@ def test_grid_default_step():
     (6.0, -0.01),
     (0.005, 0.01),      # shorter than one step
     (4.005, 0.01),      # not a whole number of steps
+    (1e9, 0.01),        # over the node ceiling; refused before allocating
 ])
 def test_grid_rejects_bad_shapes(eta_max, step):
     with pytest.raises(ValueError):

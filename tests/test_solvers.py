@@ -77,6 +77,16 @@ def test_boundary_must_sit_on_grid():
         NitmConfig(stops=(40,))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"boundary_schedule": (1e9,)},     # 1e11 nodes at the default step
+    {"step": 1e-300},                  # about 4e300 nodes to the first boundary
+])
+def test_config_refuses_grids_over_the_node_ceiling(kwargs):
+    # refused while the config is built, before any array is allocated
+    with pytest.raises(ValueError, match="boundary = .* grid nodes"):
+        NitmConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # classic problem
 
@@ -89,6 +99,9 @@ def test_classic_converged_solve():
     assert res.fpp0 == pytest.approx(0.3320573362199281, rel=1e-12)
     assert res.f0 == 0.0 and res.fp0 == 0.0
     assert res.physical_param is None
+    # one lambda per boundary walked: 4, 6 and the accepted 8
+    assert len(res.lambdas) == DEFAULT_SCHEDULE.index(res.eta_inf_star) + 1 == 3
+    assert res.lambdas[-1] == res.lam
 
 
 def test_classic_shear_against_published_digits():
@@ -336,6 +349,15 @@ def test_critical_b_scan_validation():
         find_critical_b(scan_lo=-1e-3, scan_hi=-5.0)
     with pytest.raises(ValueError):
         find_critical_b(scan_points=2)
+
+
+def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_moving_wall ran")
+
+    monkeypatch.setattr(solvers, "solve_moving_wall", no_solve)
+    with pytest.raises(ValueError, match="scan range"):
+        find_critical_b(scan_lo=-math.inf)
 
 
 def test_dual_solutions_share_one_physical_parameter():

@@ -3,7 +3,8 @@
 One subcommand per solver or analysis entry point. Numbers print with
 6 decimals in table mode (matching the reference tables) and with full
 %.17g precision in CSV and JSON so emitted files re-parse exactly.
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure, including
+running out of memory or overflowing a float.
 """
 
 import inspect
@@ -172,6 +173,12 @@ def _settings(ctx, **flags) -> Settings:
     return Settings(ctx.obj or {}, flags)
 
 
+def _refuse_profile(st: Settings, command: str) -> None:
+    """Refuse --profile, from a flag or the config file, on a multi-solve command."""
+    if st.profile:
+        raise click.UsageError(f"--profile applies to single solves, not {command}")
+
+
 def _reason(exc: NitmError) -> str:
     if isinstance(exc, BlowupError):
         return f"integration blowup at eta {exc.eta:.4g}"
@@ -337,8 +344,7 @@ def blasius(ctx, **flags):
 def sweep(ctx, problem, values_text, **flags):
     """Solve one row per star value, like the reference tables."""
     st = _settings(ctx, **flags)
-    if st.profile:
-        raise click.UsageError("--profile applies to single solves, not sweeps")
+    _refuse_profile(st, "sweeps")
     values = _parse_values(values_text)
     rows = solvers.sweep(problem, values, st.sign, st.nitm_config())
     out_rows = []
@@ -403,6 +409,7 @@ def gasification(ctx, s_star, **flags):
 def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
     """Most negative physical b on the plus branch."""
     st = _settings(ctx, **flags)
+    _refuse_profile(st, "critical-b")
     scan = {"scan_lo": scan_lo, "scan_hi": scan_hi, "scan_points": scan_points}
     # flags left unset take find_critical_b's defaults
     result = solvers.find_critical_b(
@@ -535,6 +542,13 @@ def main(argv=None) -> int:
         return 1
     except NitmError as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        # MemoryError often carries no message; the report stays one line
+        name = type(exc).__name__
+        detail = " ".join(str(exc).split())
+        click.echo(f"error: {name}: {detail}" if detail else f"error: {name}",
+                   err=True)
         return 2
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -57,6 +57,18 @@ class GridConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         node_index(self.eta_max, self.step, "eta_max")
 
+    @classmethod
+    def of_nodes(cls, nodes: int, step: float) -> "GridConfig":
+        """Grid of nodes >= 2 nodes at a positive step, built without the checks.
+
+        eta_max = (nodes - 1) * step is a whole number of steps by
+        construction; the caller makes sure that it is finite.
+        """
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "eta_max", (nodes - 1) * step)
+        object.__setattr__(grid, "step", step)
+        return grid
+
     @property
     def nodes(self) -> int:
         return round(self.eta_max / self.step) + 1
@@ -93,7 +105,7 @@ def walk(beta: float, initial, step: float,
     past the last stop a caller consumes is integrated.
     """
     start = State3(*initial)
-    if not all(math.isfinite(v) for v in start):
+    if not all(map(math.isfinite, start)):
         raise ValueError(f"initial state must be finite, got {start}")
     n = stops[-1] + 1
     f = np.empty(n)

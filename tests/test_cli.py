@@ -306,6 +306,7 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     ("sweep", "--problem", "slip", "--values", "3:1:5"),
     ("rubel", "--M", "0.5"),
     ("no-such-command",),
+    ("critical-b", "--profile", "x.csv"),
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -328,6 +329,32 @@ def test_sign_flag_matches_config_file(capsys, tmp_path, argv, code):
     by_flag = run(capsys, *argv, "--sign", "-1")
     assert by_flag == by_file
     assert by_flag[0] == code
+
+
+def test_profile_from_config_file_is_refused_by_critical_b(capsys, tmp_path):
+    profile = tmp_path / "prof.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"profile = {profile}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "critical-b")
+    assert code == 1
+    assert "--profile applies to single solves" in err
+    assert out == "" and not profile.exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: MemoryError"),
+    (OverflowError("(34, 'Numerical result\nout of range')"),
+     "error: OverflowError: (34, 'Numerical result out of range')"),
+])
+def test_resource_errors_exit_two(capsys, monkeypatch, error, line):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(nitm.solvers, "solve_variant", failing_solve)
+    code, out, err = run(capsys, "moving-wall", "2")
+    assert code == 2
+    assert out == ""
+    assert err == line + "\n"
 
 
 def test_numerical_failure_exit_two(capsys):

@@ -69,6 +69,14 @@ def test_rescale_preserves_node_count():
     assert out.f[0] == 0.0
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan,
+                                 1e308, 5e-324])
+def test_rescale_refuses_lambda_off_the_float_grid(lam):
+    # 1e308 stretches eta_max to inf, 5e-324 shrinks the step to 0
+    with pytest.raises(ValueError):
+        rescale(_classic_star(), lam, GROUP)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lam_values, lam_values)
 def test_group_law_composition(lam1, lam2):

@@ -3,18 +3,21 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (DEFAULT_SCHEDULE, NitmConfig, State3, classic_problem,
-                  find_critical_b, find_star_for_target, gasification_problem,
-                  initial_state, kernels, moving_wall_problem, slip_problem,
-                  solve_auxiliary, solve_gasification, solve_moving_wall,
-                  solve_slip, solve_variant, solvers, sweep)
-from nitm.errors import (BlowupError, BracketingError, NoConvergenceError,
-                         ScalingBreakdownError, UnsupportedVariantError)
+from nitm import (DEFAULT_SCHEDULE, NitmConfig, State3, _kernels_py,
+                  classic_problem, find_critical_b, find_star_for_target,
+                  gasification_problem, initial_state, kernels,
+                  moving_wall_problem, slip_problem, solve_auxiliary,
+                  solve_gasification, solve_moving_wall, solve_slip,
+                  solve_variant, solvers, sweep)
+from nitm.errors import (BlowupError, BracketingError, NitmError,
+                         NoConvergenceError, ScalingBreakdownError,
+                         UnsupportedVariantError)
 
 
 def _fixed(boundary, step=0.01):
@@ -451,3 +454,50 @@ def test_gasification_identity_holds_along_branch(s_star):
     res = solve_gasification(s_star)
     assert res.physical_param == pytest.approx(s_star * res.lam ** 2,
                                                rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the lean solve path: wall values in closed form, tables owning their rows
+
+# (variant, sign, star range) where the branch has solutions
+_SOLVABLE = (
+    ("classic", 1.0, None),
+    ("moving-wall", 1.0, (-1.2, 5.0)),
+    ("moving-wall", -1.0, (1.75, 5.0)),
+    ("slip", 1.0, (0.0, 5.0)),
+    ("gasification", 1.0, (0.0, 3.0)),
+)
+
+
+@st.composite
+def _solvable_specs(draw):
+    variant, sign, stars = draw(st.sampled_from(_SOLVABLE))
+    if stars is None:
+        return classic_problem(sign)
+    star = draw(st.floats(min_value=stars[0], max_value=stars[1]))
+    return solvers.PROBLEMS[variant](star, sign)
+
+
+_CONFIGS = st.sampled_from([NitmConfig(), NitmConfig(step=0.02),
+                            NitmConfig(step=0.005), _fixed(6.0)])
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@settings(max_examples=30, deadline=None)
+@given(spec=_solvable_specs(), config=_CONFIGS)
+def test_lean_solve_wall_values_and_table_ownership(backend, spec, config):
+    fill = (_kernels_py.fill_blasius_family if backend == "pure"
+            else kernels.fill_blasius_family)
+    with mock.patch.object(kernels, "fill_blasius_family", fill):
+        try:
+            res = solve_auxiliary(spec, config)
+        except NitmError:
+            return
+    table = res.table
+    for wall, column in ((res.f0, table.f), (res.fp0, table.fp),
+                         (res.fpp0, table.fpp)):
+        assert type(wall) is float
+        assert wall.hex() == float(column[0]).hex()
+        # the table owns exactly its rows, not a view of the walk buffer
+        assert column.base is None
+        assert column.dtype == np.float64 and column.size == table.grid.nodes

@@ -107,8 +107,8 @@ def truncated_solution(M: float, nodes_per_unit: int = 1000,
     The physical grid step is M/(M*nodes_per_unit), so solutions for
     M and 2M share their nodes on [0, M].
     """
-    if M <= 0.0:
-        raise ValueError(f"M must be positive, got {M}")
+    if not (math.isfinite(M) and M > 0.0):
+        raise ValueError(f"M must be positive and finite, got {M}")
     n = round(M * nodes_per_unit)
     if n < 8:
         raise ValueError(f"grid too coarse for M = {M}")

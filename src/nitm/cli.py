@@ -337,7 +337,7 @@ def blasius(ctx, **flags):
 @cli.command()
 @_run_options
 @click.option("--problem", required=True,
-              type=click.Choice(("moving-wall", "slip", "gasification")))
+              type=click.Choice(solvers.PARAMETRIZED))
 @click.option("--values", "values_text", required=True,
               help="Star values: comma list or lo:hi:count.")
 @click.pass_context
@@ -425,7 +425,7 @@ def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
 @cli.command()
 @_run_options
 @click.option("--problem", required=True,
-              type=click.Choice(("moving-wall", "slip", "gasification")))
+              type=click.Choice(solvers.PARAMETRIZED))
 @click.option("--b", "b_target", default=None, help="Target moving-wall b.")
 @click.option("--c", "c_target", default=None, help="Target slip c.")
 @click.option("--s", "s_target", default=None, help="Target gasification s.")
@@ -453,16 +453,11 @@ def target(ctx, problem, b_target, c_target, s_target, bracket, **flags):
                         _parse_float(parts[1], "--bracket"))
     res = solvers.find_star_for_target(problem, target_value, st.sign,
                                        st.nitm_config(), bracket=bracket_pair)
-    star = _star_of(res, problem)
+    star = res.physical_param * res.lam ** solvers.VARIANTS[problem].k
     _emit_rows([_row_from_result(star, res)], st, single=True)
     if st.profile:
         _write_profile(res.table, st.profile)
     return 0
-
-
-def _star_of(res, variant: str) -> float:
-    k = solvers.PARAM_EXPONENT[variant]
-    return res.physical_param * res.lam ** k
 
 
 @cli.command("series-check")

@@ -16,7 +16,7 @@ class BlowupError(NitmError):
 class ScalingBreakdownError(NitmError):
     """The scaling group cannot match the computed asymptote.
 
-    Raised when the power-law base (fp_inf_star/d, or fp_inf_star + b_star
+    Raised when the power-law base (fp_inf_star, or fp_inf_star + b_star
     for the moving wall) is not positive: the chosen star parameters and
     sign cannot represent the requested physical regime.
     """

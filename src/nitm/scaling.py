@@ -34,10 +34,12 @@ class ScalingGroup:
             raise ValueError(f"d must be finite and nonzero, got {self.d}")
 
 
-def lambda_from_asymptote(fp_inf_star: float, group: ScalingGroup) -> float:
+def lambda_from_asymptote(fp_inf_star: float,
+                          group: ScalingGroup = ScalingGroup()) -> float:
     """Group parameter matching the star asymptote to slope d.
 
-    lambda = (fp_inf_star / d) ** (1 / (1 - delta)).
+    lambda = (fp_inf_star / d) ** (1 / (1 - delta)). The default group,
+    delta = -1 and d = 1, is that of every variant but the moving wall.
     """
     ratio = fp_inf_star / group.d
     if not (ratio > 0.0) or not math.isfinite(ratio):

@@ -9,7 +9,7 @@ boundaries and accept as soon as two successive lambda values agree.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,13 +18,36 @@ from .errors import (BracketingError, NitmError, NoConvergenceError,
 from .ode import SolutionTable, State3, node_index, walk
 # rescale is not called here: solvers.rescale is the name the layered
 # benchmark's tracer wraps, so it stays importable from this module
-from .scaling import (ScalingGroup, lambda_from_asymptote, lambda_moving_wall,
-                      map_parameter, physical_values, rescale, rescale_arrays)
+from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
+                      physical_values, rescale, rescale_arrays)
 
-VARIANTS = ("classic", "moving-wall", "slip", "gasification")
 
-# param* = lambda^k * param for the parametrized variants
-PARAM_EXPONENT = {"moving-wall": 2.0, "slip": -1.0, "gasification": -2.0}
+class Variant(NamedTuple):
+    """The rules of one variant: f''' = -beta f f''; physical parameter
+    star * lambda^-k (k None: no star value); star >= least_star; p in
+    signs; seed(star, p) is the star initial state.
+    """
+
+    beta: float
+    k: float | None
+    least_star: float
+    signs: tuple[float, ...]
+    seed: Callable[[float | None, float], State3]
+
+
+VARIANTS = {
+    "classic": Variant(0.5, None, -math.inf, (1.0, -1.0),
+                       lambda star, p: State3(0.0, 0.0, p)),
+    "moving-wall": Variant(0.5, 2.0, -math.inf, (1.0, -1.0),
+                           lambda star, p: State3(0.0, star, p)),
+    # the slip condition f'(0) = c f''(0) carried into star variables
+    "slip": Variant(0.5, -1.0, 0.0, (1.0, -1.0),
+                    lambda star, p: State3(0.0, star * p, p)),
+    "gasification": Variant(1.0, -2.0, 0.0, (1.0,),
+                            lambda star, p: State3(-star, 0.0, 1.0)),
+}
+
+PARAMETRIZED = tuple(v for v, rules in VARIANTS.items() if rules.k is not None)
 
 DEFAULT_SCHEDULE = tuple(float(b) for b in range(4, 52, 2))
 
@@ -35,72 +58,61 @@ class ProblemSpec:
 
     p seeds the star second derivative f''*(0); for the moving wall the
     sign rule is +1 when the resulting b < 1/2 and -1 when b > 1/2.
-    d is the asymptotic slope target of the physical problem (1 for
-    classic/slip/gasification). The moving wall ignores it: its target
-    1-b depends on lambda, which lambda_moving_wall recovers directly.
+    The variant's entry in VARIANTS fixes beta, the seed and which star
+    values and signs are admissible; construction refuses the rest.
     """
 
     variant: str
-    beta: float
     star_param: float | None
     p: float
-    d: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        rules = VARIANTS.get(self.variant)
+        if rules is None:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.p not in (1.0, -1.0):
-            raise ValueError(f"p must be +1 or -1, got {self.p}")
-        if self.beta not in (0.5, 1.0):
-            raise ValueError(f"beta must be 1/2 or 1, got {self.beta}")
-        if self.variant == "classic" and self.star_param is not None:
-            raise ValueError("the classic problem carries no star parameter")
-        if self.variant != "classic" and self.star_param is None:
-            raise ValueError(f"variant {self.variant!r} needs a star parameter")
-        if self.star_param is not None and not math.isfinite(self.star_param):
-            raise ValueError(f"star_param must be finite, got {self.star_param}")
+        if self.p not in rules.signs:
+            raise ValueError(f"sign p of {self.variant} must be "
+                             f"{' or '.join(f'{s:+g}' for s in rules.signs)}, "
+                             f"got {self.p}")
+        star = self.star_param
+        if rules.k is None:
+            if star is not None:
+                raise ValueError(f"variant {self.variant!r} takes no star_param")
+        elif star is None or not math.isfinite(star):
+            raise ValueError(f"star_param must be finite, got {star}")
+        elif star < rules.least_star:
+            raise ValueError(f"star_param of {self.variant} must be at least "
+                             f"{rules.least_star:g}, got {star}")
+
+    @property
+    def beta(self) -> float:
+        return VARIANTS[self.variant].beta
 
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
-    return ProblemSpec("classic", 0.5, None, p)
+    return ProblemSpec("classic", None, p)
 
 
 def moving_wall_problem(b_star: float, sign: float = 1.0) -> ProblemSpec:
-    return ProblemSpec("moving-wall", 0.5, b_star, sign)
+    return ProblemSpec("moving-wall", b_star, sign)
 
 
 def slip_problem(c_star: float, sign: float = 1.0) -> ProblemSpec:
-    if c_star < 0.0:
-        raise ValueError(f"c_star must be nonnegative, got {c_star}")
-    return ProblemSpec("slip", 0.5, c_star, sign)
+    return ProblemSpec("slip", c_star, sign)
 
 
 def gasification_problem(s_star: float, sign: float = 1.0) -> ProblemSpec:
-    if s_star < 0.0:
-        raise ValueError(f"s_star must be nonnegative, got {s_star}")
-    if sign != 1.0:
-        raise ValueError(f"gasification has only the +1 branch, got sign {sign}")
-    return ProblemSpec("gasification", 1.0, s_star, 1.0)
+    return ProblemSpec("gasification", s_star, sign)
 
 
-# constructor of each parametrized variant's ProblemSpec from (star, sign)
-PROBLEMS = {
-    "moving-wall": moving_wall_problem,
-    "slip": slip_problem,
-    "gasification": gasification_problem,
-}
+def _check_parametrized(variant: str) -> None:
+    if variant not in PARAMETRIZED:
+        raise UnsupportedVariantError(f"need one of {PARAMETRIZED}, got {variant!r}")
 
 
 def initial_state(spec: ProblemSpec) -> State3:
     """Star-variable initial conditions for the auxiliary IVP."""
-    if spec.variant == "classic":
-        return State3(0.0, 0.0, spec.p)
-    if spec.variant == "moving-wall":
-        return State3(0.0, spec.star_param, spec.p)
-    if spec.variant == "slip":
-        # slip condition f'(0) = c f''(0) carried into star variables
-        return State3(0.0, spec.star_param * spec.p, spec.p)
-    return State3(-spec.star_param, 0.0, 1.0)
+    return VARIANTS[spec.variant].seed(spec.star_param, spec.p)
 
 
 @dataclass(frozen=True)
@@ -169,14 +181,14 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     fixed_boundary = len(cfg.stops) == 1
+    rules = VARIANTS[spec.variant]
     moving_wall = spec.variant == "moving-wall"
-    group = None if moving_wall else ScalingGroup(delta=-1.0, d=spec.d)
     start = initial_state(spec)
     lambdas: list[float] = []
-    for stop, f, fp, fpp in walk(spec.beta, start, cfg.step, cfg.stops):
+    for stop, f, fp, fpp in walk(rules.beta, start, cfg.step, cfg.stops):
         fp_stop = float(fp[stop])
         lambdas.append(lambda_moving_wall(fp_stop, spec.star_param) if moving_wall
-                       else lambda_from_asymptote(fp_stop, group))
+                       else lambda_from_asymptote(fp_stop))
         if fixed_boundary or (len(lambdas) >= 2
                               and abs(lambdas[-1] - lambdas[-2]) <= cfg.lambda_tol):
             break
@@ -184,7 +196,6 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
         raise NoConvergenceError(lambdas)
 
     lam = lambdas[-1]
-    k = PARAM_EXPONENT.get(spec.variant)
     f0, fp0, fpp0 = physical_values(lam, *start)
     # views up to the accepted stop: the table holds fresh products, so
     # the result keeps nothing of the buffer allocated for the whole schedule
@@ -195,7 +206,8 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
         lambdas=tuple(lambdas),
         eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
         fp_inf_star=fp_stop,
-        physical_param=None if k is None else map_parameter(spec.star_param, lam, k),
+        physical_param=(None if rules.k is None
+                        else map_parameter(spec.star_param, lam, rules.k)),
         f0=f0,
         fp0=fp0,
         fpp0=fpp0,
@@ -219,20 +231,11 @@ def solve_gasification(s_star: float, config: NitmConfig | None = None) -> NitmR
     return solve_auxiliary(gasification_problem(s_star), config)
 
 
-def _problem(variant: str, star_value: float, sign: float) -> ProblemSpec:
-    try:
-        make = PROBLEMS[variant]
-    except KeyError:
-        raise UnsupportedVariantError(
-            f"variant {variant!r} does not take a star parameter"
-        ) from None
-    return make(star_value, sign)
-
-
 def solve_variant(variant: str, star_value: float, sign: float = 1.0,
                   config: NitmConfig | None = None) -> NitmResult:
     """Dispatch a single solve by variant name."""
-    return solve_auxiliary(_problem(variant, star_value, sign), config)
+    _check_parametrized(variant)
+    return solve_auxiliary(ProblemSpec(variant, star_value, sign), config)
 
 
 def sweep(variant: str, star_values, sign: float = 1.0,
@@ -243,11 +246,8 @@ def sweep(variant: str, star_values, sign: float = 1.0,
     a sweep across a critical region still reports its solvable rows.
     Every star value is checked before the first solve.
     """
-    if variant not in PROBLEMS:
-        raise UnsupportedVariantError(
-            f"sweep needs a parametrized variant, got {variant!r}"
-        )
-    specs = [_problem(variant, value, sign) for value in star_values]
+    _check_parametrized(variant)
+    specs = [ProblemSpec(variant, value, sign) for value in star_values]
     if not specs:
         raise ValueError("sweep needs at least one star value")
     rows: list[NitmResult | NitmError] = []
@@ -272,7 +272,7 @@ def find_critical_b(config: NitmConfig | None = None,
 
     Scans b* over [scan_lo, scan_hi] at log-spaced points to bracket
     the minimum of b(b*), then refines by golden-section search to tol
-    in b*. Returns the minimum b and the b* attaining it.
+    in b* (or to rounding). Returns the minimum b and the b* attaining it.
     """
     if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
         raise ValueError(
@@ -281,6 +281,8 @@ def find_critical_b(config: NitmConfig | None = None,
         )
     if scan_points < 3:
         raise ValueError(f"scan needs at least 3 points, got {scan_points}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def b_of(b_star: float) -> float:
         return solve_moving_wall(b_star, 1.0, config).physical_param
@@ -309,7 +311,8 @@ def find_critical_b(config: NitmConfig | None = None,
     x2 = lo + invphi * (hi - lo)
     f1 = b_of(x1)
     f2 = b_of(x2)
-    while hi - lo > tol:
+    # a bracket a few ulps wide stops shrinking when x1 and x2 reach its ends
+    while hi - lo > tol and lo < x1 < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -363,14 +366,13 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     a full non-iterative solve, the outer iteration only moves the star
     value. Stops when |physical_param - target| < tol.
     """
-    if variant == "classic":
-        raise UnsupportedVariantError(
-            "the classic problem has no physical parameter to target"
-        )
-    if variant not in PROBLEMS:
-        raise UnsupportedVariantError(f"unknown variant {variant!r}")
+    _check_parametrized(variant)
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if bracket is not None and not all(map(math.isfinite, bracket)):
         raise ValueError(f"bracket must be finite, got {bracket}")
     lo, hi = bracket if bracket is not None else _default_bracket(variant, target, sign)

@@ -119,6 +119,16 @@ def test_truncated_solution_rejects_tiny_m():
         truncated_solution(0.004)
 
 
+@pytest.mark.parametrize("M", [math.nan, math.inf])
+def test_truncated_solution_refuses_non_finite_m(monkeypatch, M):
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrate ran")
+
+    monkeypatch.setattr(analysis, "integrate", no_integrate)
+    with pytest.raises(ValueError, match="M must be"):
+        truncated_solution(M)
+
+
 def test_rubel_bound_at_four():
     sol = truncated_solution(4.0)
     bound = rubel_bound(sol.table)

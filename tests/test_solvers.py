@@ -1,18 +1,20 @@
 """End-to-end non-iterative solves, sweeps, and parameter searches."""
 
+import dataclasses
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (DEFAULT_SCHEDULE, NitmConfig, State3, _kernels_py,
-                  classic_problem, find_critical_b, find_star_for_target,
-                  gasification_problem, initial_state, kernels,
-                  moving_wall_problem, slip_problem, solve_auxiliary,
+from nitm import (DEFAULT_SCHEDULE, NitmConfig, ProblemSpec, State3,
+                  _kernels_py, classic_problem, find_critical_b,
+                  find_star_for_target, gasification_problem, initial_state,
+                  kernels, moving_wall_problem, slip_problem, solve_auxiliary,
                   solve_gasification, solve_moving_wall, solve_slip,
                   solve_variant, solvers, sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
@@ -53,10 +55,25 @@ def test_non_finite_star_param_rejected(solve, value):
         solve(value)
 
 
+@pytest.mark.parametrize("variant, star, sign", [
+    ("slip", -1.0, 1.0),             # c* < 0
+    ("gasification", -0.1, 1.0),     # s* < 0
+    ("gasification", 1.0, -1.0),     # gasification has only the +1 branch
+    ("blasius", 1.0, 1.0),           # no such variant
+    ("classic", 1.0, 1.0),           # the classic problem has no star value
+])
+def test_raw_problem_spec_checks_the_variant_rules(variant, star, sign):
+    with pytest.raises(ValueError):
+        ProblemSpec(variant, star, sign)
+
+
 def test_gasification_uses_unit_beta():
     assert gasification_problem(1.0).beta == 1.0
     assert classic_problem().beta == 0.5
     assert moving_wall_problem(1.0).beta == 0.5
+    # beta follows from the variant: a spec holds only what varies
+    assert [f.name for f in dataclasses.fields(ProblemSpec)] == [
+        "variant", "star_param", "p"]
 
 
 def test_config_validation():
@@ -354,6 +371,42 @@ def test_critical_b_scan_validation():
         find_critical_b(scan_points=2)
 
 
+def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
+    # a tol below one ulp of b* can never be met: the golden section must
+    # stop once its bracket no longer shrinks
+    calls = []
+
+    def b_of(b_star, sign, config):
+        calls.append(b_star)
+        if len(calls) > 2000:
+            raise AssertionError("the golden section did not stop")
+        return SimpleNamespace(physical_param=(b_star + 1.25) ** 2 - 0.55)
+
+    monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
+    crit = find_critical_b(tol=1e-17)
+    assert crit.b_star == pytest.approx(-1.25, abs=1e-7)
+    assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: find_critical_b(tol=0.0), "tol"),
+    (lambda: find_critical_b(tol=-1.0), "tol"),
+    (lambda: find_critical_b(tol=math.nan), "tol"),
+    (lambda: find_star_for_target("slip", 1.0, tol=math.nan), "tol"),
+    (lambda: find_star_for_target("slip", 1.0, tol=0.0), "tol"),
+    (lambda: find_star_for_target("slip", 1.0, max_iter=0), "max_iter"),
+], ids=["critical-b-tol-0", "critical-b-tol-negative", "critical-b-tol-nan",
+        "target-tol-nan", "target-tol-0", "target-max-iter-0"])
+def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
+                                                              call, name):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_auxiliary ran")
+
+    monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_moving_wall ran")
@@ -472,10 +525,9 @@ _SOLVABLE = (
 @st.composite
 def _solvable_specs(draw):
     variant, sign, stars = draw(st.sampled_from(_SOLVABLE))
-    if stars is None:
-        return classic_problem(sign)
-    star = draw(st.floats(min_value=stars[0], max_value=stars[1]))
-    return solvers.PROBLEMS[variant](star, sign)
+    star = (None if stars is None
+            else draw(st.floats(min_value=stars[0], max_value=stars[1])))
+    return ProblemSpec(variant, star, sign)
 
 
 _CONFIGS = st.sampled_from([NitmConfig(), NitmConfig(step=0.02),

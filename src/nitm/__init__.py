@@ -15,7 +15,7 @@ from .errors import (BlowupError, BracketingError, NitmError,
                      UnsupportedVariantError)
 from .models import BlasiusFamilyRhs, FalknerSkanRhs
 from .ode import GridConfig, SolutionTable, State3, integrate
-from .scaling import (ExponentSystem, InvarianceSolution, ScalingGroup,
+from .scaling import (ExponentSystem, InvarianceSolution,
                       blasius_exponent_system, falkner_skan_exponent_system,
                       numeric_invariance_check, solve_invariance_exponents)
 from .solvers import (DEFAULT_SCHEDULE, CriticalB, NitmConfig, NitmResult,
@@ -32,7 +32,7 @@ __all__ = [
     "CriticalB", "DEFAULT_SCHEDULE", "ExponentSystem", "FalknerSkanRhs",
     "GridConfig", "InvarianceSolution", "NitmConfig", "NitmError",
     "NitmResult", "NoConvergenceError", "ProblemSpec", "RubelBound",
-    "ScalingBreakdownError", "ScalingGroup", "SolutionTable", "State3",
+    "ScalingBreakdownError", "SolutionTable", "State3",
     "TruncatedSolution", "UnsupportedVariantError", "analysis",
     "blasius_exponent_system", "classic_problem",
     "falkner_skan_exponent_system", "find_critical_b",

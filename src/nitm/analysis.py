@@ -12,7 +12,7 @@ import numpy as np
 
 from .models import BlasiusFamilyRhs
 from .ode import GridConfig, SolutionTable, integrate
-from .scaling import ScalingGroup, rescale
+from .scaling import rescale
 
 # nonzero powers of the wall series; every other coefficient through
 # eta^13 vanishes, the next nonzero term is eta^14
@@ -136,7 +136,7 @@ def truncated_solution(M: float, nodes_per_unit: int = 1000,
     lam = M / t1
     # physical step lam * (T/n) equals M/n up to rounding, and fp(M) =
     # fp*(T)/lam^2 = 1 by the choice of T
-    table = rescale(star, lam, ScalingGroup(delta=-1.0, d=1.0))
+    table = rescale(star.grid.step, star.f, star.fp, star.fpp, lam)
     return TruncatedSolution(t_star=t1, lam=lam, table=table)
 
 

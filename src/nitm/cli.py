@@ -321,10 +321,12 @@ def blasius(ctx, **flags):
     else:
         config = st.nitm_config()
         final = solvers.solve_auxiliary(spec, config)
-        # rescale's fpp0 at each boundary, so the same bits a fixed solve
-        # at b prints: the walk reached b through the same steps
+        # the solve's closed-form fpp0 at each boundary, so the same bits a
+        # fixed solve at b prints: the walk reached b through the same steps
+        start = solvers.initial_state(spec)
         for b, lam in zip(config.boundary_schedule, final.lambdas):
-            report_lines.append(f"boundary {b:g}: shear {st.sign * lam ** -3.0:.9f}")
+            shear = solvers.physical_values(lam, *start)[2]
+            report_lines.append(f"boundary {b:g}: shear {shear:.9f}")
         report_lines.append(f"accepted boundary {final.eta_inf_star:g}: "
                             f"shear {final.fpp0:.9f}")
     _emit_rows([_row_from_result(None, final)], st, single=True,

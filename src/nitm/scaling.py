@@ -1,12 +1,14 @@
 """Scaling-group algebra.
 
-Recovers the group parameter lambda from a computed asymptote, rescales
-star solutions to physical ones, maps invariant physical parameters,
-and analyzes which power-law scalings leave an equation invariant.
-
-All four solver variants share one group: f* = lambda f, eta* =
-lambda^delta eta with delta = -1. Wall shear is a derived output
-(fpp0 = p * lambda^(2*delta-1)), not a second group parameter.
+Every solver variant rests on one stretching group, Topfer's f* =
+lambda f, eta* = lambda^-1 eta, so fp* = lambda^2 fp and fpp* =
+lambda^3 fpp. It leaves f''' + beta f f'' = 0 invariant, and it is the
+generator (-1, 1) that blasius_exponent_system() finds. This module is
+the only place that writes the group's exponents: it recovers lambda
+from a computed asymptote, rescales star solutions to physical ones,
+maps invariant physical parameters, and analyzes which power-law
+scalings leave an equation invariant. Wall shear is a derived output
+(fpp0 = p * lambda^-3), not a second group parameter.
 """
 
 import math
@@ -17,40 +19,17 @@ from .errors import ScalingBreakdownError
 from .ode import GridConfig, SolutionTable, State3
 
 
-@dataclass(frozen=True)
-class ScalingGroup:
-    """Power-law group f* = lambda f, eta* = lambda^delta eta.
+def lambda_from_asymptote(fp_inf_star: float) -> float:
+    """Group parameter matching the star asymptote to slope 1.
 
-    d is the asymptotic slope the physical solution must reach.
+    lambda = sqrt(fp_inf_star), for every variant but the moving wall.
     """
-
-    delta: float = -1.0
-    d: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta == 1.0:
-            raise ValueError(f"delta must be finite and != 1, got {self.delta}")
-        if not math.isfinite(self.d) or self.d == 0.0:
-            raise ValueError(f"d must be finite and nonzero, got {self.d}")
-
-
-def lambda_from_asymptote(fp_inf_star: float,
-                          group: ScalingGroup = ScalingGroup()) -> float:
-    """Group parameter matching the star asymptote to slope d.
-
-    lambda = (fp_inf_star / d) ** (1 / (1 - delta)). The default group,
-    delta = -1 and d = 1, is that of every variant but the moving wall.
-    """
-    ratio = fp_inf_star / group.d
-    if not (ratio > 0.0) or not math.isfinite(ratio):
+    if not (fp_inf_star > 0.0) or not math.isfinite(fp_inf_star):
         raise ScalingBreakdownError(
-            f"asymptote ratio fp_inf_star/d = {ratio:.6g} is not positive; "
+            f"asymptote ratio fp_inf_star = {fp_inf_star:.6g} is not positive; "
             "the group cannot match the asymptote"
         )
-    exponent = 1.0 / (1.0 - group.delta)
-    if exponent == 0.5:
-        return math.sqrt(ratio)
-    return ratio ** exponent
+    return math.sqrt(fp_inf_star)
 
 
 def lambda_moving_wall(fp_inf_star: float, b_star: float) -> float:
@@ -64,41 +43,28 @@ def lambda_moving_wall(fp_inf_star: float, b_star: float) -> float:
     return math.sqrt(base)
 
 
-def physical_values(lam: float, f, fp, fpp, delta: float = -1.0):
+def physical_values(lam: float, f, fp, fpp):
     """Physical f, fp, fpp from star values, for floats or arrays alike.
 
-    f = lambda^(-1) f*, fp = lambda^(delta-1) fp*, fpp = lambda^(2*delta-1) fpp*.
-    Each is one multiply by a float power of lambda, so a star value
-    and an array entry holding it give the same bits.
+    f = lambda^-1 f*, fp = lambda^-2 fp*, fpp = lambda^-3 fpp*. Each is
+    one multiply by a float power of lambda, so a star value and an
+    array entry holding it give the same bits.
     """
-    return (f * lam ** -1.0,
-            fp * lam ** (delta - 1.0),
-            fpp * lam ** (2.0 * delta - 1.0))
+    return f * lam ** -1.0, fp * lam ** -2.0, fpp * lam ** -3.0
 
 
-def rescale_arrays(step_star: float, f, fp, fpp, lam: float,
-                   delta: float = -1.0) -> SolutionTable:
+def rescale(step_star: float, f, fp, fpp, lam: float) -> SolutionTable:
     """Physical table from star arrays on the grid 0, step_star, 2 step_star, ...
 
-    eta = lambda^(-delta) eta*; the values follow physical_values. The
-    arrays may be views of a larger buffer: the table holds the fresh
-    products only.
+    eta = lambda eta*; the values follow physical_values. The arrays may
+    be views of a larger buffer: the table holds the fresh products only.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lambda must be positive, got {lam}")
-    grid = GridConfig.of_nodes(len(f), lam ** -delta * step_star)
+    grid = GridConfig.of_nodes(len(f), lam * step_star)
     if not (grid.step > 0.0 and math.isfinite(grid.eta_max)):
         raise ValueError(f"lambda = {lam} takes the grid out of float range")
-    return SolutionTable(grid, *physical_values(lam, f, fp, fpp, delta))
-
-
-def rescale(table_star: SolutionTable, lam: float, group: ScalingGroup) -> SolutionTable:
-    """Apply the inverse transformation to a star-variable table.
-
-    eta = lambda^(-delta) eta*; f, fp and fpp as in physical_values.
-    """
-    return rescale_arrays(table_star.grid.step, table_star.f, table_star.fp,
-                          table_star.fpp, lam, group.delta)
+    return SolutionTable(grid, *physical_values(lam, f, fp, fpp))
 
 
 def map_parameter(star_value: float, lam: float, k: float) -> float:
@@ -211,28 +177,23 @@ def falkner_skan_exponent_system() -> ExponentSystem:
     ))
 
 
-def numeric_invariance_check(rhs, group: ScalingGroup, lam_test: float,
-                             states) -> float:
+def numeric_invariance_check(rhs, lam_test: float, states) -> float:
     """Largest ODE residual after transforming sample states by the group.
 
     For each sample the state is mapped to star variables, the star
     third derivative demanded by the equation is compared against the
-    group-transformed physical one, and the worst absolute mismatch is
-    returned. The result is ~0 exactly when the equation is invariant
-    under (delta, 1) scaling.
+    group-transformed physical one (f''' scales by lambda^4), and the
+    worst absolute mismatch is returned. The result is ~0 exactly when
+    the equation is invariant under the group.
     """
     if not (lam_test > 0.0) or not math.isfinite(lam_test):
         raise ValueError(f"lam_test must be positive, got {lam_test}")
-    delta = group.delta
-    third_weight = lam_test ** (1.0 - 3.0 * delta)
+    third_weight = lam_test ** 4.0
     worst = 0.0
     for sample in states:
         s = State3(*sample)
-        star = State3(
-            lam_test * s.f,
-            lam_test ** (1.0 - delta) * s.fp,
-            lam_test ** (1.0 - 2.0 * delta) * s.fpp,
-        )
+        star = State3(lam_test * s.f, lam_test ** 2.0 * s.fp,
+                      lam_test ** 3.0 * s.fpp)
         physical_third = rhs(0.0, s)[2]
         star_third = rhs(0.0, star)[2]
         worst = max(worst, abs(third_weight * physical_third - star_third))

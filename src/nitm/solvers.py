@@ -16,10 +16,8 @@ import numpy as np
 from .errors import (BracketingError, NitmError, NoConvergenceError,
                      UnsupportedVariantError)
 from .ode import SolutionTable, State3, node_index, walk
-# rescale is not called here: solvers.rescale is the name the layered
-# benchmark's tracer wraps, so it stays importable from this module
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
-                      physical_values, rescale, rescale_arrays)
+                      physical_values, rescale)
 
 
 class Variant(NamedTuple):
@@ -52,6 +50,13 @@ PARAMETRIZED = tuple(v for v, rules in VARIANTS.items() if rules.k is not None)
 DEFAULT_SCHEDULE = tuple(float(b) for b in range(4, 52, 2))
 
 
+def _check_sign(variant: str, p: float) -> None:
+    signs = VARIANTS[variant].signs
+    if p not in signs:
+        raise ValueError(f"sign p of {variant} must be "
+                         f"{' or '.join(f'{s:+g}' for s in signs)}, got {p}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Auxiliary-IVP description for one solver variant.
@@ -70,10 +75,7 @@ class ProblemSpec:
         rules = VARIANTS.get(self.variant)
         if rules is None:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.p not in rules.signs:
-            raise ValueError(f"sign p of {self.variant} must be "
-                             f"{' or '.join(f'{s:+g}' for s in rules.signs)}, "
-                             f"got {self.p}")
+        _check_sign(self.variant, self.p)
         star = self.star_param
         if rules.k is None:
             if star is not None:
@@ -200,7 +202,7 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     # views up to the accepted stop: the table holds fresh products, so
     # the result keeps nothing of the buffer allocated for the whole schedule
     n = stop + 1
-    table = rescale_arrays(cfg.step, f[:n], fp[:n], fpp[:n], lam)
+    table = rescale(cfg.step, f[:n], fp[:n], fpp[:n], lam)
     return NitmResult(
         lam=lam,
         lambdas=tuple(lambdas),
@@ -367,6 +369,7 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     value. Stops when |physical_param - target| < tol.
     """
     _check_parametrized(variant)
+    _check_sign(variant, sign)
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     if not (math.isfinite(tol) and tol > 0.0):

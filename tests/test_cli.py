@@ -39,6 +39,19 @@ def test_blasius_agreement_walk(capsys):
     assert "accepted boundary 8: shear 0.332057336" in out
 
 
+def test_blasius_walk_shears_match_fixed_boundary_solves(capsys):
+    # each boundary walked prints the shear that a fixed solve at that
+    # boundary returns, digit for digit
+    code, out, _ = run(capsys, "blasius")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("boundary ")]
+    assert [line.split()[1] for line in lines] == ["4:", "6:", "8:"]
+    for line, b in zip(lines, (4.0, 6.0, 8.0)):
+        res = nitm.solve_auxiliary(nitm.classic_problem(),
+                                   nitm.NitmConfig(boundary_schedule=(b,)))
+        assert line == f"boundary {b:g}: shear {res.fpp0:.9f}"
+
+
 def test_blasius_csv_full_precision(capsys):
     code, out, _ = run(capsys, "blasius", "--format", "csv")
     assert code == 0
@@ -321,7 +334,9 @@ def test_usage_errors_exit_one(capsys, argv):
     (("gasification", "1.0"), 1),        # only the +1 branch exists
     (("sweep", "--problem", "moving-wall", "--values", "2,5"), 0),
     (("target", "--problem", "moving-wall", "--b", "0.7"), 0),
-], ids=["blasius", "moving-wall", "slip", "gasification", "sweep", "target"])
+    (("target", "--problem", "gasification", "--s", "0.5"), 1),
+], ids=["blasius", "moving-wall", "slip", "gasification", "sweep", "target",
+        "target-gasification"])
 def test_sign_flag_matches_config_file(capsys, tmp_path, argv, code):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sign = -1\n")

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (DEFAULT_SCHEDULE, NitmConfig, ProblemSpec, State3,
-                  _kernels_py, classic_problem, find_critical_b,
-                  find_star_for_target, gasification_problem, initial_state,
-                  kernels, moving_wall_problem, slip_problem, solve_auxiliary,
-                  solve_gasification, solve_moving_wall, solve_slip,
-                  solve_variant, solvers, sweep)
+from nitm import (DEFAULT_SCHEDULE, NitmConfig, NitmResult, ProblemSpec,
+                  State3, _kernels_py, analysis, classic_problem,
+                  find_critical_b, find_star_for_target, gasification_problem,
+                  initial_state, kernels, moving_wall_problem, slip_problem,
+                  solve_auxiliary, solve_gasification, solve_moving_wall,
+                  solve_slip, solve_variant, solvers, sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
                          NoConvergenceError, ScalingBreakdownError,
                          UnsupportedVariantError)
@@ -347,6 +347,32 @@ def test_sweep_matches_single_solves():
         assert row.physical_param == single.physical_param
 
 
+def test_rescale_runs_through_the_module_globals(monkeypatch):
+    # tracing tools wrap solvers.rescale and analysis.rescale by name:
+    # each accepted solve and each truncated solution rescales through
+    # them exactly once, and a failed row never reaches the rescale
+    calls = {solvers: 0, analysis: 0}
+
+    def count(module):
+        original = module.rescale
+
+        def counting(*args):
+            calls[module] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, "rescale", counting)
+
+    count(solvers)
+    count(analysis)
+    rows = (sweep("moving-wall", [1.2, 2.0, 5.0], sign=-1.0)
+            + sweep("slip", [1.0], sign=-1.0))
+    assert [type(row) for row in rows] == [ScalingBreakdownError, NitmResult,
+                                           NitmResult, BlowupError]
+    assert calls == {solvers: 2, analysis: 0}
+    analysis.truncated_solution(4.0)
+    assert calls == {solvers: 2, analysis: 1}
+
+
 # ---------------------------------------------------------------------------
 # critical parameter and dual solutions
 
@@ -395,8 +421,11 @@ def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
     (lambda: find_star_for_target("slip", 1.0, tol=math.nan), "tol"),
     (lambda: find_star_for_target("slip", 1.0, tol=0.0), "tol"),
     (lambda: find_star_for_target("slip", 1.0, max_iter=0), "max_iter"),
+    (lambda: find_star_for_target("gasification", 0.5, sign=-1.0),
+     "sign p of gasification"),
 ], ids=["critical-b-tol-0", "critical-b-tol-negative", "critical-b-tol-nan",
-        "target-tol-nan", "target-tol-0", "target-max-iter-0"])
+        "target-tol-nan", "target-tol-0", "target-max-iter-0",
+        "target-gasification-sign"])
 def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
                                                               call, name):
     def no_solve(*args, **kwargs):
@@ -454,6 +483,13 @@ def test_target_requires_sign_change():
     with pytest.raises(BracketingError) as err:
         find_star_for_target("moving-wall", -0.7, bracket=(-1.2322, -0.05))
     assert err.value.scanned  # reports the achieved parameters
+
+
+def test_target_slip_minus_has_no_default_bracket(monkeypatch):
+    # -1 is a valid slip sign, so the missing bracket is what is refused
+    monkeypatch.setattr(solvers, "solve_auxiliary", None)
+    with pytest.raises(BracketingError, match="no default bracket"):
+        find_star_for_target("slip", 1.0, sign=-1.0)
 
 
 def test_target_rejects_empty_bracket():

@@ -29,8 +29,9 @@ _FORMATS = ("table", "csv", "json")
 _CONFIG_KEYS = ("step", "boundaries", "lambda_tol", "sign", "format",
                 "out", "profile")
 
-# find_critical_b's own defaults, quoted in critical-b's help
+# the library's own defaults, quoted in critical-b's and series-check's help
 _SCAN_DEFAULTS = inspect.signature(solvers.find_critical_b).parameters
+_SERIES_DEFAULTS = inspect.signature(analysis.series_deviation).parameters
 
 
 def _parse_float(text, name: str) -> float:
@@ -193,9 +194,10 @@ def _reason(exc: NitmError) -> str:
     return str(exc).replace(",", ";")
 
 
-def _row_from_result(star, res) -> tuple:
-    return (star, res.fp_inf_star, res.lam, res.physical_param,
-            res.f0, res.fp0, res.fpp0)
+def _record(res) -> dict:
+    """A solve's report row, one value per header."""
+    return dict(zip(HEADERS, (res.star_param, res.fp_inf_star, res.lam,
+                              res.physical_param, res.f0, res.fp0, res.fpp0)))
 
 
 def _fmt_table_value(value) -> str:
@@ -216,76 +218,46 @@ def _fmt_full(value) -> str:
     return "%.17g" % value
 
 
-def _cells(row) -> list:
-    """Row tuple -> one cell per header, expanding an error row."""
-    if len(row) == 2 and isinstance(row[1], NitmError):
-        reason = f"ERROR({_reason(row[1])})"
-        return [row[0]] + [reason] * (len(HEADERS) - 1)
-    return list(row)
+def _values(record: dict, columns) -> list:
+    """One value per column; a failed row's missing columns read ERROR(reason)."""
+    return [record.get(c, f"ERROR({record.get('error')})") for c in columns]
 
 
-def _render_table(rows) -> str:
-    grid = [list(HEADERS)] + [[_fmt_table_value(c) if not isinstance(c, str) else c
-                               for c in _cells(r)] for r in rows]
+def _render_table(records) -> str:
+    grid = [list(HEADERS)] + [[_fmt_table_value(v) for v in _values(r, HEADERS)]
+                              for r in records]
     widths = [max(len(line[i]) for line in grid) for i in range(len(HEADERS))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths))
              for line in grid]
     return "\n".join(lines)
 
 
-def _render_csv(rows) -> str:
-    lines = [",".join(HEADERS)]
-    for row in rows:
-        lines.append(",".join(_fmt_full(c) for c in _cells(row)))
-    return "\n".join(lines)
+def _report(st: Settings, records: list, table_text: str | None = None,
+            single: bool = True, profile=None) -> None:
+    """Write records to --out or stdout, and profile's table to --profile.
 
-
-def _json_object(row) -> dict:
-    if len(row) == 2 and isinstance(row[1], NitmError):
-        return {"star_param": row[0], "error": _reason(row[1])}
-    return dict(zip(HEADERS, row))
-
-
-def _render_json(rows, single: bool) -> str:
-    if single:
-        return json.dumps(_json_object(rows[0]), indent=2)
-    return json.dumps([_json_object(r) for r in rows], indent=2)
-
-
-def _emit(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text + "\n")
+    JSON prints the one record, or the list when not single. CSV has a
+    header of the first record's keys (the solve headers when it is a
+    failed row) and values at %.17g. The table is table_text, by default
+    the aligned solve table.
+    """
+    if st.fmt == "json":
+        text = json.dumps(records[0] if single else records, indent=2)
+    elif st.fmt == "csv":
+        columns = HEADERS if "error" in records[0] else tuple(records[0])
+        text = "\n".join([",".join(columns)] + [
+            ",".join(_fmt_full(v) for v in _values(r, columns)) for r in records])
+    else:
+        text = _render_table(records) if table_text is None else table_text
+    if st.out:
+        Path(st.out).write_text(text + "\n")
     else:
         click.echo(text)
-
-
-def _emit_rows(rows, st: Settings, single: bool, preamble: str = "") -> None:
-    if st.fmt == "csv":
-        text = _render_csv(rows)
-    elif st.fmt == "json":
-        text = _render_json(rows, single)
-    else:
-        text = _render_table(rows)
-        if preamble:
-            text = preamble + "\n" + text
-    _emit(text, st.out)
-
-
-def _render_record(record: dict, fmt: str, table_text: str) -> str:
-    """One named record as JSON, as a CSV header and %.17g row, or as text."""
-    if fmt == "json":
-        return json.dumps(record, indent=2)
-    if fmt == "csv":
-        return ",".join(record) + "\n" + ",".join(
-            "%.17g" % v for v in record.values())
-    return table_text
-
-
-def _write_profile(table, path) -> None:
-    lines = ["eta,f,fp,fpp"]
-    for eta, f, fp, fpp in zip(table.etas(), table.f, table.fp, table.fpp):
-        lines.append(",".join("%.17g" % v for v in (eta, f, fp, fpp)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    if st.profile and profile is not None:
+        lines = ["eta,f,fp,fpp"] + [
+            ",".join("%.17g" % v for v in row)
+            for row in zip(profile.etas(), profile.f, profile.fp, profile.fpp)]
+        Path(st.profile).write_text("\n".join(lines) + "\n")
 
 
 @click.group()
@@ -329,10 +301,9 @@ def blasius(ctx, **flags):
             report_lines.append(f"boundary {b:g}: shear {shear:.9f}")
         report_lines.append(f"accepted boundary {final.eta_inf_star:g}: "
                             f"shear {final.fpp0:.9f}")
-    _emit_rows([_row_from_result(None, final)], st, single=True,
-               preamble="\n".join(report_lines))
-    if st.profile:
-        _write_profile(final.table, st.profile)
+    records = [_record(final)]
+    _report(st, records, "\n".join(report_lines + [_render_table(records)]),
+            profile=final.table)
     return 0
 
 
@@ -349,25 +320,18 @@ def sweep(ctx, problem, values_text, **flags):
     _refuse_profile(st, "sweeps")
     values = _parse_values(values_text)
     rows = solvers.sweep(problem, values, st.sign, st.nitm_config())
-    out_rows = []
-    succeeded = 0
-    for star, row in zip(values, rows):
-        if isinstance(row, NitmError):
-            out_rows.append((star, row))
-        else:
-            out_rows.append(_row_from_result(star, row))
-            succeeded += 1
-    _emit_rows(out_rows, st, single=False)
-    return 0 if succeeded else 2
+    records = [{"star_param": star, "error": _reason(row)}
+               if isinstance(row, NitmError) else _record(row)
+               for star, row in zip(values, rows)]
+    _report(st, records, single=False)
+    return 0 if any("error" not in r for r in records) else 2
 
 
 def _single_solve(ctx, variant, star, flags):
     st = _settings(ctx, **flags)
     star_value = _parse_float(star, "star parameter")
     res = solvers.solve_variant(variant, star_value, st.sign, st.nitm_config())
-    _emit_rows([_row_from_result(star_value, res)], st, single=True)
-    if st.profile:
-        _write_profile(res.table, st.profile)
+    _report(st, [_record(res)], profile=res.table)
     return 0
 
 
@@ -416,11 +380,10 @@ def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
     # flags left unset take find_critical_b's defaults
     result = solvers.find_critical_b(
         st.nitm_config(), **{k: v for k, v in scan.items() if v is not None})
-    text = _render_record(
-        {"b_c": result.b_c, "b_star": result.b_star},
-        "json" if as_json else st.fmt,
-        f"b_c = {result.b_c:.6f}\nb_star = {result.b_star:.6f}")
-    _emit(text, st.out)
+    if as_json:
+        st.fmt = "json"
+    _report(st, [{"b_c": result.b_c, "b_star": result.b_star}],
+            f"b_c = {result.b_c:.6f}\nb_star = {result.b_star:.6f}")
     return 0
 
 
@@ -455,34 +418,32 @@ def target(ctx, problem, b_target, c_target, s_target, bracket, **flags):
                         _parse_float(parts[1], "--bracket"))
     res = solvers.find_star_for_target(problem, target_value, st.sign,
                                        st.nitm_config(), bracket=bracket_pair)
-    star = res.physical_param * res.lam ** solvers.VARIANTS[problem].k
-    _emit_rows([_row_from_result(star, res)], st, single=True)
-    if st.profile:
-        _write_profile(res.table, st.profile)
+    _report(st, [_record(res)], profile=res.table)
     return 0
 
 
 @cli.command("series-check")
-@click.option("--eta-max", default=None, help="Comparison window end (default 0.5).")
-@click.option("--step", default=None, help="Fine comparison step (default 1e-4).")
+@click.option("--eta-max", default=None,
+              help=f"Comparison window end (default {_SERIES_DEFAULTS['eta_max'].default:g}).")
+@click.option("--step", default=None,
+              help=f"Fine comparison step (default {_SERIES_DEFAULTS['step'].default:g}).")
 @_report_options
 @click.pass_context
 def series_check(ctx, eta_max, step, **flags):
     """Compare the wall series against a fine star-IVP solve."""
     st = _settings(ctx, **flags)
-    eta_max_value = 0.5 if eta_max is None else _parse_float(eta_max, "--eta-max")
-    step_value = 1e-4 if step is None else _parse_float(step, "--step")
+    eta_max_value = (_SERIES_DEFAULTS["eta_max"].default if eta_max is None
+                     else _parse_float(eta_max, "--eta-max"))
+    step_value = (_SERIES_DEFAULTS["step"].default if step is None
+                  else _parse_float(step, "--step"))
     if eta_max_value <= 0 or step_value <= 0 or eta_max_value < 10 * step_value:
         raise click.UsageError("need 0 < step << eta-max")
     deviation, order = analysis.series_deviation(eta_max_value, step_value)
     ok = order >= 13.0
-    text = _render_record(
-        {"max_deviation": deviation, "fitted_order": order, "order_ok": ok},
-        st.fmt,
-        f"max deviation = {deviation:.3e}\n"
-        f"fitted order = {order:.2f}\n"
-        f"order >= 13: {'yes' if ok else 'NO'}")
-    _emit(text, st.out)
+    _report(st, [{"max_deviation": deviation, "fitted_order": order, "order_ok": ok}],
+            f"max deviation = {deviation:.3e}\n"
+            f"fitted order = {order:.2f}\n"
+            f"order >= 13: {'yes' if ok else 'NO'}")
     return 0 if ok else 2
 
 
@@ -502,18 +463,16 @@ def rubel(ctx, m_value, **flags):
     n = sol.table.grid.nodes
     empirical = float(abs(sol2.table.f[:n] - sol.table.f[:n]).max())
     valid = empirical <= bound.bound
-    text = _render_record(
-        {"M": M, "t_star": sol.t_star, "lambda": sol.lam, "bound": bound.bound,
-         "empirical_max_error": empirical, "valid": valid},
-        st.fmt,
-        f"M = {M:g}\n"
-        f"t_star = {sol.t_star:.9f}\n"
-        f"lambda = {sol.lam:.9f}\n"
-        f"bound = {bound.bound:.6e}\n"
-        f"empirical max error = {empirical:.6e}\n"
-        f"{'VALID' if valid else 'INVALID'} (error <= bound: "
-        f"{'yes' if valid else 'no'})")
-    _emit(text, st.out)
+    _report(st, [{"M": M, "t_star": sol.t_star, "lambda": sol.lam,
+                  "bound": bound.bound, "empirical_max_error": empirical,
+                  "valid": valid}],
+            f"M = {M:g}\n"
+            f"t_star = {sol.t_star:.9f}\n"
+            f"lambda = {sol.lam:.9f}\n"
+            f"bound = {bound.bound:.6e}\n"
+            f"empirical max error = {empirical:.6e}\n"
+            f"{'VALID' if valid else 'INVALID'} (error <= bound: "
+            f"{'yes' if valid else 'no'})")
     return 0 if valid else 2
 
 

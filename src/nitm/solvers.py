@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (BracketingError, NitmError, NoConvergenceError,
                      UnsupportedVariantError)
-from .ode import SolutionTable, State3, node_index, walk
+from .ode import DEFAULT_STEP, SolutionTable, State3, node_index, walk
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
                       physical_values, rescale)
 
@@ -128,7 +128,7 @@ class NitmConfig:
     construction.
     """
 
-    step: float = 0.01
+    step: float = DEFAULT_STEP
     boundary_schedule: tuple[float, ...] = DEFAULT_SCHEDULE
     lambda_tol: float = 1e-6
     stops: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -157,13 +157,15 @@ class NitmResult:
     """One non-ITM solve: group parameter, rescaled table, and wall values.
 
     lambdas holds the lambda recovered at each boundary walked, in
-    schedule order; its last entry is lam.
+    schedule order; its last entry is lam. star_param is the star value
+    solved, None for the classic problem.
     """
 
     lam: float
     lambdas: tuple[float, ...]
     eta_inf_star: float
     fp_inf_star: float
+    star_param: float | None
     physical_param: float | None
     f0: float
     fp0: float
@@ -208,6 +210,7 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
         lambdas=tuple(lambdas),
         eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
         fp_inf_star=fp_stop,
+        star_param=spec.star_param,
         physical_param=(None if rules.k is None
                         else map_parameter(spec.star_param, lam, rules.k)),
         f0=f0,

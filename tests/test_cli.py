@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, config file, reports."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -204,6 +205,19 @@ def test_target_moving_wall(capsys):
     assert payload["star_param"] == pytest.approx(-0.9243, abs=1e-3)
 
 
+def test_target_row_re_solves_to_itself(capsys):
+    # the star value printed is the one solved, so solving it again
+    # prints the same row, bit for bit
+    code, out, _ = run(capsys, "target", "--problem", "moving-wall",
+                       "--b", "-0.5", "--format", "json")
+    assert code == 0
+    found = json.loads(out)
+    code, out, _ = run(capsys, "moving-wall", "--format", "json", "--",
+                       repr(found["star_param"]))
+    assert code == 0
+    assert json.loads(out) == found
+
+
 def test_target_flag_must_match_problem(capsys):
     code, _, err = run(capsys, "target", "--problem", "slip", "--b", "0.5")
     assert code == 1
@@ -399,3 +413,17 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "blasius" in out
+
+
+@pytest.mark.parametrize("command, fn, names", [
+    ("critical-b", nitm.solvers.find_critical_b,
+     ("scan_lo", "scan_hi", "scan_points")),
+    ("series-check", nitm.analysis.series_deviation, ("eta_max", "step")),
+], ids=["critical-b", "series-check"])
+def test_help_quotes_the_library_defaults(capsys, command, fn, names):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    params = inspect.signature(fn).parameters
+    for name in names:
+        assert f"(default {params[name].default:g})" in text

@@ -118,7 +118,7 @@ def test_classic_converged_solve():
     assert res.fp_inf_star == pytest.approx(2.0854091764180924, rel=1e-12)
     assert res.fpp0 == pytest.approx(0.3320573362199281, rel=1e-12)
     assert res.f0 == 0.0 and res.fp0 == 0.0
-    assert res.physical_param is None
+    assert res.physical_param is None and res.star_param is None
     # one lambda per boundary walked: 4, 6 and the accepted 8
     assert len(res.lambdas) == DEFAULT_SCHEDULE.index(res.eta_inf_star) + 1 == 3
     assert res.lambdas[-1] == res.lam
@@ -342,7 +342,8 @@ def test_sweep_empty_values_rejected():
 def test_sweep_matches_single_solves():
     rows = sweep("gasification", [0.5, 1.0])
     singles = [solve_gasification(0.5), solve_gasification(1.0)]
-    for row, single in zip(rows, singles):
+    for star, row, single in zip((0.5, 1.0), rows, singles):
+        assert row.star_param == single.star_param == star
         assert row.fpp0 == single.fpp0
         assert row.physical_param == single.physical_param
 
@@ -472,6 +473,23 @@ def test_target_search_on_each_variant():
     assert slip.lam == pytest.approx(1.5622374365704546, abs=1e-5)
     mw = find_star_for_target("moving-wall", 0.8, sign=-1.0)
     assert mw.physical_param == pytest.approx(0.8, abs=1e-6)
+
+
+@pytest.mark.parametrize("variant, target, sign, bracket", [
+    ("moving-wall", -0.5, 1.0, None),
+    ("moving-wall", -0.5, 1.0, (-5.0, -1.2323)),
+    ("moving-wall", 0.7, -1.0, None),
+    ("slip", 1.5, 1.0, None),
+    ("gasification", 0.5, 1.0, None),
+])
+def test_target_result_carries_the_star_value_it_solved(variant, target, sign,
+                                                        bracket):
+    # star * lam**k, rebuilt from the result, can miss the solved value
+    # by an ulp; star_param re-solves to the same bits
+    res = find_star_for_target(variant, target, sign, bracket=bracket)
+    again = solve_variant(variant, res.star_param, sign)
+    assert again.physical_param.hex() == res.physical_param.hex()
+    assert again.fpp0.hex() == res.fpp0.hex()
 
 
 def test_target_rejects_classic():

@@ -5,18 +5,27 @@ for boundary truncation. Both are checks on the solver, produced by
 routes independent of the lambda-agreement machinery.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import BlasiusFamilyRhs
 from .ode import GridConfig, SolutionTable, integrate
 from .scaling import rescale
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # nonzero powers of the wall series; every other coefficient through
 # eta^13 vanishes, the next nonzero term is eta^14
 SERIES_POWERS = (2, 5, 8, 11)
+
+# a deviation below this is roundoff, and the order fit leaves its node out
+ROUNDOFF_FLOOR = 1e-14
+# C14 / shear^5 for the first dropped term, C14 eta^14: 27897 / (16 * 14!)
+_C14 = 27897.0 / (16.0 * math.factorial(14))
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,9 @@ def series_eval(series: BlasiusSeries, eta: float | np.ndarray) -> float | np.nd
 def _fit_order(etas: np.ndarray, errs: np.ndarray,
                window: tuple[float, float]) -> float:
     """Least-squares slope of log errs versus log etas over the window."""
-    mask = (etas >= window[0]) & (etas <= window[1]) & (errs > 1e-14)
+    import numpy as np
+
+    mask = (etas >= window[0]) & (etas <= window[1]) & (errs > ROUNDOFF_FLOOR)
     if mask.sum() < 2:
         raise ValueError("window leaves too few usable nodes for the fit")
     slope = np.polyfit(np.log(etas[mask]), np.log(errs[mask]), 1)[0]
@@ -74,6 +85,8 @@ def truncation_order(series: BlasiusSeries, table: SolutionTable,
     answer 14. Nodes where the deviation is below 1e-14 are excluded
     as roundoff-dominated.
     """
+    import numpy as np
+
     etas = table.etas()
     return _fit_order(etas, np.abs(table.f - series_eval(series, etas)), window)
 
@@ -165,11 +178,25 @@ def series_deviation(eta_max: float = 0.5, step: float = 1e-4,
     Integrates the star IVP of the classic problem (shear plays the
     seeded second derivative) on a fine grid, compares it against the
     wall series for that shear, and fits the truncation order on the
-    upper part of the window.
+    upper part of the window, [0.6 eta_max, eta_max]. The fit needs two
+    nodes there where the first dropped term, C14 eta^14, clears
+    ROUNDOFF_FLOOR; eta_max and step are refused before integrating if
+    the grid has fewer.
     """
     grid = GridConfig(eta_max=eta_max, step=step)
-    star = integrate(BlasiusFamilyRhs(0.5), (0.0, 0.0, shear), grid)
     series = series_coefficients(shear)
+    # the first node where the series error is predicted above the floor
+    eta_floor = (ROUNDOFF_FLOOR / (_C14 * abs(shear) ** 5)) ** (1.0 / 14.0)
+    first = math.ceil(max(0.6 * eta_max, eta_floor) / step)
+    if grid.nodes - first < 2:
+        raise ValueError(
+            f"eta_max = {eta_max:g} at step {step:g} leaves fewer than 2 nodes "
+            f"for the order fit, which uses the nodes in [0.6 eta_max, eta_max] "
+            f"past eta = {eta_floor:.3g}, where the series error clears "
+            f"{ROUNDOFF_FLOOR:g}")
+    import numpy as np
+
+    star = integrate(BlasiusFamilyRhs(0.5), (0.0, 0.0, shear), grid)
     etas = star.etas()
     errs = np.abs(star.f - series_eval(series, etas))
     return float(errs.max()), _fit_order(etas, errs, (0.6 * eta_max, eta_max))

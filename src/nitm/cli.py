@@ -29,6 +29,10 @@ _FORMATS = ("table", "csv", "json")
 _CONFIG_KEYS = ("step", "boundaries", "lambda_tol", "sign", "format",
                 "out", "profile")
 
+# most star values a --values lo:hi:count range makes, checked before the
+# list is built: a sweep keeps every row, about 20 kB each at the default step
+MAX_RANGE_COUNT = 10**5
+
 # the library's own defaults, quoted in critical-b's and series-check's help
 _SCAN_DEFAULTS = inspect.signature(solvers.find_critical_b).parameters
 _SERIES_DEFAULTS = inspect.signature(analysis.series_deviation).parameters
@@ -66,6 +70,9 @@ def _parse_values(text) -> list[float]:
             raise click.UsageError(f"range count must be an integer, got {parts[2]!r}")
         if count < 2 or hi <= lo:
             raise click.UsageError(f"range needs lo < hi and count >= 2, got {text!r}")
+        if count > MAX_RANGE_COUNT:
+            raise click.UsageError(f"range count must be at most {MAX_RANGE_COUNT}, "
+                                   f"got {count}")
         span = hi - lo
         return [lo + span * i / (count - 1) for i in range(count)]
     parts = [p for p in text.split(",") if p.strip()]
@@ -175,7 +182,7 @@ def _settings(ctx, **flags) -> Settings:
 
 
 def _refuse_profile(st: Settings, command: str) -> None:
-    """Refuse --profile, from a flag or the config file, on a multi-solve command."""
+    """Refuse --profile, flag or config key, where the report is not one solve."""
     if st.profile:
         raise click.UsageError(f"--profile applies to single solves, not {command}")
 
@@ -233,13 +240,14 @@ def _render_table(records) -> str:
 
 
 def _report(st: Settings, records: list, table_text: str | None = None,
-            single: bool = True, profile=None) -> None:
-    """Write records to --out or stdout, and profile's table to --profile.
+            single: bool = True, result=None) -> None:
+    """Write records to --out or stdout, and result's table to --profile.
 
     JSON prints the one record, or the list when not single. CSV has a
     header of the first record's keys (the solve headers when it is a
     failed row) and values at %.17g. The table is table_text, by default
-    the aligned solve table.
+    the aligned solve table. The result's table, and so numpy, is only
+    read when --profile is given.
     """
     if st.fmt == "json":
         text = json.dumps(records[0] if single else records, indent=2)
@@ -253,7 +261,8 @@ def _report(st: Settings, records: list, table_text: str | None = None,
         Path(st.out).write_text(text + "\n")
     else:
         click.echo(text)
-    if st.profile and profile is not None:
+    if st.profile and result is not None:
+        profile = result.table
         lines = ["eta,f,fp,fpp"] + [
             ",".join("%.17g" % v for v in row)
             for row in zip(profile.etas(), profile.f, profile.fp, profile.fpp)]
@@ -303,7 +312,7 @@ def blasius(ctx, **flags):
                             f"shear {final.fpp0:.9f}")
     records = [_record(final)]
     _report(st, records, "\n".join(report_lines + [_render_table(records)]),
-            profile=final.table)
+            result=final)
     return 0
 
 
@@ -312,7 +321,8 @@ def blasius(ctx, **flags):
 @click.option("--problem", required=True,
               type=click.Choice(solvers.PARAMETRIZED))
 @click.option("--values", "values_text", required=True,
-              help="Star values: comma list or lo:hi:count.")
+              help=f"Star values: comma list or lo:hi:count, count at most "
+                   f"{MAX_RANGE_COUNT}.")
 @click.pass_context
 def sweep(ctx, problem, values_text, **flags):
     """Solve one row per star value, like the reference tables."""
@@ -331,7 +341,7 @@ def _single_solve(ctx, variant, star, flags):
     st = _settings(ctx, **flags)
     star_value = _parse_float(star, "star parameter")
     res = solvers.solve_variant(variant, star_value, st.sign, st.nitm_config())
-    _report(st, [_record(res)], profile=res.table)
+    _report(st, [_record(res)], result=res)
     return 0
 
 
@@ -418,7 +428,7 @@ def target(ctx, problem, b_target, c_target, s_target, bracket, **flags):
                         _parse_float(parts[1], "--bracket"))
     res = solvers.find_star_for_target(problem, target_value, st.sign,
                                        st.nitm_config(), bracket=bracket_pair)
-    _report(st, [_record(res)], profile=res.table)
+    _report(st, [_record(res)], result=res)
     return 0
 
 
@@ -432,6 +442,7 @@ def target(ctx, problem, b_target, c_target, s_target, bracket, **flags):
 def series_check(ctx, eta_max, step, **flags):
     """Compare the wall series against a fine star-IVP solve."""
     st = _settings(ctx, **flags)
+    _refuse_profile(st, "series-check")
     eta_max_value = (_SERIES_DEFAULTS["eta_max"].default if eta_max is None
                      else _parse_float(eta_max, "--eta-max"))
     step_value = (_SERIES_DEFAULTS["step"].default if step is None
@@ -454,6 +465,7 @@ def series_check(ctx, eta_max, step, **flags):
 def rubel(ctx, m_value, **flags):
     """Truncation error bound at M, validated against the 2M solution."""
     st = _settings(ctx, **flags)
+    _refuse_profile(st, "rubel")
     M = _parse_float(m_value, "--M")
     if M < 1.0:
         raise click.UsageError(f"--M must be at least 1, got {M}")

@@ -6,14 +6,18 @@ offered. Grid nodes are computed as i*step (never by accumulation) to
 keep the last node exactly on the requested boundary.
 """
 
-import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from __future__ import annotations
 
-import numpy as np
+import math
+from array import array
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import kernels
 from .errors import BlowupError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_STEP = 0.01
 
@@ -75,6 +79,7 @@ class GridConfig:
 
     def etas(self) -> np.ndarray:
         """Node coordinates, exactly i*step for node i."""
+        import numpy as np
         return np.arange(self.nodes) * self.step
 
 
@@ -96,24 +101,33 @@ class SolutionTable:
         return self.grid.etas()
 
 
-def walk(beta: float, initial, step: float,
-         stops) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def walk(beta: float, initial, step: float, stops,
+         buffers=None) -> Iterator[tuple[int, array, array, array]]:
     """Integrate f''' = -beta*f*f'' from node 0 through each stop index in turn.
 
-    The arrays are allocated once, up to stops[-1], and (stop, f, fp,
-    fpp) is yielded as soon as nodes 0..stop hold the solution. Nothing
-    past the last stop a caller consumes is integrated.
+    (stop, f, fp, fpp) is yielded as soon as nodes 0..stop hold the
+    solution, so nothing past the last stop a caller consumes is
+    integrated. Without buffers, the arrays are array('d') grown to
+    stop + 1 nodes at each stop, so they never hold a node past the
+    last stop reached. Buffers, if given, are three float64 arrays of
+    at least stops[-1] + 1 nodes.
     """
     start = State3(*initial)
     if not all(map(math.isfinite, start)):
         raise ValueError(f"initial state must be finite, got {start}")
-    n = stops[-1] + 1
-    f = np.empty(n)
-    fp = np.empty(n)
-    fpp = np.empty(n)
+    if buffers is None:
+        buffers = (array("d", (start.f,)), array("d", (start.fp,)),
+                   array("d", (start.fpp,)))
+    f, fp, fpp = buffers
     f[0], fp[0], fpp[0] = start
     filled = 0
     for stop in stops:
+        grow = stop + 1 - len(f)
+        if grow > 0:
+            zeros = bytes(8 * grow)
+            f.frombytes(zeros)
+            fp.frombytes(zeros)
+            fpp.frombytes(zeros)
         # looked up at each call, so a kernel patched onto the module is used
         bad = kernels.fill_blasius_family(beta, f, fp, fpp, step, filled, stop)
         if bad >= 0:
@@ -128,5 +142,10 @@ def integrate(rhs, initial, grid: GridConfig) -> SolutionTable:
 
     if not isinstance(rhs, BlasiusFamilyRhs):
         raise TypeError(f"integrate needs a BlasiusFamilyRhs, got {rhs!r}")
-    [(_, f, fp, fpp)] = walk(rhs.beta, initial, grid.step, (grid.nodes - 1,))
+    import numpy as np
+
+    # every caller goes on to numpy work: exact-size buffers, not zero-filled
+    n = grid.nodes
+    [(_, f, fp, fpp)] = walk(rhs.beta, initial, grid.step, (n - 1,),
+                             (np.empty(n), np.empty(n), np.empty(n)))
     return SolutionTable(grid, f, fp, fpp)

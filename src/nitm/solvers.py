@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import (BracketingError, NitmError, NoConvergenceError,
                      UnsupportedVariantError)
 from .ode import DEFAULT_STEP, SolutionTable, State3, node_index, walk
@@ -154,11 +152,13 @@ DEFAULT_CONFIG = NitmConfig()
 
 @dataclass(frozen=True, eq=False)
 class NitmResult:
-    """One non-ITM solve: group parameter, rescaled table, and wall values.
+    """One non-ITM solve: group parameter, wall values, and rescaled table.
 
     lambdas holds the lambda recovered at each boundary walked, in
     schedule order; its last entry is lam. star_param is the star value
-    solved, None for the classic problem.
+    solved, None for the classic problem. _star holds the star step and
+    the walk's f, fp and fpp through the accepted boundary until table
+    is first read; that read rescales them and drops them.
     """
 
     lam: float
@@ -170,7 +170,24 @@ class NitmResult:
     f0: float
     fp0: float
     fpp0: float
-    table: SolutionTable
+    _star: tuple | None = field(repr=False)
+
+    @property
+    def table(self) -> SolutionTable:
+        """The physical table, rescaled from _star on first read and kept."""
+        star = self._star
+        if star is None:
+            return self._table
+        import numpy as np
+
+        step, f, fp, fpp = star
+        # rescale is looked up here, so a wrapper patched onto the module is used
+        table = rescale(step, np.frombuffer(f), np.frombuffer(fp),
+                        np.frombuffer(fpp), self.lam)
+        # the table before _star goes: a concurrent first read finds one of them
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_star", None)
+        return table
 
 
 def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> NitmResult:
@@ -178,10 +195,11 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
 
     Integrates the star IVP over the boundary schedule, accepting the
     larger boundary of the first pair whose lambda values agree within
-    lambda_tol, then recovers lambda and rescales. The schedule is
-    walked incrementally, so integration never proceeds past the
-    accepted boundary. The wall values come from the star initial state
-    in closed form; the table is rescaled from the walk's arrays.
+    lambda_tol, then recovers lambda. The schedule is walked
+    incrementally, so integration never proceeds past the accepted
+    boundary. The wall values come from the star initial state in
+    closed form; the result keeps the walk's buffers, which hold the
+    accepted boundary's nodes and no more, for its table.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     fixed_boundary = len(cfg.stops) == 1
@@ -190,7 +208,7 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     start = initial_state(spec)
     lambdas: list[float] = []
     for stop, f, fp, fpp in walk(rules.beta, start, cfg.step, cfg.stops):
-        fp_stop = float(fp[stop])
+        fp_stop = fp[stop]
         lambdas.append(lambda_moving_wall(fp_stop, spec.star_param) if moving_wall
                        else lambda_from_asymptote(fp_stop))
         if fixed_boundary or (len(lambdas) >= 2
@@ -201,10 +219,6 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
 
     lam = lambdas[-1]
     f0, fp0, fpp0 = physical_values(lam, *start)
-    # views up to the accepted stop: the table holds fresh products, so
-    # the result keeps nothing of the buffer allocated for the whole schedule
-    n = stop + 1
-    table = rescale(cfg.step, f[:n], fp[:n], fpp[:n], lam)
     return NitmResult(
         lam=lam,
         lambdas=tuple(lambdas),
@@ -216,7 +230,7 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
         f0=f0,
         fp0=fp0,
         fpp0=fpp0,
-        table=table,
+        _star=(cfg.step, f, fp, fpp),
     )
 
 
@@ -265,6 +279,11 @@ def sweep(variant: str, star_values, sign: float = 1.0,
     return rows
 
 
+# most points one scan of find_critical_b takes, checked before its
+# grid is built; each point is a solve
+MAX_SCAN_POINTS = 10**6
+
+
 class CriticalB(NamedTuple):
     b_c: float
     b_star: float
@@ -275,19 +294,23 @@ def find_critical_b(config: NitmConfig | None = None,
                     scan_points: int = 200, tol: float = 1e-6) -> CriticalB:
     """Most negative physical b reachable on the plus branch.
 
-    Scans b* over [scan_lo, scan_hi] at log-spaced points to bracket
-    the minimum of b(b*), then refines by golden-section search to tol
-    in b* (or to rounding). Returns the minimum b and the b* attaining it.
+    Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,
+    3 to MAX_SCAN_POINTS of them, to bracket the minimum of b(b*), then
+    refines by golden-section search to tol in b* (or to rounding).
+    Returns the minimum b and the b* attaining it.
     """
     if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
         raise ValueError(
             f"scan range must satisfy scan_lo < scan_hi < 0, "
             f"got ({scan_lo}, {scan_hi})"
         )
-    if scan_points < 3:
-        raise ValueError(f"scan needs at least 3 points, got {scan_points}")
+    if not 3 <= scan_points <= MAX_SCAN_POINTS:
+        raise ValueError(f"scan_points must be between 3 and {MAX_SCAN_POINTS}, "
+                         f"got {scan_points}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+    import numpy as np
 
     def b_of(b_star: float) -> float:
         return solve_moving_wall(b_star, 1.0, config).physical_param

@@ -79,6 +79,26 @@ def test_series_deviation_evaluates_series_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("eta_max, step", [(0.3, 2e-4), (0.36, 0.01), (0.5, 0.25)])
+def test_series_deviation_checks_its_fit_window_first(monkeypatch, eta_max, step):
+    # the fit needs two window nodes past eta ~ 0.355, where the first
+    # dropped term, C14 eta^14, clears the 1e-14 roundoff floor
+    def no_integrate(*args):
+        raise AssertionError("integrated before the window was checked")
+
+    monkeypatch.setattr(analysis, "integrate", no_integrate)
+    with pytest.raises(ValueError) as err:
+        series_deviation(eta_max, step)
+    message = str(err.value)
+    assert f"eta_max = {eta_max:g}" in message and f"step {step:g}" in message
+
+
+def test_series_deviation_window_check_admits_a_short_populated_window():
+    # nodes 0.36 and 0.37 clear the floor: the fit runs
+    deviation, order = series_deviation(0.37, 0.01)
+    assert math.isfinite(deviation) and math.isfinite(order)
+
+
 def test_truncation_order_matches_series_deviation():
     eta_max, step, shear = 0.45, 0.45 / 3000, 1.3
     table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, shear),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nitm
-from nitm.cli import HEADERS, main
+from nitm.cli import HEADERS, MAX_RANGE_COUNT, main
 
 
 def run(capsys, *argv):
@@ -368,6 +368,84 @@ def test_profile_from_config_file_is_refused_by_critical_b(capsys, tmp_path):
     assert code == 1
     assert "--profile applies to single solves" in err
     assert out == "" and not profile.exists()
+
+
+@pytest.mark.parametrize("argv", [("rubel", "--M", "3"), ("series-check",)],
+                         ids=["rubel", "series-check"])
+def test_profile_from_config_file_is_refused_by_the_analysis_commands(
+        capsys, tmp_path, argv):
+    profile = tmp_path / "prof.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"profile = {profile}\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 1
+    assert f"--profile applies to single solves, not {argv[0]}" in err
+    assert out == "" and not profile.exists()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the count was checked")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("sweep", "--problem", "slip", "--values", f"0:1:{10**12}"), "range count"),
+    (("sweep", "--problem", "slip", "--values", f"0:1:{MAX_RANGE_COUNT + 1}"),
+     "range count"),
+    (("critical-b", "--scan-points", str(10**12)), "scan_points"),
+], ids=["sweep-1e12", "sweep-limit+1", "critical-b-1e12"])
+def test_value_counts_are_refused_before_anything_is_allocated(
+        capsys, monkeypatch, argv, name):
+    monkeypatch.setattr(nitm.solvers, "solve_auxiliary", _no_solve)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert name in err and out == ""
+
+
+# each command, run in one fresh process after `import nitm` and a default
+# solve, then the reads that do need numpy: a table and a --profile
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import nitm
+res = nitm.solve_auxiliary(nitm.classic_problem())
+seen = [("import nitm and solve", "numpy" in sys.modules)]
+from nitm.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append((" ".join(argv), code, "numpy" in sys.modules))
+fp_inf = res.table.fp[-1]
+seen.append(("table", fp_inf.hex(), "numpy" in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    seen.append(("profile", main(["moving-wall", "1.0", "--profile", sys.argv[2]])))
+print(json.dumps(seen))
+"""
+
+_NUMPY_FREE_COMMANDS = (
+    ["blasius"],
+    ["moving-wall", "1.0"],
+    ["slip", "1.0", "--format", "json"],
+    ["gasification", "1.0", "--format", "csv"],
+    ["sweep", "--problem", "slip", "--values", "0:3:4"],
+    ["target", "--problem", "slip", "--c", "1.5"],
+)
+
+
+def test_solve_commands_never_import_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(nitm.__file__).parent.parent))
+    profile = tmp_path / "prof.csv"
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT,
+         json.dumps(_NUMPY_FREE_COMMANDS), str(profile)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert seen[0] == ["import nitm and solve", False]
+    assert seen[1:-2] == [[" ".join(argv), 0, False] for argv in _NUMPY_FREE_COMMANDS]
+    # the table still reads, with numpy now loaded, and bit for bit
+    want = nitm.solve_auxiliary(nitm.classic_problem()).table.fp[-1]
+    assert seen[-2] == ["table", float(want).hex(), True]
+    assert seen[-1] == ["profile", 0]
+    assert profile.read_text().startswith("eta,f,fp,fpp\n0,0,")
 
 
 @pytest.mark.parametrize("error, line", [

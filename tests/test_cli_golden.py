@@ -120,6 +120,13 @@ OTHERS = (
     ("profile = {tmp}/profile.csv\n", ("critical-b",)),
     ("boundaries = 4,6,8,10\nlambda_tol = 1e-4\n", ("gasification", "2.0")),
     ("steps = 0.1\n", ("blasius",)),
+    # a profile key the analysis commands refuse
+    ("profile = {tmp}/profile.csv\n", ("rubel", "--M", "3")),
+    ("profile = {tmp}/profile.csv\n", ("series-check",)),
+    # a fit window too short, and counts refused before anything is allocated
+    (None, ("series-check", "--eta-max", "0.36", "--step", "0.01")),
+    (None, ("sweep", "--problem", "slip", "--values", "0:1:1000000000000")),
+    (None, ("critical-b", "--scan-points", "1000000000000")),
 )
 
 CASES = tuple((None, (argv[0], "--format", fmt) + argv[1:])

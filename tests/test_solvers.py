@@ -162,6 +162,29 @@ def test_classic_solve_integrates_only_to_the_accepted_boundary(monkeypatch):
     assert sum(fills) == round(res.eta_inf_star / 0.01)
 
 
+def test_walk_buffers_hold_no_node_past_the_accepted_boundary(monkeypatch):
+    # the buffers grow stop by stop, never to the whole schedule
+    lengths, buffers = [], []
+    fill = kernels.fill_blasius_family
+
+    def recording_fill(beta, f, fp, fpp, h, start, stop):
+        lengths.append((stop, len(f), len(fp), len(fpp)))
+        buffers[:] = (f, fp, fpp)
+        return fill(beta, f, fp, fpp, h, start, stop)
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", recording_fill)
+    step = 1.0 / 1500
+    res = solve_auxiliary(classic_problem(), NitmConfig(step=step))
+    accepted = round(res.eta_inf_star / step)
+    assert res.eta_inf_star < DEFAULT_SCHEDULE[-1]
+    assert lengths == [(stop, stop + 1, stop + 1, stop + 1) for stop, *_ in lengths]
+    assert lengths[-1][0] == accepted
+    # the result keeps those buffers until its table is read
+    assert [len(b) for b in buffers] == [accepted + 1] * 3
+    assert res.table.grid.nodes == accepted + 1
+    assert np.array_equal(res.table.fp, np.frombuffer(buffers[1]) * res.lam ** -2.0)
+
+
 def test_classic_no_convergence_with_tight_tolerance():
     config = NitmConfig(step=0.1, boundary_schedule=(4.0, 6.0),
                         lambda_tol=1e-12)
@@ -349,9 +372,10 @@ def test_sweep_matches_single_solves():
 
 
 def test_rescale_runs_through_the_module_globals(monkeypatch):
-    # tracing tools wrap solvers.rescale and analysis.rescale by name:
-    # each accepted solve and each truncated solution rescales through
-    # them exactly once, and a failed row never reaches the rescale
+    # tracing tools wrap solvers.rescale and analysis.rescale by name: an
+    # accepted solve rescales through them once, on the first read of its
+    # table and never before, a truncated solution once, and a failed row
+    # never reaches the rescale
     calls = {solvers: 0, analysis: 0}
 
     def count(module):
@@ -369,6 +393,10 @@ def test_rescale_runs_through_the_module_globals(monkeypatch):
             + sweep("slip", [1.0], sign=-1.0))
     assert [type(row) for row in rows] == [ScalingBreakdownError, NitmResult,
                                            NitmResult, BlowupError]
+    assert calls == {solvers: 0, analysis: 0}
+    first = [rows[1].table, rows[2].table]
+    assert calls == {solvers: 2, analysis: 0}
+    assert [rows[1].table, rows[2].table] == first    # the same objects
     assert calls == {solvers: 2, analysis: 0}
     analysis.truncated_solution(4.0)
     assert calls == {solvers: 2, analysis: 1}
@@ -396,6 +424,16 @@ def test_critical_b_scan_validation():
         find_critical_b(scan_lo=-1e-3, scan_hi=-5.0)
     with pytest.raises(ValueError):
         find_critical_b(scan_points=2)
+
+
+def test_critical_b_scan_points_are_refused_before_the_scan(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before scan_points was checked")
+
+    monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
+    for points in (10**12, solvers.MAX_SCAN_POINTS + 1):
+        with pytest.raises(ValueError, match="scan_points"):
+            find_critical_b(scan_points=points)
 
 
 def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):

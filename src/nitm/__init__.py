@@ -9,7 +9,7 @@ rescale. No shooting iteration is involved.
 from . import analysis, kernels, models, ode, scaling, solvers
 from .analysis import (BlasiusSeries, RubelBound, TruncatedSolution,
                        rubel_bound, series_coefficients, series_deviation,
-                       series_eval, truncated_solution, truncation_order)
+                       series_eval, truncated_solution)
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError)
@@ -20,10 +20,9 @@ from .scaling import (ExponentSystem, InvarianceSolution,
                       numeric_invariance_check, solve_invariance_exponents)
 from .solvers import (DEFAULT_SCHEDULE, CriticalB, NitmConfig, NitmResult,
                       ProblemSpec, classic_problem, find_critical_b,
-                      find_star_for_target, gasification_problem,
-                      initial_state, moving_wall_problem, slip_problem,
-                      solve_auxiliary, solve_gasification, solve_moving_wall,
-                      solve_slip, solve_variant, sweep)
+                      find_star_for_target, initial_state, solve_auxiliary,
+                      solve_gasification, solve_moving_wall, solve_slip,
+                      solve_variant, sweep)
 
 __version__ = "0.1.0"
 
@@ -32,15 +31,13 @@ __all__ = [
     "CriticalB", "DEFAULT_SCHEDULE", "ExponentSystem", "FalknerSkanRhs",
     "GridConfig", "InvarianceSolution", "NitmConfig", "NitmError",
     "NitmResult", "NoConvergenceError", "ProblemSpec", "RubelBound",
-    "ScalingBreakdownError", "SolutionTable", "State3",
-    "TruncatedSolution", "UnsupportedVariantError", "analysis",
-    "blasius_exponent_system", "classic_problem",
-    "falkner_skan_exponent_system", "find_critical_b",
-    "find_star_for_target", "gasification_problem", "initial_state",
-    "integrate", "kernels", "models", "moving_wall_problem",
+    "ScalingBreakdownError", "SolutionTable", "State3", "TruncatedSolution",
+    "UnsupportedVariantError", "analysis", "blasius_exponent_system",
+    "classic_problem", "falkner_skan_exponent_system", "find_critical_b",
+    "find_star_for_target", "initial_state", "integrate", "kernels", "models",
     "numeric_invariance_check", "ode", "rubel_bound", "scaling",
-    "series_coefficients", "series_deviation", "series_eval", "slip_problem",
+    "series_coefficients", "series_deviation", "series_eval",
     "solve_auxiliary", "solve_gasification", "solve_invariance_exponents",
     "solve_moving_wall", "solve_slip", "solve_variant", "solvers", "sweep",
-    "truncated_solution", "truncation_order",
+    "truncated_solution",
 ]

@@ -11,21 +11,23 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .models import BlasiusFamilyRhs
 from .ode import GridConfig, SolutionTable, integrate
 from .scaling import rescale
 
 if TYPE_CHECKING:
     import numpy as np
 
-# nonzero powers of the wall series; every other coefficient through
-# eta^13 vanishes, the next nonzero term is eta^14
-SERIES_POWERS = (2, 5, 8, 11)
-
 # a deviation below this is roundoff, and the order fit leaves its node out
 ROUNDOFF_FLOOR = 1e-14
-# C14 / shear^5 for the first dropped term, C14 eta^14: 27897 / (16 * 14!)
+# the first dropped term of the unit-shear series, C14 eta^14: 27897 / (16 * 14!)
 _C14 = 27897.0 / (16.0 * math.factorial(14))
+
+# truncated_solution's physical grid has this many steps per unit of M;
+# its secant stops once T^2 fp*(T) is within _TRUNCATION_TOL of M^2,
+# relatively, and fails after _TRUNCATION_MAX_ITER steps
+NODES_PER_UNIT = 1000
+_TRUNCATION_TOL = 1e-12
+_TRUNCATION_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -76,21 +78,6 @@ def _fit_order(etas: np.ndarray, errs: np.ndarray,
     return float(slope)
 
 
-def truncation_order(series: BlasiusSeries, table: SolutionTable,
-                     window: tuple[float, float] = (0.3, 0.5)) -> float:
-    """Fitted power of the series truncation error against a fine solve.
-
-    Least-squares slope of log|f_numeric - f_series| versus log eta
-    over the window; the first dropped term makes the theoretical
-    answer 14. Nodes where the deviation is below 1e-14 are excluded
-    as roundoff-dominated.
-    """
-    import numpy as np
-
-    etas = table.etas()
-    return _fit_order(etas, np.abs(table.f - series_eval(series, etas)), window)
-
-
 @dataclass(frozen=True)
 class RubelBound:
     """Computable truncation-error bound M * fpp_M(M) / f_M(M)."""
@@ -110,33 +97,31 @@ class TruncatedSolution:
     table: SolutionTable
 
 
-def truncated_solution(M: float, nodes_per_unit: int = 1000,
-                       tol: float = 1e-12, max_iter: int = 60) -> TruncatedSolution:
+def truncated_solution(M: float) -> TruncatedSolution:
     """Truncated-boundary solution by the non-iterative method.
 
     The star boundary T solves T^2 fp*(T) = M^2 by secant iteration
     (each evaluation is one IVP solve); lambda = M/T then rescales the
     star table so the physical boundary lands on M with fp(M) = 1.
-    The physical grid step is M/(M*nodes_per_unit), so solutions for
+    The physical grid step is M/(M*NODES_PER_UNIT), so solutions for
     M and 2M share their nodes on [0, M].
     """
     if not (math.isfinite(M) and M > 0.0):
         raise ValueError(f"M must be positive and finite, got {M}")
-    n = round(M * nodes_per_unit)
+    n = round(M * NODES_PER_UNIT)
     if n < 8:
         raise ValueError(f"grid too coarse for M = {M}")
-    rhs = BlasiusFamilyRhs(1.0)
     target = M * M
 
     def residual(t: float) -> tuple[float, SolutionTable]:
-        star = integrate(rhs, (0.0, 0.0, 1.0), GridConfig(eta_max=t, step=t / n))
+        star = integrate(1.0, (0.0, 0.0, 1.0), GridConfig(eta_max=t, step=t / n))
         return t * t * star.fp_inf - target, star
 
     t0, t1 = 0.75 * M, 0.8 * M
     g0, _ = residual(t0)
     g1, star = residual(t1)
-    for _ in range(max_iter):
-        if abs(g1) <= tol * target:
+    for _ in range(_TRUNCATION_MAX_ITER):
+        if abs(g1) <= _TRUNCATION_TOL * target:
             break
         if g1 == g0:
             raise ValueError("secant stalled while matching the truncated boundary")
@@ -171,22 +156,19 @@ def rubel_bound(table: SolutionTable) -> RubelBound:
     return RubelBound(M=M, fM_at_M=fM, fppM_at_M=fppM, bound=M * fppM / fM)
 
 
-def series_deviation(eta_max: float = 0.5, step: float = 1e-4,
-                     shear: float = 1.0) -> tuple[float, float]:
+def series_deviation(eta_max: float = 0.5, step: float = 1e-4) -> tuple[float, float]:
     """Max series-versus-solve deviation on (0, eta_max] and fitted order.
 
-    Integrates the star IVP of the classic problem (shear plays the
-    seeded second derivative) on a fine grid, compares it against the
-    wall series for that shear, and fits the truncation order on the
-    upper part of the window, [0.6 eta_max, eta_max]. The fit needs two
-    nodes there where the first dropped term, C14 eta^14, clears
-    ROUNDOFF_FLOOR; eta_max and step are refused before integrating if
-    the grid has fewer.
+    Integrates the star IVP of the classic problem, seeded with unit
+    wall shear, on a fine grid, compares it against the unit-shear wall
+    series, and fits the truncation order on the upper part of the
+    window, [0.6 eta_max, eta_max]. The fit needs two nodes there where
+    the first dropped term, C14 eta^14, clears ROUNDOFF_FLOOR; eta_max
+    and step are refused before integrating if the grid has fewer.
     """
     grid = GridConfig(eta_max=eta_max, step=step)
-    series = series_coefficients(shear)
     # the first node where the series error is predicted above the floor
-    eta_floor = (ROUNDOFF_FLOOR / (_C14 * abs(shear) ** 5)) ** (1.0 / 14.0)
+    eta_floor = (ROUNDOFF_FLOOR / _C14) ** (1.0 / 14.0)
     first = math.ceil(max(0.6 * eta_max, eta_floor) / step)
     if grid.nodes - first < 2:
         raise ValueError(
@@ -196,7 +178,7 @@ def series_deviation(eta_max: float = 0.5, step: float = 1e-4,
             f"{ROUNDOFF_FLOOR:g}")
     import numpy as np
 
-    star = integrate(BlasiusFamilyRhs(0.5), (0.0, 0.0, shear), grid)
+    star = integrate(0.5, (0.0, 0.0, 1.0), grid)
     etas = star.etas()
-    errs = np.abs(star.f - series_eval(series, etas))
+    errs = np.abs(star.f - series_eval(series_coefficients(1.0), etas))
     return float(errs.max()), _fit_order(etas, errs, (0.6 * eta_max, eta_max))

@@ -16,9 +16,8 @@ from pathlib import Path
 import click
 
 from . import __version__, analysis, kernels, solvers
-from .errors import (BlowupError, BracketingError, NitmError,
-                     NoConvergenceError, ScalingBreakdownError,
-                     UnsupportedVariantError)
+from .errors import (BlowupError, NitmError, NoConvergenceError,
+                     ScalingBreakdownError)
 from .solvers import NitmConfig
 
 HEADERS = ("star_param", "fp_inf_star", "lambda", "physical_param",
@@ -194,10 +193,6 @@ def _reason(exc: NitmError) -> str:
         return "scaling breakdown"
     if isinstance(exc, NoConvergenceError):
         return "no convergence"
-    if isinstance(exc, BracketingError):
-        return "bracketing failure"
-    if isinstance(exc, UnsupportedVariantError):
-        return "unsupported variant"
     return str(exc).replace(",", ";")
 
 

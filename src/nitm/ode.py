@@ -136,16 +136,14 @@ def walk(beta: float, initial, step: float, stops,
         yield stop, f, fp, fpp
 
 
-def integrate(rhs, initial, grid: GridConfig) -> SolutionTable:
-    """Integrate a Blasius-family rhs from eta=0 to grid.eta_max, storing every node."""
-    from .models import BlasiusFamilyRhs  # deferred: models imports State3
-
-    if not isinstance(rhs, BlasiusFamilyRhs):
-        raise TypeError(f"integrate needs a BlasiusFamilyRhs, got {rhs!r}")
+def integrate(beta: float, initial, grid: GridConfig) -> SolutionTable:
+    """Integrate f''' = -beta*f*f'' from eta=0 to grid.eta_max, storing every node."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     import numpy as np
 
     # every caller goes on to numpy work: exact-size buffers, not zero-filled
     n = grid.nodes
-    [(_, f, fp, fpp)] = walk(rhs.beta, initial, grid.step, (n - 1,),
+    [(_, f, fp, fpp)] = walk(beta, initial, grid.step, (n - 1,),
                              (np.empty(n), np.empty(n), np.empty(n)))
     return SolutionTable(grid, f, fp, fpp)

@@ -8,6 +8,7 @@ boundaries and accept as soon as two successive lambda values agree.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -84,25 +85,9 @@ class ProblemSpec:
             raise ValueError(f"star_param of {self.variant} must be at least "
                              f"{rules.least_star:g}, got {star}")
 
-    @property
-    def beta(self) -> float:
-        return VARIANTS[self.variant].beta
-
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
     return ProblemSpec("classic", None, p)
-
-
-def moving_wall_problem(b_star: float, sign: float = 1.0) -> ProblemSpec:
-    return ProblemSpec("moving-wall", b_star, sign)
-
-
-def slip_problem(c_star: float, sign: float = 1.0) -> ProblemSpec:
-    return ProblemSpec("slip", c_star, sign)
-
-
-def gasification_problem(s_star: float, sign: float = 1.0) -> ProblemSpec:
-    return ProblemSpec("gasification", s_star, sign)
 
 
 def _check_parametrized(variant: str) -> None:
@@ -237,17 +222,17 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
 def solve_moving_wall(b_star: float, sign: float = 1.0,
                       config: NitmConfig | None = None) -> NitmResult:
     """Moving-wall solve: b = lambda^-2 b*, d = 1 - b, fpp0 = sign * lambda^-3."""
-    return solve_auxiliary(moving_wall_problem(b_star, sign), config)
+    return solve_auxiliary(ProblemSpec("moving-wall", b_star, sign), config)
 
 
 def solve_slip(c_star: float, config: NitmConfig | None = None) -> NitmResult:
     """Slip-flow solve: c = lambda c*, fp0 = lambda^-2 c* p, fpp0 = lambda^-3 p."""
-    return solve_auxiliary(slip_problem(c_star), config)
+    return solve_auxiliary(ProblemSpec("slip", c_star, 1.0), config)
 
 
 def solve_gasification(s_star: float, config: NitmConfig | None = None) -> NitmResult:
     """Gasification solve: s = lambda^2 s*, f0 = -lambda^-1 s*, fpp0 = lambda^-3."""
-    return solve_auxiliary(gasification_problem(s_star), config)
+    return solve_auxiliary(ProblemSpec("gasification", s_star, 1.0), config)
 
 
 def solve_variant(variant: str, star_value: float, sign: float = 1.0,
@@ -283,6 +268,10 @@ def sweep(variant: str, star_values, sign: float = 1.0,
 # grid is built; each point is a solve
 MAX_SCAN_POINTS = 10**6
 
+# find_critical_b's golden section stops once its b* bracket is this
+# narrow, or stops shrinking
+_CRITICAL_B_TOL = 1e-6
+
 
 class CriticalB(NamedTuple):
     b_c: float
@@ -291,24 +280,27 @@ class CriticalB(NamedTuple):
 
 def find_critical_b(config: NitmConfig | None = None,
                     scan_lo: float = -5.0, scan_hi: float = -1e-3,
-                    scan_points: int = 200, tol: float = 1e-6) -> CriticalB:
+                    scan_points: int = 200) -> CriticalB:
     """Most negative physical b reachable on the plus branch.
 
     Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,
     3 to MAX_SCAN_POINTS of them, to bracket the minimum of b(b*), then
-    refines by golden-section search to tol in b* (or to rounding).
-    Returns the minimum b and the b* attaining it.
+    refines by golden-section search to _CRITICAL_B_TOL in b* (or to
+    rounding). Returns the minimum b and the b* attaining it.
     """
     if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
         raise ValueError(
             f"scan range must satisfy scan_lo < scan_hi < 0, "
             f"got ({scan_lo}, {scan_hi})"
         )
+    try:
+        scan_points = operator.index(scan_points)
+    except TypeError:
+        raise ValueError(f"scan_points must be a whole number, "
+                         f"got {scan_points!r}") from None
     if not 3 <= scan_points <= MAX_SCAN_POINTS:
         raise ValueError(f"scan_points must be between 3 and {MAX_SCAN_POINTS}, "
                          f"got {scan_points}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     import numpy as np
 
@@ -340,7 +332,7 @@ def find_critical_b(config: NitmConfig | None = None,
     f1 = b_of(x1)
     f2 = b_of(x2)
     # a bracket a few ulps wide stops shrinking when x1 and x2 reach its ends
-    while hi - lo > tol and lo < x1 < x2 < hi:
+    while hi - lo > _CRITICAL_B_TOL and lo < x1 < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -366,6 +358,11 @@ _TARGET_BRACKETS = {
 }
 
 
+# find_star_for_target stops once the physical parameter is this close
+# to the target, or fails after this many secant steps
+_TARGET_TOL = 1e-6
+_TARGET_MAX_ITER = 100
+
 # find_critical_b's b* (-1.232273 at the default step), rounded towards
 # the left lobe of the non-monotone b(b*) map, the lobe that runs from
 # the critical b* up to b* = 0: a bracket starting here holds one root.
@@ -386,25 +383,25 @@ def _default_bracket(variant: str, target: float, sign: float) -> tuple[float, f
 
 def find_star_for_target(variant: str, target: float, sign: float = 1.0,
                          config: NitmConfig | None = None,
-                         bracket: tuple[float, float] | None = None,
-                         tol: float = 1e-6, max_iter: int = 100) -> NitmResult:
+                         bracket: tuple[float, float] | None = None) -> NitmResult:
     """Find the star value whose recovered physical parameter hits target.
 
     Safeguarded secant on the parameter map: every inner evaluation is
     a full non-iterative solve, the outer iteration only moves the star
-    value. Stops when |physical_param - target| < tol.
+    value. Stops when |physical_param - target| < _TARGET_TOL, and gives
+    up after _TARGET_MAX_ITER secant steps.
     """
     _check_parametrized(variant)
     _check_sign(variant, sign)
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if bracket is not None and not all(map(math.isfinite, bracket)):
-        raise ValueError(f"bracket must be finite, got {bracket}")
-    lo, hi = bracket if bracket is not None else _default_bracket(variant, target, sign)
+    if bracket is None:
+        bracket = _default_bracket(variant, target, sign)
+    else:
+        bracket = tuple(bracket)
+        if len(bracket) != 2 or not all(map(math.isfinite, bracket)):
+            raise ValueError(f"bracket must be two finite numbers, got {bracket}")
+    lo, hi = bracket
     if not lo < hi:
         raise BracketingError(f"empty bracket ({lo:.6g}, {hi:.6g})")
 
@@ -413,10 +410,10 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
         return res, res.physical_param - target
 
     res_lo, g_lo = evaluate(lo)
-    if abs(g_lo) < tol:
+    if abs(g_lo) < _TARGET_TOL:
         return res_lo
     res_hi, g_hi = evaluate(hi)
-    if abs(g_hi) < tol:
+    if abs(g_hi) < _TARGET_TOL:
         return res_hi
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise BracketingError(
@@ -426,7 +423,7 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
 
     x0, g0 = lo, g_lo
     x1, g1 = hi, g_hi
-    for _ in range(max_iter):
+    for _ in range(_TARGET_MAX_ITER):
         if g1 != g0:
             x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
         else:
@@ -434,7 +431,7 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
         if not lo < x2 < hi:
             x2 = 0.5 * (lo + hi)
         res, g2 = evaluate(x2)
-        if abs(g2) < tol:
+        if abs(g2) < _TARGET_TOL:
             return res
         if math.copysign(1.0, g2) == math.copysign(1.0, g_lo):
             lo, g_lo = x2, g2

@@ -274,7 +274,7 @@ def test_criterion_5_gasification_table(capsys):
 
 def test_criterion_6_property_suite(capsys):
     with _criterion(capsys, 6, "invariant property battery"):
-        star = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+        star = integrate(0.5, State3(0.0, 0.0, 1.0),
                          GridConfig(4.0, 0.05))
 
         def stretch(table, lam):
@@ -317,7 +317,7 @@ def test_criterion_6_property_suite(capsys):
 
         # RK4 order: error reduction between 14x and 18x on halving
         def far_slope(h):
-            return integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+            return integrate(0.5, State3(0.0, 0.0, 1.0),
                              GridConfig(4.0, h)).fp_inf
         reference = far_slope(0.0025)
         ratio = (abs(far_slope(0.04) - reference)
@@ -366,7 +366,7 @@ def test_criterion_8_invariance_analysis(capsys):
             FalknerSkanRhs(1.0), 2.0, [State3(0.0, 0.0, 0.0)])
         assert residual > 0.1
 
-        table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+        table = integrate(0.5, State3(0.0, 0.0, 1.0),
                           GridConfig(4.0, 0.05))
         samples = [(table.f[i], table.fp[i], table.fpp[i]) for i in (0, 20, 40, 80)]
         residual = numeric_invariance_check(BlasiusFamilyRhs(0.5), 1.7,

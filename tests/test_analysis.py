@@ -1,4 +1,4 @@
-"""Wall series, truncation-order fit, and the truncation error bound."""
+"""Wall series, series-deviation check, and the truncation error bound."""
 
 import math
 
@@ -6,22 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (BlasiusFamilyRhs, GridConfig, State3, analysis, integrate,
-                  rubel_bound, series_coefficients, series_deviation,
-                  series_eval, truncated_solution, truncation_order)
-from nitm.analysis import SERIES_POWERS, BlasiusSeries
+from nitm import (GridConfig, State3, analysis, integrate, rubel_bound,
+                  series_coefficients, series_deviation, series_eval,
+                  truncated_solution)
 
 
 def test_series_coefficient_values():
     series = series_coefficients(1.0)
     assert series.shear == 1.0
-    # the coefficients of eta^2, eta^5, eta^8 and eta^11 (SERIES_POWERS)
+    # the coefficients of eta^2, eta^5, eta^8 and eta^11
     assert series.coefficients == (0.5, -1.0 / 240.0, 11.0 / 161280.0,
                                    -375.0 / 319334400.0)
-
-
-def test_series_powers_constant():
-    assert SERIES_POWERS == (2, 5, 8, 11)
 
 
 @pytest.mark.parametrize("shear", [0.0, math.nan, math.inf])
@@ -99,27 +94,10 @@ def test_series_deviation_window_check_admits_a_short_populated_window():
     assert math.isfinite(deviation) and math.isfinite(order)
 
 
-def test_truncation_order_matches_series_deviation():
-    eta_max, step, shear = 0.45, 0.45 / 3000, 1.3
-    table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, shear),
-                      GridConfig(eta_max, step))
-    order = truncation_order(series_coefficients(shear), table,
-                             window=(0.6 * eta_max, eta_max))
-    assert order == series_deviation(eta_max, step, shear)[1]
-
-
 def test_series_against_fine_integration():
     deviation, order = series_deviation()
     assert deviation < 5e-12
     assert 13.0 <= order <= 15.0
-
-
-def test_truncation_order_needs_populated_window():
-    table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
-                      GridConfig(0.2, 0.01))
-    series = series_coefficients(1.0)
-    with pytest.raises(ValueError):
-        truncation_order(series, table, window=(0.3, 0.5))
 
 
 def test_truncated_solution_at_four():
@@ -161,8 +139,7 @@ def test_rubel_bound_at_four():
 
 
 def test_rubel_bound_requires_unit_far_field():
-    table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
-                      GridConfig(6.0, 0.01))
+    table = integrate(0.5, State3(0.0, 0.0, 1.0), GridConfig(6.0, 0.01))
     with pytest.raises(ValueError):
         rubel_bound(table)
 

@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import pytest
 
-from nitm import (NitmConfig, classic_problem, gasification_problem,
-                  moving_wall_problem, slip_problem, solve_auxiliary)
+from nitm import NitmConfig, ProblemSpec, classic_problem, solve_auxiliary
 from test_acceptance import (GASIFICATION_ROWS, MOVING_WALL_ROWS, SAKIADIS_B,
                              SHEAR_AT_4, SHEAR_AT_6, SLIP_ROWS, _half_ulp)
 
@@ -173,11 +172,7 @@ def _label(case):
 def _problem(case):
     if case.variant == "classic":
         return classic_problem()
-    if case.variant == "moving-wall":
-        return moving_wall_problem(case.star, case.sign)
-    if case.variant == "slip":
-        return slip_problem(case.star, case.sign)
-    return gasification_problem(case.star)
+    return ProblemSpec(case.variant, case.star, case.sign)
 
 
 def _nitm_cells(case, boundary, step):

@@ -63,7 +63,7 @@ def test_rk4_global_fourth_order():
     # Halving the step should shrink the far-field slope error by about
     # 2^4; the reference uses a step 8x finer than the finest probe.
     def fp_inf(h):
-        table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+        table = integrate(0.5, State3(0.0, 0.0, 1.0),
                           GridConfig(4.0, h))
         return table.fp_inf
 
@@ -75,7 +75,7 @@ def test_rk4_global_fourth_order():
 def test_integrate_matches_fine_reference():
     # Very fine step near the wall; values frozen from an independent
     # run at step 1e-5.
-    table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+    table = integrate(0.5, State3(0.0, 0.0, 1.0),
                       GridConfig(0.1, 1e-5))
     assert table.f[-1] == pytest.approx(0.0049999583340153723, rel=1e-12)
     assert table.fp[-1] == pytest.approx(0.099997916721229041, rel=1e-12)
@@ -84,7 +84,7 @@ def test_integrate_matches_fine_reference():
 
 def test_integrate_rejects_nonfinite_initial():
     with pytest.raises(ValueError):
-        integrate(BlasiusFamilyRhs(0.5), State3(0.0, math.nan, 1.0),
+        integrate(0.5, State3(0.0, math.nan, 1.0),
                   GridConfig(1.0, 0.01))
 
 
@@ -92,14 +92,14 @@ def test_integrate_blowup_reports_location():
     # A large negative f(0) with unit curvature feeds exponential growth
     # of fpp; the guard must trip and report where.
     with pytest.raises(BlowupError) as err:
-        integrate(BlasiusFamilyRhs(1.0), State3(-20.0, 0.0, 1.0),
+        integrate(1.0, State3(-20.0, 0.0, 1.0),
                   GridConfig(4.0, 0.01))
     assert 0.0 < err.value.eta <= 4.0
     assert "blew up" in str(err.value)
 
 
 def test_solution_table_views():
-    table = integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+    table = integrate(0.5, State3(0.0, 0.0, 1.0),
                       GridConfig(1.0, 0.1))
     assert len(table.f) == len(table.fp) == len(table.fpp) == table.grid.nodes == 11
     assert (table.f[0], table.fp[0], table.fpp[0]) == (0.0, 0.0, 1.0)
@@ -112,7 +112,7 @@ def test_generic_rhs_path_matches_kernel_path():
     # floats at every node.
     rhs = BlasiusFamilyRhs(0.5)
     grid = GridConfig(2.0, 0.05)
-    table = integrate(rhs, State3(0.0, 0.0, 1.0), grid)
+    table = integrate(rhs.beta, State3(0.0, 0.0, 1.0), grid)
     state = State3(0.0, 0.0, 1.0)
     for i in range(grid.nodes):
         assert state == (table.f[i], table.fp[i], table.fpp[i])
@@ -120,11 +120,10 @@ def test_generic_rhs_path_matches_kernel_path():
             state = rk4_step(rhs, i * grid.step, state, grid.step)
 
 
-def test_integrate_rejects_other_rhs():
-    rhs = BlasiusFamilyRhs(0.5)
-    with pytest.raises(TypeError):
-        integrate(lambda eta, s: rhs(eta, s), State3(0.0, 0.0, 1.0),
-                  GridConfig(1.0, 0.1))
+@pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf])
+def test_integrate_refuses_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        integrate(beta, State3(0.0, 0.0, 1.0), GridConfig(1.0, 0.1))
 
 
 @settings(max_examples=50, deadline=None)

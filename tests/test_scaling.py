@@ -19,7 +19,7 @@ lam_values = st.floats(min_value=0.5, max_value=2.0)
 
 
 def _classic_star(eta_max=4.0, step=0.05):
-    return integrate(BlasiusFamilyRhs(0.5), State3(0.0, 0.0, 1.0),
+    return integrate(0.5, State3(0.0, 0.0, 1.0),
                      GridConfig(eta_max, step))
 
 

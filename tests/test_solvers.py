@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from nitm import (DEFAULT_SCHEDULE, NitmConfig, NitmResult, ProblemSpec,
                   State3, _kernels_py, analysis, classic_problem,
-                  find_critical_b, find_star_for_target, gasification_problem,
-                  initial_state, kernels, moving_wall_problem, slip_problem,
-                  solve_auxiliary, solve_gasification, solve_moving_wall,
-                  solve_slip, solve_variant, solvers, sweep)
+                  find_critical_b, find_star_for_target, initial_state,
+                  kernels, solve_auxiliary, solve_gasification,
+                  solve_moving_wall, solve_slip, solve_variant, solvers, sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
                          NoConvergenceError, ScalingBreakdownError,
                          UnsupportedVariantError)
@@ -33,18 +32,19 @@ def _fixed(boundary, step=0.01):
 def test_initial_states():
     assert initial_state(classic_problem()) == State3(0.0, 0.0, 1.0)
     assert initial_state(classic_problem(p=-1.0)) == State3(0.0, 0.0, -1.0)
-    assert initial_state(moving_wall_problem(-5.0)) == State3(0.0, -5.0, 1.0)
-    assert initial_state(slip_problem(2.0)) == State3(0.0, 2.0, 1.0)
-    assert initial_state(gasification_problem(1.5)) == State3(-1.5, 0.0, 1.0)
+    for variant, star, start in (("moving-wall", -5.0, (0.0, -5.0, 1.0)),
+                                 ("slip", 2.0, (0.0, 2.0, 1.0)),
+                                 ("gasification", 1.5, (-1.5, 0.0, 1.0))):
+        assert initial_state(ProblemSpec(variant, star, 1.0)) == State3(*start)
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
         classic_problem(p=0.5)
     with pytest.raises(ValueError):
-        slip_problem(-1.0)
+        ProblemSpec("slip", -1.0, 1.0)
     with pytest.raises(ValueError):
-        gasification_problem(-0.1)
+        ProblemSpec("gasification", -0.1, 1.0)
 
 
 @pytest.mark.parametrize("solve, value", [(solve_moving_wall, math.nan),
@@ -68,9 +68,9 @@ def test_raw_problem_spec_checks_the_variant_rules(variant, star, sign):
 
 
 def test_gasification_uses_unit_beta():
-    assert gasification_problem(1.0).beta == 1.0
-    assert classic_problem().beta == 0.5
-    assert moving_wall_problem(1.0).beta == 0.5
+    assert solvers.VARIANTS["gasification"].beta == 1.0
+    assert solvers.VARIANTS["classic"].beta == 0.5
+    assert solvers.VARIANTS["moving-wall"].beta == 0.5
     # beta follows from the variant: a spec holds only what varies
     assert [f.name for f in dataclasses.fields(ProblemSpec)] == [
         "variant", "star_param", "p"]
@@ -347,7 +347,7 @@ def test_sweep_honours_sign_on_every_variant():
     # slip's -1 branch blows up for every c*; gasification has no -1 branch
     rows = sweep("slip", [0.0, 1.0, 2.0], sign=-1.0)
     assert all(isinstance(row, BlowupError) for row in rows)
-    assert slip_problem(1.0, -1.0).p == -1.0
+    assert ProblemSpec("slip", 1.0, -1.0).p == -1.0
     with pytest.raises(ValueError, match="sign"):
         sweep("gasification", [1.0, 2.0], sign=-1.0)
 
@@ -436,34 +436,38 @@ def test_critical_b_scan_points_are_refused_before_the_scan(monkeypatch):
             find_critical_b(scan_points=points)
 
 
+def test_critical_b_takes_a_numpy_integer_scan_count():
+    assert find_critical_b(scan_points=np.int64(200)) == find_critical_b()
+
+
 def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
-    # a tol below one ulp of b* can never be met: the golden section must
-    # stop once its bracket no longer shrinks
+    # one ulp of b* = -1e12 is about 1.2e-4, wider than the fixed 1e-6
+    # tolerance: the golden section must stop once its bracket no longer
+    # shrinks
     calls = []
 
     def b_of(b_star, sign, config):
         calls.append(b_star)
-        if len(calls) > 2000:
+        if len(calls) >= 2000:
             raise AssertionError("the golden section did not stop")
-        return SimpleNamespace(physical_param=(b_star + 1.25) ** 2 - 0.55)
+        return SimpleNamespace(physical_param=((b_star + 1e12) / 1e11) ** 2 - 0.55)
 
     monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
-    crit = find_critical_b(tol=1e-17)
-    assert crit.b_star == pytest.approx(-1.25, abs=1e-7)
+    crit = find_critical_b(scan_lo=-2e12, scan_hi=-1e11)
+    assert crit.b_star == pytest.approx(-1e12, rel=1e-8)
     assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: find_critical_b(tol=0.0), "tol"),
-    (lambda: find_critical_b(tol=-1.0), "tol"),
-    (lambda: find_critical_b(tol=math.nan), "tol"),
-    (lambda: find_star_for_target("slip", 1.0, tol=math.nan), "tol"),
-    (lambda: find_star_for_target("slip", 1.0, tol=0.0), "tol"),
-    (lambda: find_star_for_target("slip", 1.0, max_iter=0), "max_iter"),
+    (lambda: find_critical_b(scan_points=3.5), "scan_points"),
+    (lambda: find_critical_b(scan_points="200"), "scan_points"),
+    (lambda: find_star_for_target("slip", 1.0, bracket=(0.0, 1.0, 2.0)),
+     "bracket"),
+    (lambda: find_star_for_target("slip", 1.0, bracket=(1.0,)), "bracket"),
     (lambda: find_star_for_target("gasification", 0.5, sign=-1.0),
      "sign p of gasification"),
-], ids=["critical-b-tol-0", "critical-b-tol-negative", "critical-b-tol-nan",
-        "target-tol-nan", "target-tol-0", "target-max-iter-0",
+], ids=["critical-b-scan-points-fractional", "critical-b-scan-points-text",
+        "target-bracket-of-three", "target-bracket-of-one",
         "target-gasification-sign"])
 def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
                                                               call, name):

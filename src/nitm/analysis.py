@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ode import GridConfig, SolutionTable, integrate
+from .errors import check_real
+from .ode import MAX_NODES, GridConfig, SolutionTable, integrate
 from .scaling import rescale
 
 if TYPE_CHECKING:
@@ -23,8 +24,8 @@ ROUNDOFF_FLOOR = 1e-14
 _C14 = 27897.0 / (16.0 * math.factorial(14))
 
 # truncated_solution's physical grid has this many steps per unit of M;
-# its secant stops once T^2 fp*(T) is within _TRUNCATION_TOL of M^2,
-# relatively, and fails after _TRUNCATION_MAX_ITER steps
+# its passes stop once T^2 fp*(T) is within _TRUNCATION_TOL of M^2,
+# relatively, and fail after _TRUNCATION_MAX_ITER of them
 NODES_PER_UNIT = 1000
 _TRUNCATION_TOL = 1e-12
 _TRUNCATION_MAX_ITER = 60
@@ -97,45 +98,78 @@ class TruncatedSolution:
     table: SolutionTable
 
 
+def _crossing(star: SolutionTable, target: float) -> float:
+    """eta* at which the cubic Hermite fit of g = eta*^2 fp* reaches target.
+
+    The fit spans the two nodes of star whose g values bracket target,
+    found by bisection since g increases along the table; its end slopes
+    are g' = 2 eta* fp* + eta*^2 fpp*. The root is three Newton steps on
+    the cubic from the chord's root, whose error, a thousandth of a step
+    or so, squares at each.
+    """
+    step, fp, fpp = star.grid.step, star.fp, star.fpp
+    lo, hi = 0, star.grid.nodes - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        eta = mid * step
+        if eta * eta * fp[mid] <= target:
+            lo = mid
+        else:
+            hi = mid
+    a, b = lo * step, hi * step
+    g0, g1 = a * a * fp[lo], b * b * fp[hi]
+    d0 = step * (2.0 * a * fp[lo] + a * a * fpp[lo])
+    d1 = step * (2.0 * b * fp[hi] + b * b * fpp[hi])
+    # the fit g0 + s (c1 + s (c2 + s c3)) for s in [0, 1]
+    c2 = 3.0 * (g1 - g0) - 2.0 * d0 - d1
+    c3 = 2.0 * (g0 - g1) + d0 + d1
+    s = (target - g0) / (g1 - g0)
+    for _ in range(3):
+        s -= (g0 - target + s * (d0 + s * (c2 + s * c3))) / (
+            d0 + s * (2.0 * c2 + 3.0 * s * c3))
+    return float(a + s * step)
+
+
 def truncated_solution(M: float) -> TruncatedSolution:
     """Truncated-boundary solution by the non-iterative method.
 
-    The star boundary T solves T^2 fp*(T) = M^2 by secant iteration
-    (each evaluation is one IVP solve); lambda = M/T then rescales the
-    star table so the physical boundary lands on M with fp(M) = 1.
-    The physical grid step is M/(M*NODES_PER_UNIT), so solutions for
-    M and 2M share their nodes on [0, M].
+    The star boundary T solves g(T) = M^2 with g(eta*) = eta*^2 fp*(eta*),
+    an event on the star trajectory, since g increases along it. Each
+    pass integrates the star IVP to a candidate t on n = M*NODES_PER_UNIT
+    steps, starting at t = 0.8 M. Short of M^2, t grows by
+    sqrt(M^2/g(t)), which overshoots T because fp* increases; past it,
+    the next t is where the Hermite fit of g between the bracketing
+    nodes reaches M^2. Two passes do for M >= 2.7, where T < 0.8 M.
+    lambda = M/T then rescales the star table so the physical boundary
+    lands on M with fp(M) = 1. The physical grid step is M/n, so
+    solutions for M and 2M share their nodes on [0, M].
     """
+    check_real("M", M)
     if not (math.isfinite(M) and M > 0.0):
         raise ValueError(f"M must be positive and finite, got {M}")
+    if M * NODES_PER_UNIT >= MAX_NODES:
+        raise ValueError(f"M = {M} needs more than {MAX_NODES} grid nodes")
     n = round(M * NODES_PER_UNIT)
     if n < 8:
         raise ValueError(f"grid too coarse for M = {M}")
     target = M * M
 
-    def residual(t: float) -> tuple[float, SolutionTable]:
-        star = integrate(1.0, (0.0, 0.0, 1.0), GridConfig(eta_max=t, step=t / n))
-        return t * t * star.fp_inf - target, star
-
-    t0, t1 = 0.75 * M, 0.8 * M
-    g0, _ = residual(t0)
-    g1, star = residual(t1)
+    t = 0.8 * M
     for _ in range(_TRUNCATION_MAX_ITER):
-        if abs(g1) <= _TRUNCATION_TOL * target:
+        star = integrate(1.0, (0.0, 0.0, 1.0), GridConfig.of_nodes(n + 1, t / n))
+        g = t * t * star.fp_inf
+        if abs(g - target) <= _TRUNCATION_TOL * target:
             break
-        if g1 == g0:
-            raise ValueError("secant stalled while matching the truncated boundary")
-        t0, t1 = t1, t1 - g1 * (t1 - t0) / (g1 - g0)
-        g0 = g1
-        g1, star = residual(t1)
+        t = t * math.sqrt(target / g) if g < target else _crossing(star, target)
     else:
-        raise ValueError(f"no secant convergence for M = {M}")
+        raise ValueError(f"truncated boundary for M = {M} not matched in "
+                         f"{_TRUNCATION_MAX_ITER} passes")
 
-    lam = M / t1
-    # physical step lam * (T/n) equals M/n up to rounding, and fp(M) =
-    # fp*(T)/lam^2 = 1 by the choice of T
+    lam = M / t
+    # physical step lam * (t/n) equals M/n up to rounding, and fp(M) =
+    # fp*(t)/lam^2 = 1 by the choice of t
     table = rescale(star.grid.step, star.f, star.fp, star.fpp, lam)
-    return TruncatedSolution(t_star=t1, lam=lam, table=table)
+    return TruncatedSolution(t_star=t, lam=lam, table=table)
 
 
 def rubel_bound(table: SolutionTable) -> RubelBound:
@@ -166,6 +200,8 @@ def series_deviation(eta_max: float = 0.5, step: float = 1e-4) -> tuple[float, f
     the first dropped term, C14 eta^14, clears ROUNDOFF_FLOOR; eta_max
     and step are refused before integrating if the grid has fewer.
     """
+    check_real("eta_max", eta_max)
+    check_real("step", step)
     grid = GridConfig(eta_max=eta_max, step=step)
     # the first node where the series error is predicted above the floor
     eta_floor = (ROUNDOFF_FLOOR / _C14) ** (1.0 / 14.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import (BracketingError, NitmError, NoConvergenceError,
-                     UnsupportedVariantError)
+                     UnsupportedVariantError, check_real)
 from .ode import DEFAULT_STEP, SolutionTable, State3, node_index, walk
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
                       physical_values, rescale)
@@ -76,6 +76,8 @@ class ProblemSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         _check_sign(self.variant, self.p)
         star = self.star_param
+        if star is not None:
+            check_real("star_param", star)
         if rules.k is None:
             if star is not None:
                 raise ValueError(f"variant {self.variant!r} takes no star_param")
@@ -268,9 +270,12 @@ def sweep(variant: str, star_values, sign: float = 1.0,
 # grid is built; each point is a solve
 MAX_SCAN_POINTS = 10**6
 
-# find_critical_b's golden section stops once its b* bracket is this
-# narrow, or stops shrinking
+# find_critical_b's minimiser stops once its b* bracket is this narrow,
+# plus Brent's relative term _SQRT_EPS |b*|, which keeps every step wider
+# than the rounding of b*, so a bracket a few ulps wide still ends it
 _CRITICAL_B_TOL = 1e-6
+_SQRT_EPS = math.sqrt(2.0 ** -52)
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class CriticalB(NamedTuple):
@@ -278,16 +283,76 @@ class CriticalB(NamedTuple):
     b_star: float
 
 
+def _brent_minimum(func: Callable[[float], float], lo: float, hi: float,
+                   x: float, fx: float) -> tuple[float, float]:
+    """Brent's bounded minimiser of func on (lo, hi), from x with fx = func(x).
+
+    Each step fits a parabola through the three best points so far and
+    falls back to a golden-section step when the parabola's minimum is
+    unsafe; no step is shorter than tol = _SQRT_EPS |x| + _CRITICAL_B_TOL / 3.
+    It stops as SciPy's bounded method does, once the bracket around the
+    best point x is about 4 tol wide. Returns x and func(x).
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol = _SQRT_EPS * abs(x) + _CRITICAL_B_TOL / 3.0
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
+            return x, fx
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # the parabola's step must be in the bracket and shorter than
+            # half the step before last
+            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
+                golden = False
+                d = p / q
+                if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                    d = tol if x < mid else -tol
+        if golden:
+            e = lo - x if x >= mid else hi - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = func(u)
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def find_critical_b(config: NitmConfig | None = None,
                     scan_lo: float = -5.0, scan_hi: float = -1e-3,
-                    scan_points: int = 200) -> CriticalB:
+                    scan_points: int = 10) -> CriticalB:
     """Most negative physical b reachable on the plus branch.
 
     Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,
-    3 to MAX_SCAN_POINTS of them, to bracket the minimum of b(b*), then
-    refines by golden-section search to _CRITICAL_B_TOL in b* (or to
-    rounding). Returns the minimum b and the b* attaining it.
+    3 to MAX_SCAN_POINTS of them, to bracket the minimum of b(b*)
+    between the neighbours of the least scanned b, then refines it by
+    _brent_minimum from that point. Returns the least b the minimiser
+    solved and the b* attaining it.
     """
+    check_real("scan_lo", scan_lo)
+    check_real("scan_hi", scan_hi)
     if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
         raise ValueError(
             f"scan range must satisfy scan_lo < scan_hi < 0, "
@@ -302,18 +367,17 @@ def find_critical_b(config: NitmConfig | None = None,
         raise ValueError(f"scan_points must be between 3 and {MAX_SCAN_POINTS}, "
                          f"got {scan_points}")
 
-    import numpy as np
-
     def b_of(b_star: float) -> float:
         return solve_moving_wall(b_star, 1.0, config).physical_param
 
-    xs = -np.logspace(math.log10(-scan_lo), math.log10(-scan_hi), scan_points)
+    log_lo, log_hi = math.log10(-scan_lo), math.log10(-scan_hi)
     scanned: list[float] = []
     points: list[tuple[float, float]] = []
-    for x in xs:
-        scanned.append(float(x))
+    for i in range(scan_points):
+        x = -10.0 ** (log_lo + (log_hi - log_lo) * i / (scan_points - 1))
+        scanned.append(x)
         try:
-            points.append((float(x), b_of(float(x))))
+            points.append((x, b_of(x)))
         except NitmError:
             continue
     if len(points) < 3:
@@ -323,26 +387,9 @@ def find_critical_b(config: NitmConfig | None = None,
     if i_min == 0 or i_min == len(points) - 1:
         raise BracketingError("minimum of b(b*) sits at the scan edge", scanned)
 
-    lo = points[i_min - 1][0]
-    hi = points[i_min + 1][0]
-    # golden-section: keeps a shrinking bracket around the unimodal minimum
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = b_of(x1)
-    f2 = b_of(x2)
-    # a bracket a few ulps wide stops shrinking when x1 and x2 reach its ends
-    while hi - lo > _CRITICAL_B_TOL and lo < x1 < x2 < hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = b_of(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = b_of(x2)
-    b_star = 0.5 * (lo + hi)
-    return CriticalB(b_c=b_of(b_star), b_star=b_star)
+    b_star, b_c = _brent_minimum(b_of, points[i_min - 1][0],
+                                 points[i_min + 1][0], *points[i_min])
+    return CriticalB(b_c=b_c, b_star=b_star)
 
 
 # Default search ranges are limited to star values whose auxiliary IVP
@@ -393,12 +440,18 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     """
     _check_parametrized(variant)
     _check_sign(variant, sign)
+    check_real("target", target)
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     if bracket is None:
         bracket = _default_bracket(variant, target, sign)
     else:
-        bracket = tuple(bracket)
+        try:
+            bracket = tuple(bracket)
+        except TypeError:
+            raise TypeError(f"bracket must be two numbers, got {bracket!r}") from None
+        for end in bracket:
+            check_real("bracket end", end)
         if len(bracket) != 2 or not all(map(math.isfinite, bracket)):
             raise ValueError(f"bracket must be two finite numbers, got {bracket}")
     lo, hi = bracket

@@ -112,6 +112,47 @@ def test_truncated_solution_at_four():
     assert table.f[0] == 0.0
 
 
+def _count_integrations(monkeypatch):
+    calls = []
+    original = analysis.integrate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "integrate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("M", [3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0])
+def test_truncated_solution_takes_two_passes_past_its_first_guess(monkeypatch, M):
+    # T < 0.8 M here: the first pass overshoots, and the Hermite root of
+    # its table lands the second pass on the 1e-12 gate
+    calls = _count_integrations(monkeypatch)
+    truncated_solution(M)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("M", [1.0, 1.3, 1.7, 2.0, 2.4, 2.699])
+def test_truncated_solution_takes_at_most_three_passes_below(monkeypatch, M):
+    # T > 0.8 M: the sqrt step overshoots first, then the Hermite root
+    calls = _count_integrations(monkeypatch)
+    truncated_solution(M)
+    assert len(calls) <= 3
+
+
+# t_star of the secant iteration this solve replaced, on the same grids
+_SECANT_T_STAR = {3.0: 2.365346283454826, 4.0: 3.1125348476658585,
+                  5.0: 3.8865114212603844, 6.0: 4.6636659098441555}
+
+
+@pytest.mark.parametrize("M", sorted(_SECANT_T_STAR))
+def test_truncated_solution_matches_the_secant_boundary(M):
+    sol = truncated_solution(M)
+    assert sol.t_star == pytest.approx(_SECANT_T_STAR[M], rel=1e-12, abs=0.0)
+    assert sol.lam == M / sol.t_star
+
+
 def test_truncated_solution_rejects_tiny_m():
     with pytest.raises(ValueError):
         truncated_solution(0.004)
@@ -124,6 +165,14 @@ def test_truncated_solution_refuses_non_finite_m(monkeypatch, M):
 
     monkeypatch.setattr(analysis, "integrate", no_integrate)
     with pytest.raises(ValueError, match="M must be"):
+        truncated_solution(M)
+
+
+@pytest.mark.parametrize("M", [1e5, 1e306])
+def test_truncated_solution_refuses_m_past_the_node_ceiling(monkeypatch, M):
+    # of_nodes builds the star grids without GridConfig's node check
+    monkeypatch.setattr(analysis, "integrate", None)
+    with pytest.raises(ValueError, match="grid nodes"):
         truncated_solution(M)
 
 

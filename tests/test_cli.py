@@ -427,6 +427,7 @@ _NUMPY_FREE_COMMANDS = (
     ["gasification", "1.0", "--format", "csv"],
     ["sweep", "--problem", "slip", "--values", "0:3:4"],
     ["target", "--problem", "slip", "--c", "1.5"],
+    ["critical-b", "--json"],
 )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import random
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -437,25 +438,93 @@ def test_critical_b_scan_points_are_refused_before_the_scan(monkeypatch):
 
 
 def test_critical_b_takes_a_numpy_integer_scan_count():
-    assert find_critical_b(scan_points=np.int64(200)) == find_critical_b()
+    assert (find_critical_b(scan_points=np.int64(12))
+            == find_critical_b(scan_points=12))
 
 
 def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
     # one ulp of b* = -1e12 is about 1.2e-4, wider than the fixed 1e-6
-    # tolerance: the golden section must stop once its bracket no longer
-    # shrinks
+    # tolerance: Brent's relative term must keep the minimiser's steps
+    # wider than that, so that it stops
     calls = []
 
     def b_of(b_star, sign, config):
         calls.append(b_star)
         if len(calls) >= 2000:
-            raise AssertionError("the golden section did not stop")
+            raise AssertionError("the minimiser did not stop")
         return SimpleNamespace(physical_param=((b_star + 1e12) / 1e11) ** 2 - 0.55)
 
     monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
     crit = find_critical_b(scan_lo=-2e12, scan_hi=-1e11)
     assert crit.b_star == pytest.approx(-1e12, rel=1e-8)
     assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
+
+
+def _record_critical_solves(monkeypatch):
+    """(b*, b) of each solve find_critical_b makes, in order."""
+    solved = []
+    original = solvers.solve_moving_wall
+
+    def recording(b_star, *args):
+        res = original(b_star, *args)
+        solved.append((b_star, res.physical_param))
+        return res
+
+    monkeypatch.setattr(solvers, "solve_moving_wall", recording)
+    return solved
+
+
+def test_critical_b_takes_at_most_25_solves(monkeypatch):
+    solved = _record_critical_solves(monkeypatch)
+    crit = find_critical_b()
+    assert len(solved) <= 25
+    # the least b solved, not one more solve at the returned b*
+    assert min(b for _, b in solved) == crit.b_c
+    assert (crit.b_star, crit.b_c) in solved
+
+
+# b_c of the golden section this scan and minimiser replaced: the default
+# call, then 20 scan ranges drawn as the layered benchmark's _critical_scan
+# draws them, from random.Random(13)
+_GOLDEN_SECTION_B_C = (
+    -0.5482461651938921, -0.5482461651938931, -0.5482461651938686,
+    -0.5482461651938885, -0.5482461651938927, -0.5482461651938862,
+    -0.5482461651938735, -0.5482461651938895, -0.5482461651938688,
+    -0.5482461651938907, -0.5482461651938917, -0.5482461651938842,
+    -0.5482461651938914, -0.5482461651938658, -0.5482461651938814,
+    -0.5482461651938769, -0.5482461651938828, -0.5482461651938842,
+    -0.5482461651938851, -0.5482461651938798, -0.5482461651938859,
+)
+
+
+def test_critical_b_matches_the_golden_section(monkeypatch):
+    rng = random.Random(13)
+    scans = [{}] + [{"scan_lo": rng.uniform(-6.0, -4.0),
+                     "scan_hi": -10.0 ** rng.uniform(-3.5, -2.5)}
+                    for _ in range(20)]
+    solved = _record_critical_solves(monkeypatch)
+    for scan, want in zip(scans, _GOLDEN_SECTION_B_C, strict=True):
+        solved.clear()
+        assert find_critical_b(**scan).b_c == pytest.approx(want, rel=0.0,
+                                                             abs=1e-12)
+        assert len(solved) <= 25
+
+
+def test_brent_minimum_agrees_with_scipy_bounded():
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def b_of(b_star):
+        return solve_moving_wall(b_star, 1.0).physical_param
+
+    # the least b of the default scan, at its second point, and the
+    # first and third points around it
+    lo, x, hi = -5.0, -1.9407667236782142, -0.753315095147334
+    b_star, b_c = solvers._brent_minimum(b_of, lo, hi, x, b_of(x))
+    ref = optimize.minimize_scalar(b_of, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": solvers._CRITICAL_B_TOL})
+    assert lo < b_star < hi
+    assert b_star == pytest.approx(ref.x, rel=0.0, abs=solvers._CRITICAL_B_TOL)
+    assert b_c == pytest.approx(ref.fun, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -476,6 +545,26 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
 
     monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
     with pytest.raises(ValueError, match=name):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: analysis.truncated_solution("4"), "M"),
+    (lambda: analysis.series_deviation("0.5"), "eta_max"),
+    (lambda: find_critical_b(scan_lo="x"), "scan_lo"),
+    (lambda: find_star_for_target("slip", "1.0"), "target"),
+    (lambda: find_star_for_target("slip", 1.0, bracket=("a", 1.0)), "bracket"),
+    (lambda: find_star_for_target("slip", 1.0, bracket=5), "bracket"),
+    (lambda: sweep("slip", ["1.0"]), "star_param"),
+], ids=["truncated-M", "series-eta-max", "critical-b-scan-lo", "target-value",
+        "target-bracket-end", "target-bracket-not-a-pair", "sweep-value"])
+def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
+    monkeypatch.setattr(analysis, "integrate", no_solve)
+    with pytest.raises(TypeError, match=f"^{name} "):
         call()
 
 

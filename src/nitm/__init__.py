@@ -21,8 +21,8 @@ from .scaling import (ExponentSystem, InvarianceSolution,
 from .solvers import (DEFAULT_SCHEDULE, CriticalB, NitmConfig, NitmResult,
                       ProblemSpec, classic_problem, find_critical_b,
                       find_star_for_target, initial_state, solve_auxiliary,
-                      solve_gasification, solve_moving_wall, solve_slip,
-                      solve_variant, sweep)
+                      solve_gasification, solve_many, solve_moving_wall,
+                      solve_slip, solve_variant, sweep)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "numeric_invariance_check", "ode", "rubel_bound", "scaling",
     "series_coefficients", "series_deviation", "series_eval",
     "solve_auxiliary", "solve_gasification", "solve_invariance_exponents",
-    "solve_moving_wall", "solve_slip", "solve_variant", "solvers", "sweep",
+    "solve_many", "solve_moving_wall", "solve_slip", "solve_variant", "solvers", "sweep",
     "truncated_solution",
 ]

@@ -4,7 +4,9 @@
  * step below is the same sequence of operations in the same order, and
  * it must be compiled with -ffp-contract=off and without -ffast-math
  * (no fused multiply-add, no reassociation) so that the two kernels
- * agree bit for bit.
+ * agree bit for bit. The batched walk advances up to LANES members per
+ * step side by side; each lane runs the same operations as fill, so
+ * vectorising across lanes changes no bit.
  *
  * Built by setup.py as the extension nitm._kernels, or on first import
  * by nitm.kernels into the package's __pycache__.
@@ -16,6 +18,12 @@
 #include <string.h>
 
 #define BLOWUP_LIMIT 1e12
+
+/* members advanced side by side in the batched walk */
+#define LANES 8
+
+/* outcomes of a member of the batched walk, as in nitm._kernels_py */
+enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
 
 static Py_ssize_t
 fill(double beta, double *f, double *fp, double *fpp, double h,
@@ -63,6 +71,80 @@ fill(double beta, double *f, double *fp, double *fpp, double h,
         fpp[i + 1] = cq;
     }
     return -1;
+}
+
+/* Advance n <= LANES members from node start through node stop in
+ * lockstep. f[m], fp[m] and fpp[m] are member m's buffers; node start
+ * must be filled. bad[m] becomes the first node at which member m left
+ * [-BLOWUP_LIMIT, BLOWUP_LIMIT], as fill reports it, and that member's
+ * nodes from there on are not written; it stays -1 otherwise. */
+static void
+fill_lanes(double beta, double h, int n, double **f, double **fp,
+           double **fpp, Py_ssize_t start, Py_ssize_t stop, Py_ssize_t *bad)
+{
+    const double mb = -beta;
+    const double h2 = 0.5 * h;
+    const double h6 = h / 6.0;
+    /* idle lanes hold the zero state, which every step keeps at zero */
+    double cf[LANES] = {0.0}, cp[LANES] = {0.0}, cq[LANES] = {0.0};
+    int live = n, m;
+    Py_ssize_t i;
+
+    /* a lone member is faster without the idle lanes */
+    if (n == 1) {
+        bad[0] = fill(beta, f[0], fp[0], fpp[0], h, start, stop);
+        return;
+    }
+    for (m = 0; m < n; m++) {
+        cf[m] = f[m][start];
+        cp[m] = fp[m][start];
+        cq[m] = fpp[m][start];
+        bad[m] = -1;
+    }
+    for (i = start; i < stop && live > 0; i++) {
+        for (m = 0; m < LANES; m++) {
+            double k1f, k1p, k1q, k2f, k2p, k2q, k3f, k3p, k3q, k4f, k4p, k4q;
+            double tf, tp, tq;
+            k1f = cp[m];
+            k1p = cq[m];
+            k1q = mb * cf[m] * cq[m];
+            tf = cf[m] + h2 * k1f;
+            tp = cp[m] + h2 * k1p;
+            tq = cq[m] + h2 * k1q;
+            k2f = tp;
+            k2p = tq;
+            k2q = mb * tf * tq;
+            tf = cf[m] + h2 * k2f;
+            tp = cp[m] + h2 * k2p;
+            tq = cq[m] + h2 * k2q;
+            k3f = tp;
+            k3p = tq;
+            k3q = mb * tf * tq;
+            tf = cf[m] + h * k3f;
+            tp = cp[m] + h * k3p;
+            tq = cq[m] + h * k3q;
+            k4f = tp;
+            k4p = tq;
+            k4q = mb * tf * tq;
+            cf[m] = cf[m] + h6 * (k1f + 2.0 * (k2f + k3f) + k4f);
+            cp[m] = cp[m] + h6 * (k1p + 2.0 * (k2p + k3p) + k4p);
+            cq[m] = cq[m] + h6 * (k1q + 2.0 * (k2q + k3q) + k4q);
+        }
+        for (m = 0; m < n; m++) {
+            if (bad[m] >= 0)
+                continue;
+            if (!(fabs(cf[m]) <= BLOWUP_LIMIT && fabs(cp[m]) <= BLOWUP_LIMIT
+                  && fabs(cq[m]) <= BLOWUP_LIMIT)) {
+                bad[m] = i + 1;
+                cf[m] = cp[m] = cq[m] = 0.0;
+                live--;
+                continue;
+            }
+            f[m][i + 1] = cf[m];
+            fp[m][i + 1] = cp[m];
+            fpp[m][i + 1] = cq[m];
+        }
+    }
 }
 
 /* Acquire a writable, C-contiguous, one-dimensional float64 buffer. */
@@ -113,19 +195,311 @@ done:
     return result;
 }
 
+/* One member of the batched walk. */
+typedef struct {
+    PyObject *buf[3];       /* f, fp, fpp as bytearrays; NULL once freed */
+    double offset;          /* lambda = sqrt(fp + offset) */
+    double lam;             /* lambda at the last stop walked */
+    int outcome;
+    Py_ssize_t walked, bad;
+} Member;
+
+/* The stop indices, checked: nonempty, positive, strictly increasing,
+ * and small enough that stop + 1 doubles fit in a Py_ssize_t. */
+static Py_ssize_t *
+get_stops(PyObject *obj, Py_ssize_t *count)
+{
+    PyObject *seq = PySequence_Fast(obj, "stops must be a sequence of node indices");
+    Py_ssize_t *stops = NULL, j, n;
+
+    if (seq == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "stops must be nonempty");
+        goto done;
+    }
+    stops = PyMem_New(Py_ssize_t, n);
+    if (stops == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (j = 0; j < n; j++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, j);
+        if (!PyIndex_Check(item)) {
+            PyErr_Format(PyExc_TypeError, "stops[%zd] must be an integer", j);
+            goto fail;
+        }
+        stops[j] = PyNumber_AsSsize_t(item, NULL);
+        if (stops[j] == -1 && PyErr_Occurred())
+            goto fail;
+        if (stops[j] < 1 || stops[j] > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - 1) {
+            PyErr_Format(PyExc_ValueError,
+                         "stops[%zd] = %zd is not a positive node index "
+                         "that fits in memory", j, stops[j]);
+            goto fail;
+        }
+        if (j > 0 && stops[j] <= stops[j - 1]) {
+            PyErr_Format(PyExc_ValueError, "stops must be strictly increasing, "
+                         "got %zd after %zd", stops[j], stops[j - 1]);
+            goto fail;
+        }
+    }
+    *count = n;
+    goto done;
+fail:
+    PyMem_Free(stops);
+    stops = NULL;
+done:
+    Py_DECREF(seq);
+    return stops;
+}
+
+/* Read the seeds and offsets into members whose buffers hold node 0. */
+static Member *
+get_members(PyObject *seeds_obj, PyObject *offsets_obj, Py_ssize_t *count)
+{
+    PyObject *seeds = NULL, *offsets = NULL;
+    Member *members = NULL;
+    Py_ssize_t m, k, n = 0;
+
+    seeds = PySequence_Fast(seeds_obj, "seeds must be a sequence of seeds");
+    if (seeds == NULL)
+        return NULL;
+    offsets = PySequence_Fast(offsets_obj, "offsets must be a sequence of floats");
+    if (offsets == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(seeds);
+    if (PySequence_Fast_GET_SIZE(offsets) != n) {
+        PyErr_Format(PyExc_ValueError, "offsets must hold one float per seed "
+                     "(%zd), got %zd", n, PySequence_Fast_GET_SIZE(offsets));
+        goto done;
+    }
+    members = PyMem_New(Member, n);
+    if (members == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(members, 0, sizeof(Member) * n);
+    for (m = 0; m < n; m++) {
+        Member *mem = &members[m];
+        PyObject *seed = PySequence_Fast_GET_ITEM(seeds, m);
+        double state[3];
+        int ok = (PyTuple_Check(seed) || PyList_Check(seed))
+                 && PySequence_Fast_GET_SIZE(seed) == 3;
+
+        for (k = 0; ok && k < 3; k++) {
+            state[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seed, k));
+            ok = isfinite(state[k]) && !PyErr_Occurred();
+        }
+        if (!ok) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_ValueError, "seeds[%zd] must be three finite floats", m);
+            goto fail;
+        }
+        mem->offset = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(offsets, m));
+        if (PyErr_Occurred()) {
+            PyErr_Format(PyExc_TypeError, "offsets[%zd] must be a float", m);
+            goto fail;
+        }
+        mem->bad = -1;
+        for (k = 0; k < 3; k++) {
+            mem->buf[k] = PyByteArray_FromStringAndSize(NULL, sizeof(double));
+            if (mem->buf[k] == NULL)
+                goto fail;
+            ((double *)PyByteArray_AS_STRING(mem->buf[k]))[0] = state[k];
+        }
+    }
+    *count = n;
+    goto done;
+fail:
+    for (; m >= 0; m--)
+        for (k = 0; k < 3; k++)
+            Py_XDECREF(members[m].buf[k]);
+    PyMem_Free(members);
+    members = NULL;
+done:
+    Py_DECREF(seeds);
+    Py_XDECREF(offsets);
+    return members;
+}
+
+static void
+retire(Member *mem, int outcome)
+{
+    mem->outcome = outcome;
+    Py_CLEAR(mem->buf[0]);
+    Py_CLEAR(mem->buf[1]);
+    Py_CLEAR(mem->buf[2]);
+}
+
+/* (outcome, fp at each stop walked, blow-up node, f, fp, fpp) */
+static PyObject *
+member_row(Member *mem, const double *fps)
+{
+    PyObject *walked = PyTuple_New(mem->walked);
+    Py_ssize_t j;
+
+    if (walked == NULL)
+        return NULL;
+    for (j = 0; j < mem->walked; j++) {
+        PyObject *x = PyFloat_FromDouble(fps[j]);
+        if (x == NULL) {
+            Py_DECREF(walked);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(walked, j, x);
+    }
+    return Py_BuildValue("(iNnOOO)", mem->outcome, walked, mem->bad,
+                         mem->buf[0] ? mem->buf[0] : Py_None,
+                         mem->buf[1] ? mem->buf[1] : Py_None,
+                         mem->buf[2] ? mem->buf[2] : Py_None);
+}
+
+static PyObject *
+walk_blasius_family(PyObject *self, PyObject *args)
+{
+    double beta, h, tol;
+    PyObject *stops_obj, *seeds_obj, *offsets_obj, *result = NULL;
+    Py_ssize_t *stops = NULL, *live = NULL;
+    Py_ssize_t nstops = 0, n = 0, nlive, j, m, k, start = 0;
+    Member *members = NULL;
+    double *fps = NULL;
+
+    if (!PyArg_ParseTuple(args, "ddOOOd:walk_blasius_family", &beta, &h,
+                          &stops_obj, &seeds_obj, &offsets_obj, &tol))
+        return NULL;
+    if (!isfinite(beta)) {
+        PyErr_SetString(PyExc_ValueError, "beta must be finite");
+        return NULL;
+    }
+    if (!(h > 0.0) || !isfinite(h)) {
+        PyErr_SetString(PyExc_ValueError, "h must be positive and finite");
+        return NULL;
+    }
+    if (!(tol > 0.0) || !isfinite(tol)) {
+        PyErr_SetString(PyExc_ValueError, "lambda_tol must be positive and finite");
+        return NULL;
+    }
+    stops = get_stops(stops_obj, &nstops);
+    if (stops == NULL)
+        return NULL;
+    members = get_members(seeds_obj, offsets_obj, &n);
+    if (members == NULL)
+        goto done;
+    /* PyMem_New(type, 0) is not NULL */
+    live = PyMem_New(Py_ssize_t, n);
+    fps = (n <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / nstops)
+          ? PyMem_New(double, n * nstops) : NULL;
+    if (live == NULL || fps == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (m = 0; m < n; m++)
+        live[m] = m;
+    nlive = n;
+
+    for (j = 0; j < nstops && nlive > 0; j++) {
+        const Py_ssize_t stop = stops[j];
+        Py_ssize_t kept = 0, first;
+
+        /* grown stop by stop: a live member never holds a node past its
+         * current stop */
+        for (m = 0; m < nlive; m++)
+            for (k = 0; k < 3; k++)
+                if (PyByteArray_Resize(members[live[m]].buf[k],
+                                       (stop + 1) * (Py_ssize_t)sizeof(double)) < 0)
+                    goto done;
+        for (first = 0; first < nlive; first += LANES) {
+            double *f[LANES], *fp[LANES], *fpp[LANES];
+            Py_ssize_t bad[LANES];
+            int lanes = (int)(nlive - first < LANES ? nlive - first : LANES), i;
+
+            for (i = 0; i < lanes; i++) {
+                Member *mem = &members[live[first + i]];
+                f[i] = (double *)PyByteArray_AS_STRING(mem->buf[0]);
+                fp[i] = (double *)PyByteArray_AS_STRING(mem->buf[1]);
+                fpp[i] = (double *)PyByteArray_AS_STRING(mem->buf[2]);
+            }
+            fill_lanes(beta, h, lanes, f, fp, fpp, start, stop, bad);
+            for (i = 0; i < lanes; i++)
+                members[live[first + i]].bad = bad[i];
+        }
+        for (m = 0; m < nlive; m++) {
+            Member *mem = &members[live[m]];
+            double x, base, lam;
+
+            if (mem->bad >= 0) {
+                retire(mem, BLOWUP);
+                continue;
+            }
+            x = ((double *)PyByteArray_AS_STRING(mem->buf[1]))[stop];
+            fps[live[m] * nstops + j] = x;
+            mem->walked = j + 1;
+            /* the tests of lambda_from_asymptote and lambda_moving_wall */
+            base = x + mem->offset;
+            if (!(base > 0.0) || !isfinite(base)) {
+                retire(mem, BREAKDOWN);
+                continue;
+            }
+            lam = sqrt(base);
+            if (nstops == 1 || (j > 0 && fabs(lam - mem->lam) <= tol)) {
+                mem->outcome = ACCEPTED;
+                continue;
+            }
+            mem->lam = lam;
+            if (j == nstops - 1) {
+                retire(mem, NO_AGREEMENT);
+                continue;
+            }
+            live[kept++] = live[m];
+        }
+        nlive = kept;
+        start = stop;
+    }
+
+    result = PyList_New(n);
+    if (result == NULL)
+        goto done;
+    for (m = 0; m < n; m++) {
+        PyObject *row = member_row(&members[m], fps + m * nstops);
+        if (row == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, m, row);
+    }
+done:
+    if (members != NULL)
+        for (m = 0; m < n; m++)
+            for (k = 0; k < 3; k++)
+                Py_XDECREF(members[m].buf[k]);
+    PyMem_Free(members);
+    PyMem_Free(live);
+    PyMem_Free(fps);
+    PyMem_Free(stops);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"fill_blasius_family", fill_blasius_family, METH_VARARGS,
      "fill_blasius_family(beta, f, fp, fpp, h, start, stop)\n--\n\n"
      "Advance f''' = -beta*f*f'' from node start through node stop.\n\n"
      "Returns -1 on success, or the index of the first node whose state\n"
      "left [-1e12, 1e12] (that node is not written)."},
+    {"walk_blasius_family", walk_blasius_family, METH_VARARGS,
+     "walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol)\n--\n\n"
+     "Walk each seed through the stop indices in lockstep, retiring it at\n"
+     "lambda agreement, a blow-up, a scaling breakdown or the schedule's\n"
+     "end; see nitm._kernels_py.walk_blasius_family."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "nitm._kernels",
-    .m_doc = "Compiled RK4 fill for the Blasius family; twin of nitm._kernels_py.",
+    .m_doc = "Compiled RK4 fill and batched walk for the Blasius family; "
+              "twin of nitm._kernels_py.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -6,7 +6,13 @@ multiply-add on the compiled side) so that trajectories do not depend
 on which backend was imported.
 """
 
+import math
+from array import array
+
 BLOWUP_LIMIT = 1e12
+
+# how a member of walk_blasius_family ends
+ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT = range(4)
 
 
 def fill_blasius_family(beta, f, fp, fpp, h, start, stop):
@@ -56,3 +62,52 @@ def fill_blasius_family(beta, f, fp, fpp, h, start, stop):
         fp[i + 1] = cp
         fpp[i + 1] = cq
     return -1
+
+
+def walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol):
+    """Walk each seed through the stop indices, with Topfer's test at each stop.
+
+    Member m starts from seeds[m] at node 0 and advances through the
+    strictly increasing node indices stops. At each stop its lambda is
+    sqrt(fp[stop] + offsets[m]); it is retired at the first of: a
+    blow-up (BLOWUP, at the node fill_blasius_family reports), a
+    non-positive or non-finite fp[stop] + offsets[m] (BREAKDOWN), two
+    successive lambdas within lambda_tol, or its first stop when there
+    is only one (ACCEPTED), and the last stop (NO_AGREEMENT).
+
+    Returns one (outcome, fps, bad, f, fp, fpp) per member: fps holds
+    fp at each stop whose lambda was taken, bad the blow-up node (-1
+    if none). f, fp and fpp hold nodes 0 through the accepted stop and
+    no more; they are None for a member that failed. The compiled twin
+    checks its arguments and runs up to eight members side by side;
+    this one walks the members in turn, as the bits do not depend on
+    the order.
+    """
+    return [_walk_member(beta, h, stops, seed, offset, lambda_tol)
+            for seed, offset in zip(seeds, offsets)]
+
+
+def _walk_member(beta, h, stops, seed, offset, lambda_tol):
+    f, fp, fpp = (array("d", (x,)) for x in seed)
+    fps = []
+    previous = None
+    start = 0
+    for stop in stops:
+        zeros = bytes(8 * (stop - start))
+        f.frombytes(zeros)
+        fp.frombytes(zeros)
+        fpp.frombytes(zeros)
+        bad = fill_blasius_family(beta, f, fp, fpp, h, start, stop)
+        if bad >= 0:
+            return BLOWUP, tuple(fps), bad, None, None, None
+        fps.append(fp[stop])
+        base = fp[stop] + offset
+        if not (base > 0.0) or not math.isfinite(base):
+            return BREAKDOWN, tuple(fps), -1, None, None, None
+        lam = math.sqrt(base)
+        if len(stops) == 1 or (previous is not None
+                               and abs(lam - previous) <= lambda_tol):
+            return ACCEPTED, tuple(fps), -1, f, fp, fpp
+        previous = lam
+        start = stop
+    return NO_AGREEMENT, tuple(fps), -1, None, None, None

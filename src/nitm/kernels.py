@@ -17,6 +17,8 @@ import sys
 import zlib
 
 from . import _kernels_py
+# outcomes of a walk_blasius_family member, the same on both backends
+from ._kernels_py import BLOWUP, NO_AGREEMENT
 
 BLOWUP_LIMIT = _kernels_py.BLOWUP_LIMIT
 
@@ -89,14 +91,15 @@ def _load_compiled():
 
 if os.environ.get("NITM_PURE", "") not in ("", "0"):
     BACKEND, BACKEND_REASON = "pure", "NITM_PURE is set"
-    fill_blasius_family = _kernels_py.fill_blasius_family
+    _backend = _kernels_py
 else:
     try:
-        _compiled, BACKEND_REASON = _load_compiled()
+        _backend, BACKEND_REASON = _load_compiled()
     except (ImportError, OSError) as exc:
         BACKEND = "pure"
         BACKEND_REASON = f"compiled kernel unavailable: {exc}"
-        fill_blasius_family = _kernels_py.fill_blasius_family
+        _backend = _kernels_py
     else:
         BACKEND = "compiled"
-        fill_blasius_family = _compiled.fill_blasius_family
+fill_blasius_family = _backend.fill_blasius_family
+walk_blasius_family = _backend.walk_blasius_family

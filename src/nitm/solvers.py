@@ -12,7 +12,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import (BracketingError, NitmError, NoConvergenceError,
+from . import kernels
+from .errors import (BlowupError, BracketingError, NitmError,
+                     NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError, check_real)
 from .ode import DEFAULT_STEP, SolutionTable, State3, node_index, walk
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
@@ -177,6 +179,38 @@ class NitmResult:
         return table
 
 
+def _lambda(spec: ProblemSpec, fp_stop: float) -> float:
+    """Lambda from the star asymptote fp_stop of a walk of spec."""
+    if spec.variant == "moving-wall":
+        return lambda_moving_wall(fp_stop, spec.star_param)
+    return lambda_from_asymptote(fp_stop)
+
+
+def _result(spec: ProblemSpec, cfg: NitmConfig, start: State3,
+            lambdas: list[float], fp_stop: float, buffers) -> NitmResult:
+    """The result of a walk accepted after len(lambdas) boundaries.
+
+    buffers are the walk's f, fp and fpp through the accepted boundary,
+    where fp holds fp_stop; the wall values come from start in closed
+    form.
+    """
+    lam = lambdas[-1]
+    k = VARIANTS[spec.variant].k
+    f0, fp0, fpp0 = physical_values(lam, *start)
+    return NitmResult(
+        lam=lam,
+        lambdas=tuple(lambdas),
+        eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
+        fp_inf_star=fp_stop,
+        star_param=spec.star_param,
+        physical_param=None if k is None else map_parameter(spec.star_param, lam, k),
+        f0=f0,
+        fp0=fp0,
+        fpp0=fpp0,
+        _star=(cfg.step, *buffers),
+    )
+
+
 def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> NitmResult:
     """Run the non-iterative method for one problem.
 
@@ -190,35 +224,67 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     fixed_boundary = len(cfg.stops) == 1
-    rules = VARIANTS[spec.variant]
-    moving_wall = spec.variant == "moving-wall"
     start = initial_state(spec)
     lambdas: list[float] = []
-    for stop, f, fp, fpp in walk(rules.beta, start, cfg.step, cfg.stops):
+    for stop, f, fp, fpp in walk(VARIANTS[spec.variant].beta, start, cfg.step,
+                                 cfg.stops):
         fp_stop = fp[stop]
-        lambdas.append(lambda_moving_wall(fp_stop, spec.star_param) if moving_wall
-                       else lambda_from_asymptote(fp_stop))
+        lambdas.append(_lambda(spec, fp_stop))
         if fixed_boundary or (len(lambdas) >= 2
                               and abs(lambdas[-1] - lambdas[-2]) <= cfg.lambda_tol):
             break
     else:
         raise NoConvergenceError(lambdas)
+    return _result(spec, cfg, start, lambdas, fp_stop, (f, fp, fpp))
 
-    lam = lambdas[-1]
-    f0, fp0, fpp0 = physical_values(lam, *start)
-    return NitmResult(
-        lam=lam,
-        lambdas=tuple(lambdas),
-        eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
-        fp_inf_star=fp_stop,
-        star_param=spec.star_param,
-        physical_param=(None if rules.k is None
-                        else map_parameter(spec.star_param, lam, rules.k)),
-        f0=f0,
-        fp0=fp0,
-        fpp0=fpp0,
-        _star=(cfg.step, f, fp, fpp),
-    )
+
+# most members one batched walk of solve_many holds at once, so members
+# that never agree cannot pile up buffers on a long sweep
+_BATCH = 64
+
+
+def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | NitmError]:
+    """Solve each spec as solve_auxiliary does, one row per spec, in order.
+
+    The specs of one beta are walked together by the batched kernel
+    entry, _BATCH at a time, with Topfer's agreement test inside it. A
+    row that fails carries the error solve_auxiliary would raise, with
+    the same message: lambda is recomputed at each boundary the member
+    walked with the same scaling calls.
+    """
+    cfg = config if config is not None else DEFAULT_CONFIG
+    specs = list(specs)
+    members: dict[float, list[int]] = {}
+    for i, spec in enumerate(specs):
+        members.setdefault(VARIANTS[spec.variant].beta, []).append(i)
+    rows: list = [None] * len(specs)
+    for beta, indices in members.items():
+        for first in range(0, len(indices), _BATCH):
+            batch = indices[first:first + _BATCH]
+            starts = [initial_state(specs[i]) for i in batch]
+            offsets = [specs[i].star_param if specs[i].variant == "moving-wall"
+                       else 0.0 for i in batch]
+            # looked up at each call, so a kernel patched onto the module is used
+            walked = kernels.walk_blasius_family(beta, cfg.step, cfg.stops, starts,
+                                                 offsets, cfg.lambda_tol)
+            for i, start, member in zip(batch, starts, walked):
+                rows[i] = _row(specs[i], cfg, start, *member)
+    return rows
+
+
+def _row(spec: ProblemSpec, cfg: NitmConfig, start: State3, outcome: int,
+         fps: tuple[float, ...], bad: int, *buffers) -> NitmResult | NitmError:
+    """The result, or the error, of one member of a batched walk."""
+    if outcome == kernels.BLOWUP:
+        return BlowupError(bad * cfg.step)
+    try:
+        lambdas = [_lambda(spec, x) for x in fps]
+    except ScalingBreakdownError as exc:
+        # without its traceback: that holds this frame, and so the rows
+        return exc.with_traceback(None)
+    if outcome == kernels.NO_AGREEMENT:
+        return NoConvergenceError(lambdas)
+    return _result(spec, cfg, start, lambdas, fps[-1], buffers)
 
 
 def solve_moving_wall(b_star: float, sign: float = 1.0,
@@ -250,20 +316,14 @@ def sweep(variant: str, star_values, sign: float = 1.0,
 
     A row that fails carries the error object in place of a result, so
     a sweep across a critical region still reports its solvable rows.
-    Every star value is checked before the first solve.
+    Every star value is checked before the first solve; the rows are
+    then solved together by solve_many.
     """
     _check_parametrized(variant)
     specs = [ProblemSpec(variant, value, sign) for value in star_values]
     if not specs:
         raise ValueError("sweep needs at least one star value")
-    rows: list[NitmResult | NitmError] = []
-    for spec in specs:
-        try:
-            rows.append(solve_auxiliary(spec, config))
-        except NitmError as exc:
-            # without its traceback: that holds this frame, and so rows
-            rows.append(exc.with_traceback(None))
-    return rows
+    return solve_many(specs, config)
 
 
 # most points one scan of find_critical_b takes, checked before its

@@ -1,7 +1,8 @@
 """Backend selection, the kernel loader, the compiled kernel's argument
-checks and bit-identity of the two RK4 fill kernels."""
+checks and bit-identity of the two kernels' fills and batched walks."""
 
 import importlib.machinery
+import math
 import os
 import shlex
 import shutil
@@ -47,6 +48,7 @@ def test_backend_is_reported():
     assert kernels.BACKEND in ("compiled", "pure")
     assert kernels.BACKEND_REASON
     assert callable(kernels.fill_blasius_family)
+    assert callable(kernels.walk_blasius_family)
 
 
 @needs_compiler
@@ -56,6 +58,7 @@ def test_compiled_backend_is_active_where_a_compiler_is():
     assert kernels.BACKEND == "compiled", kernels.BACKEND_REASON
     assert _kernels_c is not None
     assert kernels.fill_blasius_family is _kernels_c.fill_blasius_family
+    assert kernels.walk_blasius_family is _kernels_c.walk_blasius_family
 
 
 def test_pure_kernel_matches_single_python_step():
@@ -149,6 +152,81 @@ def test_compiled_kernel_rejects_nodes_outside_a_buffer(slot, start, stop):
     with pytest.raises(IndexError):
         _kernels_c.fill_blasius_family(0.5, *arrays, 0.1, start, stop)
     assert not any(a.any() for a in arrays)
+
+
+# -- the batched walk ---------------------------------------------------------
+
+def _walk_rows(module, *args):
+    """The walk's rows with each buffer as its bytes, None for a freed one."""
+    return [(outcome, fps, bad,
+             *(None if b is None else bytes(b) for b in buffers))
+            for outcome, fps, bad, *buffers in module.walk_blasius_family(*args)]
+
+
+_SEEDS = st.tuples(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0),
+                   st.sampled_from([1.0, -1.0]))
+
+
+@needs_compiled
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.5, 1.0]), st.sampled_from([0.01, 0.05, 0.2]),
+       st.lists(st.integers(1, 60), min_size=1, max_size=5),
+       st.lists(st.tuples(_SEEDS, st.floats(-3.0, 3.0)), max_size=19),
+       st.sampled_from([1e-3, 1e-6, 1e-12]))
+def test_compiled_and_pure_walks_are_bit_identical(beta, h, gaps, members, tol):
+    # random seeds and offsets reach every outcome: agreement, blow-up,
+    # breakdown and no agreement, in blocks of up to 19 members
+    stops = [sum(gaps[:j + 1]) for j in range(len(gaps))]
+    seeds = [seed for seed, _ in members]
+    offsets = [offset for _, offset in members]
+    args = (beta, h, stops, seeds, offsets, tol)
+    compiled = _walk_rows(_kernels_c, *args)
+    assert compiled == _walk_rows(_kernels_py, *args)
+    for outcome, fps, bad, *buffers in compiled:
+        assert len(fps) <= len(stops)
+        assert (bad >= 0) == (outcome == _kernels_py.BLOWUP)
+        if outcome == _kernels_py.ACCEPTED:
+            assert [len(b) for b in buffers] == [8 * (stops[len(fps) - 1] + 1)] * 3
+        else:
+            assert buffers == [None] * 3
+
+
+_GOOD_WALK = {"beta": 0.5, "h": 0.1, "stops": [40, 60], "seeds": [(0.0, 0.0, 1.0)],
+              "offsets": [0.0], "lambda_tol": 1e-6}
+
+
+@needs_compiled
+@pytest.mark.parametrize("name, value", [
+    ("seeds", [(0.0, 0.0)]),
+    ("seeds", [(0.0, 0.0, 1.0, 2.0)]),
+    ("seeds", [(0.0, math.nan, 1.0)]),
+    ("seeds", [(0.0, 0.0, math.inf)]),
+    ("seeds", [("a", 0.0, 1.0)]),
+    ("seeds", [1.0]),
+    ("seeds", 5),
+    ("offsets", []),
+    ("offsets", [0.0, 0.0]),
+    ("offsets", ["a"]),
+    ("stops", []),
+    ("stops", [-1, 60]),
+    ("stops", [0]),
+    ("stops", [40, 40]),
+    ("stops", [60, 40]),
+    ("stops", [40, 2.5]),
+    ("stops", [sys.maxsize]),
+    ("h", 0.0),
+    ("h", -0.1),
+    ("h", math.nan),
+    ("h", math.inf),
+    ("lambda_tol", 0.0),
+    ("lambda_tol", -1e-6),
+    ("lambda_tol", math.nan),
+    ("lambda_tol", math.inf),
+])
+def test_compiled_walk_rejects_bad_arguments_by_name(name, value):
+    args = dict(_GOOD_WALK, **{name: value})
+    with pytest.raises((ValueError, TypeError, IndexError), match=rf"^{name}\b"):
+        _kernels_c.walk_blasius_family(*args.values())
 
 
 def _package_copy(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nitm import (DEFAULT_SCHEDULE, NitmConfig, NitmResult, ProblemSpec,
                   State3, _kernels_py, analysis, classic_problem,
                   find_critical_b, find_star_for_target, initial_state,
-                  kernels, solve_auxiliary, solve_gasification,
+                  kernels, solve_auxiliary, solve_gasification, solve_many,
                   solve_moving_wall, solve_slip, solve_variant, solvers, sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
                          NoConvergenceError, ScalingBreakdownError,
@@ -185,6 +185,19 @@ def test_walk_buffers_hold_no_node_past_the_accepted_boundary(monkeypatch):
     assert res.table.grid.nodes == accepted + 1
     assert np.array_equal(res.table.fp, np.frombuffer(buffers[1]) * res.lam ** -2.0)
 
+    # a sweep's rows come from the batched walk: each keeps its member's
+    # buffers, which hold its accepted boundary's nodes and no more
+    rows = sweep("moving-wall", [-1.0, 0.0, 0.5, 2.0, 6.0], 1.0, NitmConfig(step=step))
+    assert len({row.eta_inf_star for row in rows}) > 1
+    for row in rows:
+        accepted = round(row.eta_inf_star / step)
+        assert row.eta_inf_star < DEFAULT_SCHEDULE[-1]
+        _, *buffers = row._star
+        assert [np.frombuffer(b).size for b in buffers] == [accepted + 1] * 3
+        assert row.table.grid.nodes == accepted + 1
+        assert np.array_equal(row.table.fp,
+                              np.frombuffer(buffers[1]) * row.lam ** -2.0)
+
 
 def test_classic_no_convergence_with_tight_tolerance():
     config = NitmConfig(step=0.1, boundary_schedule=(4.0, 6.0),
@@ -337,9 +350,10 @@ def test_sweep_error_rows_keep_no_reference_cycle():
 
 def test_sweep_non_finite_value_fails_the_call(monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("solve_auxiliary ran")
+        raise AssertionError("a solve ran")
 
     monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
+    monkeypatch.setattr(kernels, "walk_blasius_family", no_solve)
     with pytest.raises(ValueError, match="star_param"):
         sweep("slip", [1.0, math.nan])
 
@@ -563,6 +577,7 @@ def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name)
         raise AssertionError("solved before the input was checked")
 
     monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
+    monkeypatch.setattr(kernels, "walk_blasius_family", no_solve)
     monkeypatch.setattr(analysis, "integrate", no_solve)
     with pytest.raises(TypeError, match=f"^{name} "):
         call()
@@ -719,22 +734,123 @@ _CONFIGS = st.sampled_from([NitmConfig(), NitmConfig(step=0.02),
                             NitmConfig(step=0.005), _fixed(6.0)])
 
 
+def _backend(name):
+    """Both kernel entries of the named backend, to patch onto nitm.kernels."""
+    module = _kernels_py if name == "pure" else kernels
+    return {"fill_blasius_family": module.fill_blasius_family,
+            "walk_blasius_family": module.walk_blasius_family}
+
+
 @pytest.mark.parametrize("backend", ["active", "pure"])
 @settings(max_examples=30, deadline=None)
 @given(spec=_solvable_specs(), config=_CONFIGS)
 def test_lean_solve_wall_values_and_table_ownership(backend, spec, config):
-    fill = (_kernels_py.fill_blasius_family if backend == "pure"
-            else kernels.fill_blasius_family)
-    with mock.patch.object(kernels, "fill_blasius_family", fill):
+    with mock.patch.multiple(kernels, **_backend(backend)):
         try:
-            res = solve_auxiliary(spec, config)
+            single = solve_auxiliary(spec, config)
         except NitmError:
             return
-    table = res.table
-    for wall, column in ((res.f0, table.f), (res.fp0, table.fp),
-                         (res.fpp0, table.fpp)):
-        assert type(wall) is float
-        assert wall.hex() == float(column[0]).hex()
-        # the table owns exactly its rows, not a view of the walk buffer
-        assert column.base is None
-        assert column.dtype == np.float64 and column.size == table.grid.nodes
+        [batched] = solve_many([spec], config)
+    for res in (single, batched):
+        table = res.table
+        for wall, column in ((res.f0, table.f), (res.fp0, table.fp),
+                             (res.fpp0, table.fpp)):
+            assert type(wall) is float
+            assert wall.hex() == float(column[0]).hex()
+            # the table owns exactly its rows, not a view of the walk buffer
+            assert column.base is None
+            assert column.dtype == np.float64 and column.size == table.grid.nodes
+
+
+# ---------------------------------------------------------------------------
+# batched solves: solve_many row for row against solve_auxiliary
+
+# every variant and sign, over star ranges that reach blow-ups (slip -1)
+# and scaling breakdowns (moving wall -1 below b* = 1.7188)
+_STARS = {"moving-wall": (-1.5, 6.0), "slip": (0.0, 6.0), "gasification": (0.0, 4.0)}
+
+# steps 0.1 and a tolerance of 1e-4 on three boundaries: most rows agree,
+# the moving wall -1 near b* = 1.75 does not
+_COARSE = NitmConfig(step=0.1, boundary_schedule=(4.0, 6.0, 8.0), lambda_tol=1e-4)
+
+
+@st.composite
+def _any_specs(draw):
+    variant = draw(st.sampled_from(sorted(solvers.VARIANTS)))
+    sign = draw(st.sampled_from(solvers.VARIANTS[variant].signs))
+    star = (None if variant == "classic"
+            else draw(st.floats(*_STARS[variant])))
+    return ProblemSpec(variant, star, sign)
+
+
+def _single(spec, config):
+    try:
+        return solve_auxiliary(spec, config)
+    except NitmError as exc:
+        return exc
+
+
+def _assert_same_row(batched, single):
+    assert type(batched) is type(single)
+    if isinstance(single, NitmError):
+        assert str(batched) == str(single)
+        return
+    for field in dataclasses.fields(NitmResult):
+        if field.name != "_star":
+            # repr tells every float apart but NaN, which no field holds
+            assert repr(getattr(batched, field.name)) == repr(getattr(single, field.name))
+    assert batched.table.grid == single.table.grid
+    for column in ("f", "fp", "fpp"):
+        assert (getattr(batched.table, column).tobytes()
+                == getattr(single.table, column).tobytes())
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), size=st.sampled_from([1, 7, 8, 9, 17]),
+       config=st.sampled_from([NitmConfig(), NitmConfig(step=0.02), _fixed(6.0),
+                               _COARSE]))
+def test_solve_many_matches_solve_auxiliary_bit_for_bit(backend, data, size, config):
+    # sizes around the kernel's blocks of eight members
+    specs = data.draw(st.lists(_any_specs(), min_size=size, max_size=size))
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        singles = [_single(spec, config) for spec in specs]
+        rows = solve_many(specs, config)
+    assert len(rows) == len(specs)
+    for row, single in zip(rows, singles):
+        _assert_same_row(row, single)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_solve_many_keeps_every_kind_of_failure_in_one_batch(backend):
+    specs = [ProblemSpec("slip", 1.0, -1.0),              # blows up
+             ProblemSpec("moving-wall", 1.2, -1.0),       # breaks down
+             ProblemSpec("moving-wall", 1.75, -1.0),      # never agrees
+             classic_problem(),
+             ProblemSpec("moving-wall", 2.0, -1.0),
+             ProblemSpec("slip", 0.5, 1.0),
+             ProblemSpec("gasification", 1.0, 1.0)]
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        singles = [_single(spec, _COARSE) for spec in specs]
+        rows = solve_many(specs, _COARSE)
+    assert [type(row) for row in rows] == [
+        BlowupError, ScalingBreakdownError, NoConvergenceError,
+        NitmResult, NitmResult, NitmResult, NitmResult]
+    for row, single in zip(rows, singles):
+        _assert_same_row(row, single)
+
+
+def test_solve_many_walks_at_most_one_batch_at_a_time(monkeypatch):
+    sizes = []
+    walk = kernels.walk_blasius_family
+
+    def recording_walk(beta, h, stops, seeds, offsets, lambda_tol):
+        sizes.append((beta, len(seeds)))
+        return walk(beta, h, stops, seeds, offsets, lambda_tol)
+
+    monkeypatch.setattr(kernels, "walk_blasius_family", recording_walk)
+    specs = ([ProblemSpec("slip", 0.01 * i, 1.0) for i in range(150)]
+             + [ProblemSpec("gasification", 1.0, 1.0)])
+    rows = solve_many(specs, _COARSE)
+    assert sizes == [(0.5, 64), (0.5, 64), (0.5, 22), (1.0, 1)]
+    assert [row.star_param for row in rows] == [spec.star_param for spec in specs]

@@ -3,7 +3,9 @@
 Fallback twin of the compiled module nitm._kernels. The two must stay
 operation-for-operation identical (same evaluation order, no fused
 multiply-add on the compiled side) so that trajectories do not depend
-on which backend was imported.
+on which backend was imported. walk_member, the per-member walk of the
+pure walk_blasius_family, also runs every single solve on either
+backend, with that backend's fill.
 """
 
 import math
@@ -83,11 +85,17 @@ def walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol):
     this one walks the members in turn, as the bits do not depend on
     the order.
     """
-    return [_walk_member(beta, h, stops, seed, offset, lambda_tol)
+    return [walk_member(fill_blasius_family, beta, h, stops, seed, offset,
+                        lambda_tol)
             for seed, offset in zip(seeds, offsets)]
 
 
-def _walk_member(beta, h, stops, seed, offset, lambda_tol):
+def walk_member(fill, beta, h, stops, seed, offset, lambda_tol):
+    """One member's row of walk_blasius_family, with fill doing the steps.
+
+    f, fp and fpp are array('d') buffers grown to stop + 1 nodes at each
+    stop, so they never hold a node past the last stop walked.
+    """
     f, fp, fpp = (array("d", (x,)) for x in seed)
     fps = []
     previous = None
@@ -97,7 +105,7 @@ def _walk_member(beta, h, stops, seed, offset, lambda_tol):
         f.frombytes(zeros)
         fp.frombytes(zeros)
         fpp.frombytes(zeros)
-        bad = fill_blasius_family(beta, f, fp, fpp, h, start, stop)
+        bad = fill(beta, f, fp, fpp, h, start, stop)
         if bad >= 0:
             return BLOWUP, tuple(fps), bad, None, None, None
         fps.append(fp[stop])

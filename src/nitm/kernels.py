@@ -17,8 +17,6 @@ import sys
 import zlib
 
 from . import _kernels_py
-# outcomes of a walk_blasius_family member, the same on both backends
-from ._kernels_py import BLOWUP, NO_AGREEMENT
 
 BLOWUP_LIMIT = _kernels_py.BLOWUP_LIMIT
 

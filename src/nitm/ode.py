@@ -9,12 +9,11 @@ keep the last node exactly on the requested boundary.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
-from .errors import BlowupError
+from .errors import BlowupError, check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,6 +56,8 @@ class GridConfig:
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
+        check_real("eta_max", self.eta_max)
+        check_real("step", self.step)
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive, got {self.step}")
         node_index(self.eta_max, self.step, "eta_max")
@@ -101,49 +102,21 @@ class SolutionTable:
         return self.grid.etas()
 
 
-def walk(beta: float, initial, step: float, stops,
-         buffers=None) -> Iterator[tuple[int, array, array, array]]:
-    """Integrate f''' = -beta*f*f'' from node 0 through each stop index in turn.
-
-    (stop, f, fp, fpp) is yielded as soon as nodes 0..stop hold the
-    solution, so nothing past the last stop a caller consumes is
-    integrated. Without buffers, the arrays are array('d') grown to
-    stop + 1 nodes at each stop, so they never hold a node past the
-    last stop reached. Buffers, if given, are three float64 arrays of
-    at least stops[-1] + 1 nodes.
-    """
-    start = State3(*initial)
-    if not all(map(math.isfinite, start)):
-        raise ValueError(f"initial state must be finite, got {start}")
-    if buffers is None:
-        buffers = (array("d", (start.f,)), array("d", (start.fp,)),
-                   array("d", (start.fpp,)))
-    f, fp, fpp = buffers
-    f[0], fp[0], fpp[0] = start
-    filled = 0
-    for stop in stops:
-        grow = stop + 1 - len(f)
-        if grow > 0:
-            zeros = bytes(8 * grow)
-            f.frombytes(zeros)
-            fp.frombytes(zeros)
-            fpp.frombytes(zeros)
-        # looked up at each call, so a kernel patched onto the module is used
-        bad = kernels.fill_blasius_family(beta, f, fp, fpp, step, filled, stop)
-        if bad >= 0:
-            raise BlowupError(bad * step)
-        filled = stop
-        yield stop, f, fp, fpp
-
-
 def integrate(beta: float, initial, grid: GridConfig) -> SolutionTable:
     """Integrate f''' = -beta*f*f'' from eta=0 to grid.eta_max, storing every node."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
+    start = State3(*initial)
+    if not all(map(math.isfinite, start)):
+        raise ValueError(f"initial state must be finite, got {start}")
     import numpy as np
 
     # every caller goes on to numpy work: exact-size buffers, not zero-filled
     n = grid.nodes
-    [(_, f, fp, fpp)] = walk(beta, initial, grid.step, (n - 1,),
-                             (np.empty(n), np.empty(n), np.empty(n)))
+    f, fp, fpp = np.empty(n), np.empty(n), np.empty(n)
+    f[0], fp[0], fpp[0] = start
+    # looked up at each call, so a kernel patched onto the module is used
+    bad = kernels.fill_blasius_family(beta, f, fp, fpp, grid.step, 0, n - 1)
+    if bad >= 0:
+        raise BlowupError(bad * grid.step)
     return SolutionTable(grid, f, fp, fpp)

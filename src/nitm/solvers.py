@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import kernels
+from ._kernels_py import BLOWUP, NO_AGREEMENT, walk_member
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError, check_real)
-from .ode import DEFAULT_STEP, SolutionTable, State3, node_index, walk
+from .ode import DEFAULT_STEP, SolutionTable, State3, node_index
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
                       physical_values, rescale)
 
@@ -121,9 +122,18 @@ class NitmConfig:
     stops: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        check_real("step", self.step)
+        check_real("lambda_tol", self.lambda_tol)
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive, got {self.step}")
-        sched = tuple(float(b) for b in self.boundary_schedule)
+        try:
+            sched = tuple(self.boundary_schedule)
+        except TypeError:
+            raise TypeError(f"boundary_schedule must be a sequence of numbers, "
+                            f"got {self.boundary_schedule!r}") from None
+        for b in sched:
+            check_real("boundary", b)
+        sched = tuple(map(float, sched))
         if not sched:
             raise ValueError("boundary schedule must be nonempty")
         stops = tuple(node_index(b, self.step, "boundary") for b in sched)
@@ -186,29 +196,9 @@ def _lambda(spec: ProblemSpec, fp_stop: float) -> float:
     return lambda_from_asymptote(fp_stop)
 
 
-def _result(spec: ProblemSpec, cfg: NitmConfig, start: State3,
-            lambdas: list[float], fp_stop: float, buffers) -> NitmResult:
-    """The result of a walk accepted after len(lambdas) boundaries.
-
-    buffers are the walk's f, fp and fpp through the accepted boundary,
-    where fp holds fp_stop; the wall values come from start in closed
-    form.
-    """
-    lam = lambdas[-1]
-    k = VARIANTS[spec.variant].k
-    f0, fp0, fpp0 = physical_values(lam, *start)
-    return NitmResult(
-        lam=lam,
-        lambdas=tuple(lambdas),
-        eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
-        fp_inf_star=fp_stop,
-        star_param=spec.star_param,
-        physical_param=None if k is None else map_parameter(spec.star_param, lam, k),
-        f0=f0,
-        fp0=fp0,
-        fpp0=fpp0,
-        _star=(cfg.step, *buffers),
-    )
+def _offset(spec: ProblemSpec) -> float:
+    """What the walk adds to fp before Topfer's square root: b* for the moving wall."""
+    return spec.star_param if spec.variant == "moving-wall" else 0.0
 
 
 def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> NitmResult:
@@ -217,25 +207,20 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     Integrates the star IVP over the boundary schedule, accepting the
     larger boundary of the first pair whose lambda values agree within
     lambda_tol, then recovers lambda. The schedule is walked
-    incrementally, so integration never proceeds past the accepted
-    boundary. The wall values come from the star initial state in
-    closed form; the result keeps the walk's buffers, which hold the
-    accepted boundary's nodes and no more, for its table.
+    incrementally by walk_member, so integration never proceeds past
+    the accepted boundary. The wall values come from the star initial
+    state in closed form; the result keeps the walk's buffers, which
+    hold the accepted boundary's nodes and no more, for its table.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    fixed_boundary = len(cfg.stops) == 1
     start = initial_state(spec)
-    lambdas: list[float] = []
-    for stop, f, fp, fpp in walk(VARIANTS[spec.variant].beta, start, cfg.step,
-                                 cfg.stops):
-        fp_stop = fp[stop]
-        lambdas.append(_lambda(spec, fp_stop))
-        if fixed_boundary or (len(lambdas) >= 2
-                              and abs(lambdas[-1] - lambdas[-2]) <= cfg.lambda_tol):
-            break
-    else:
-        raise NoConvergenceError(lambdas)
-    return _result(spec, cfg, start, lambdas, fp_stop, (f, fp, fpp))
+    # the fill is looked up at each call, so a kernel patched onto the module is used
+    row = _row(spec, cfg, start, *walk_member(
+        kernels.fill_blasius_family, VARIANTS[spec.variant].beta, cfg.step,
+        cfg.stops, start, _offset(spec), cfg.lambda_tol))
+    if isinstance(row, NitmError):
+        raise row
+    return row
 
 
 # most members one batched walk of solve_many holds at once, so members
@@ -262,8 +247,7 @@ def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | Nit
         for first in range(0, len(indices), _BATCH):
             batch = indices[first:first + _BATCH]
             starts = [initial_state(specs[i]) for i in batch]
-            offsets = [specs[i].star_param if specs[i].variant == "moving-wall"
-                       else 0.0 for i in batch]
+            offsets = [_offset(specs[i]) for i in batch]
             # looked up at each call, so a kernel patched onto the module is used
             walked = kernels.walk_blasius_family(beta, cfg.step, cfg.stops, starts,
                                                  offsets, cfg.lambda_tol)
@@ -274,17 +258,36 @@ def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | Nit
 
 def _row(spec: ProblemSpec, cfg: NitmConfig, start: State3, outcome: int,
          fps: tuple[float, ...], bad: int, *buffers) -> NitmResult | NitmError:
-    """The result, or the error, of one member of a batched walk."""
-    if outcome == kernels.BLOWUP:
+    """The result, or the error, of one walked member.
+
+    buffers are the member's f, fp and fpp through the accepted
+    boundary, where fp holds fps[-1]; the wall values come from start
+    in closed form.
+    """
+    if outcome == BLOWUP:
         return BlowupError(bad * cfg.step)
     try:
         lambdas = [_lambda(spec, x) for x in fps]
     except ScalingBreakdownError as exc:
         # without its traceback: that holds this frame, and so the rows
         return exc.with_traceback(None)
-    if outcome == kernels.NO_AGREEMENT:
+    if outcome == NO_AGREEMENT:
         return NoConvergenceError(lambdas)
-    return _result(spec, cfg, start, lambdas, fps[-1], buffers)
+    lam = lambdas[-1]
+    k = VARIANTS[spec.variant].k
+    f0, fp0, fpp0 = physical_values(lam, *start)
+    return NitmResult(
+        lam=lam,
+        lambdas=tuple(lambdas),
+        eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
+        fp_inf_star=fps[-1],
+        star_param=spec.star_param,
+        physical_param=None if k is None else map_parameter(spec.star_param, lam, k),
+        f0=f0,
+        fp0=fp0,
+        fpp0=fpp0,
+        _star=(cfg.step, *buffers),
+    )
 
 
 def solve_moving_wall(b_star: float, sign: float = 1.0,
@@ -320,6 +323,11 @@ def sweep(variant: str, star_values, sign: float = 1.0,
     then solved together by solve_many.
     """
     _check_parametrized(variant)
+    try:
+        star_values = tuple(star_values)
+    except TypeError:
+        raise TypeError(f"star_values must be a sequence of numbers, "
+                        f"got {star_values!r}") from None
     specs = [ProblemSpec(variant, value, sign) for value in star_values]
     if not specs:
         raise ValueError("sweep needs at least one star value")
@@ -531,11 +539,12 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
         raise BracketingError(
             f"target {target:.6g} not bracketed by ({lo:.6g}, {hi:.6g})",
-            (g_lo + target, g_hi + target),
+            (res_lo.physical_param, res_hi.physical_param),
         )
 
-    x0, g0 = lo, g_lo
-    x1, g1 = hi, g_hi
+    # the last two iterates, with the physical values they solved to
+    x0, g0, b0 = lo, g_lo, res_lo.physical_param
+    x1, g1, b1 = hi, g_hi, res_hi.physical_param
     for _ in range(_TARGET_MAX_ITER):
         if g1 != g0:
             x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
@@ -550,6 +559,6 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
             lo, g_lo = x2, g2
         else:
             hi, g_hi = x2, g2
-        x0, g0 = x1, g1
-        x1, g1 = x2, g2
-    raise NoConvergenceError([g0 + target, g1 + target], label="target")
+        x0, g0, b0 = x1, g1, b1
+        x1, g1, b1 = x2, g2, res.physical_param
+    raise NoConvergenceError([b0, b1], label="target")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import BlasiusFamilyRhs, GridConfig, State3, integrate
+from nitm import BlasiusFamilyRhs, GridConfig, State3, integrate, kernels
 from nitm.errors import BlowupError
 from rk4_reference import rk4_step
 
@@ -86,6 +86,20 @@ def test_integrate_rejects_nonfinite_initial():
     with pytest.raises(ValueError):
         integrate(0.5, State3(0.0, math.nan, 1.0),
                   GridConfig(1.0, 0.01))
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_non_finite_initial_state_before_integrating(
+        monkeypatch, slot, bad):
+    def no_fill(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", no_fill)
+    initial = [0.0, 0.0, 1.0]
+    initial[slot] = bad
+    with pytest.raises(ValueError, match="initial state"):
+        integrate(0.5, State3(*initial), GridConfig(1.0, 0.01))
 
 
 def test_integrate_blowup_reports_location():

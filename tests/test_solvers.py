@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (DEFAULT_SCHEDULE, NitmConfig, NitmResult, ProblemSpec,
+from nitm import (DEFAULT_SCHEDULE, GridConfig, NitmConfig, NitmResult, ProblemSpec,
                   State3, _kernels_py, analysis, classic_problem,
                   find_critical_b, find_star_for_target, initial_state,
                   kernels, solve_auxiliary, solve_gasification, solve_many,
@@ -570,8 +570,18 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
     (lambda: find_star_for_target("slip", 1.0, bracket=("a", 1.0)), "bracket"),
     (lambda: find_star_for_target("slip", 1.0, bracket=5), "bracket"),
     (lambda: sweep("slip", ["1.0"]), "star_param"),
+    (lambda: NitmConfig(step="0.01"), "step"),
+    (lambda: NitmConfig(lambda_tol="x"), "lambda_tol"),
+    (lambda: NitmConfig(boundary_schedule=4.0), "boundary_schedule"),
+    (lambda: NitmConfig(boundary_schedule=("4", "6")), "boundary"),
+    (lambda: GridConfig("1"), "eta_max"),
+    (lambda: GridConfig(1.0, "0.01"), "step"),
+    (lambda: sweep("slip", 1.0), "star_values"),
 ], ids=["truncated-M", "series-eta-max", "critical-b-scan-lo", "target-value",
-        "target-bracket-end", "target-bracket-not-a-pair", "sweep-value"])
+        "target-bracket-end", "target-bracket-not-a-pair", "sweep-value",
+        "config-step", "config-lambda-tol", "config-schedule-not-a-sequence",
+        "config-boundary", "grid-eta-max", "grid-step",
+        "sweep-values-not-a-sequence"])
 def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the input was checked")
@@ -647,6 +657,33 @@ def test_target_requires_sign_change():
     with pytest.raises(BracketingError) as err:
         find_star_for_target("moving-wall", -0.7, bracket=(-1.2322, -0.05))
     assert err.value.scanned  # reports the achieved parameters
+
+
+def test_target_bracketing_error_reports_the_solved_ends():
+    # rebuilt as g + target, both ends would read 0 at this target
+    with pytest.raises(BracketingError) as err:
+        find_star_for_target("moving-wall", 1e17)
+    assert err.value.scanned == (solve_moving_wall(1e-6).physical_param,
+                                 solve_moving_wall(100.0).physical_param)
+    assert err.value.scanned == (4.795219718920497e-07, 0.49955742121566177)
+
+
+def test_target_no_convergence_reports_the_last_two_solved_values(monkeypatch):
+    solved = []
+    solve = solvers.solve_auxiliary
+
+    def recording_solve(spec, config=None):
+        res = solve(spec, config)
+        solved.append(res.physical_param)
+        return res
+
+    monkeypatch.setattr(solvers, "solve_auxiliary", recording_solve)
+    monkeypatch.setattr(solvers, "_TARGET_MAX_ITER", 1)
+    # at this target, g + target misses the second value by an ulp
+    with pytest.raises(NoConvergenceError) as err:
+        find_star_for_target("moving-wall", 0.1)
+    assert len(solved) == 3
+    assert err.value.values == tuple(solved[1:])
 
 
 def test_target_slip_minus_has_no_default_bracket(monkeypatch):

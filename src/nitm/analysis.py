@@ -20,6 +20,8 @@ if TYPE_CHECKING:
 
 # a deviation below this is roundoff, and the order fit leaves its node out
 ROUNDOFF_FLOOR = 1e-14
+# series_deviation's default window end and step, which series-check uses
+SERIES_ETA_MAX, SERIES_STEP = 0.5, 1e-4
 # the first dropped term of the unit-shear series, C14 eta^14: 27897 / (16 * 14!)
 _C14 = 27897.0 / (16.0 * math.factorial(14))
 
@@ -190,7 +192,8 @@ def rubel_bound(table: SolutionTable) -> RubelBound:
     return RubelBound(M=M, fM_at_M=fM, fppM_at_M=fppM, bound=M * fppM / fM)
 
 
-def series_deviation(eta_max: float = 0.5, step: float = 1e-4) -> tuple[float, float]:
+def series_deviation(eta_max: float = SERIES_ETA_MAX,
+                     step: float = SERIES_STEP) -> tuple[float, float]:
     """Max series-versus-solve deviation on (0, eta_max] and fitted order.
 
     Integrates the star IVP of the classic problem, seeded with unit

@@ -7,17 +7,15 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, including
 running out of memory or overflowing a float.
 """
 
+import argparse
 import inspect
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
-import click
-
-from . import __version__, analysis, kernels, solvers
-from .errors import (BlowupError, NitmError, NoConvergenceError,
-                     ScalingBreakdownError)
+from . import __version__, kernels, solvers
+from .errors import BlowupError, NitmError, NoConvergenceError, ScalingBreakdownError
 from .solvers import NitmConfig
 
 HEADERS = ("star_param", "fp_inf_star", "lambda", "physical_param",
@@ -32,25 +30,26 @@ _CONFIG_KEYS = ("step", "boundaries", "lambda_tol", "sign", "format",
 # list is built: a sweep keeps every row, about 20 kB each at the default step
 MAX_RANGE_COUNT = 10**5
 
-# the library's own defaults, quoted in critical-b's and series-check's help
-_SCAN_DEFAULTS = inspect.signature(solvers.find_critical_b).parameters
-_SERIES_DEFAULTS = inspect.signature(analysis.series_deviation).parameters
+_PROFILED = ("blasius", "moving-wall", "slip", "gasification", "target")
+
+# find_critical_b's own defaults, which critical-b's help quotes
+_SCAN = inspect.signature(solvers.find_critical_b).parameters
 
 
 def _parse_float(text, name: str) -> float:
     try:
         value = float(text)
     except (TypeError, ValueError):
-        raise click.UsageError(f"{name} must be a number, got {text!r}")
+        raise ValueError(f"{name} must be a number, got {text!r}")
     if not math.isfinite(value):
-        raise click.UsageError(f"{name} must be finite, got {text!r}")
+        raise ValueError(f"{name} must be finite, got {text!r}")
     return value
 
 
 def _parse_boundaries(text) -> tuple[float, ...]:
     parts = [p for p in str(text).split(",") if p.strip()]
     if not parts:
-        raise click.UsageError("--boundaries needs at least one value")
+        raise ValueError("--boundaries needs at least one value")
     return tuple(_parse_float(p, "--boundaries") for p in parts)
 
 
@@ -60,37 +59,46 @@ def _parse_values(text) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise click.UsageError(f"range syntax is lo:hi:count, got {text!r}")
+            raise ValueError(f"range syntax is lo:hi:count, got {text!r}")
         lo = _parse_float(parts[0], "--values")
         hi = _parse_float(parts[1], "--values")
         try:
             count = int(parts[2])
         except ValueError:
-            raise click.UsageError(f"range count must be an integer, got {parts[2]!r}")
+            raise ValueError(f"range count must be an integer, got {parts[2]!r}")
         if count < 2 or hi <= lo:
-            raise click.UsageError(f"range needs lo < hi and count >= 2, got {text!r}")
+            raise ValueError(f"range needs lo < hi and count >= 2, got {text!r}")
         if count > MAX_RANGE_COUNT:
-            raise click.UsageError(f"range count must be at most {MAX_RANGE_COUNT}, "
-                                   f"got {count}")
+            raise ValueError(f"range count must be at most {MAX_RANGE_COUNT}, "
+                             f"got {count}")
         span = hi - lo
         return [lo + span * i / (count - 1) for i in range(count)]
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise click.UsageError("--values needs at least one value")
+        raise ValueError("--values needs at least one value")
     return [_parse_float(p, "--values") for p in parts]
+
+
+def _file(flag: str, path: str, text: str | None = None):
+    """Read path, or write text to it; an OSError names the flag that gave path."""
+    try:
+        with open(path, "r" if text is None else "w") as file:
+            return file.read() if text is None else file.write(text)
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror or exc}")
 
 
 def _load_config_file(path: str) -> dict:
     data = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _file("--config", path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise click.UsageError(f"config line {raw!r} is not key=value")
+            raise ValueError(f"config line {raw!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise click.UsageError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         data[key] = value
     return data
 
@@ -100,13 +108,13 @@ class Settings:
 
     Only turns strings into values. NitmConfig holds the solver
     defaults and checks the ranges, so only the values given reach it.
+    A --profile, by flag or config key, is refused unless the command
+    makes one solve.
     """
 
-    _FLAG_NAMES = {"format": "fmt"}
-
-    def __init__(self, file_cfg: dict, flags: dict):
+    def __init__(self, file_cfg: dict, args: argparse.Namespace):
         def pick(key):
-            flag = flags.get(self._FLAG_NAMES.get(key, key))
+            flag = getattr(args, "fmt" if key == "format" else key, None)
             return flag if flag is not None else file_cfg.get(key)
 
         self._given = {}
@@ -119,71 +127,22 @@ class Settings:
         sign = pick("sign")
         self.sign = 1.0 if sign is None else _parse_float(sign, "--sign")
         if self.sign not in (1.0, -1.0):
-            raise click.UsageError(f"--sign must be +1 or -1, got {sign!r}")
+            raise ValueError(f"--sign must be +1 or -1, got {sign!r}")
         fmt = pick("format")
         self.fmt = "table" if fmt is None else fmt
         if self.fmt not in _FORMATS:
-            raise click.UsageError(
-                f"--format must be one of {_FORMATS}, got {self.fmt!r}")
+            raise ValueError(f"--format must be one of {_FORMATS}, got {self.fmt!r}")
         self.out = pick("out")
         self.profile = pick("profile")
+        if self.profile and args.command not in _PROFILED:
+            raise ValueError(f"--profile applies to single solves, not {args.command}")
 
     def nitm_config(self, boundaries=None) -> NitmConfig:
         schedule = boundaries or self.boundaries
         kwargs = dict(self._given)
         if schedule is not None:
             kwargs["boundary_schedule"] = schedule
-        try:
-            return NitmConfig(**kwargs)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-
-
-def _options(*decorators):
-    """One decorator applying several click options in the order listed."""
-    def apply(fn):
-        for decorator in reversed(decorators):
-            fn = decorator(fn)
-        return fn
-    return apply
-
-
-# on every command that prints a report
-_report_options = _options(
-    click.option("--format", "fmt", default=None, type=click.Choice(_FORMATS),
-                 help="Output format (default table)."),
-    click.option("--out", default=None, type=click.Path(),
-                 help="Write the report here instead of stdout."),
-)
-
-# on every command that solves
-_grid_options = _options(
-    click.option("--step", default=None,
-                 help=f"Grid step (default {solvers.DEFAULT_CONFIG.step:g})."),
-    click.option("--boundaries", default=None,
-                 help="Comma-separated truncated-boundary schedule."),
-    click.option("--lambda-tol", "lambda_tol", default=None,
-                 help="Agreement tolerance on successive lambda values."),
-    _report_options,
-    click.option("--profile", default=None, type=click.Path(),
-                 help="Write the rescaled profile as CSV (eta,f,fp,fpp)."),
-)
-
-# on every command that solves, but critical-b, which has only the +1 branch
-_run_options = _options(
-    _grid_options,
-    click.option("--sign", default=None, help="Seeded f''*(0), +1 or -1."),
-)
-
-
-def _settings(ctx, **flags) -> Settings:
-    return Settings(ctx.obj or {}, flags)
-
-
-def _refuse_profile(st: Settings, command: str) -> None:
-    """Refuse --profile, flag or config key, where the report is not one solve."""
-    if st.profile:
-        raise click.UsageError(f"--profile applies to single solves, not {command}")
+        return NitmConfig(**kwargs)
 
 
 def _reason(exc: NitmError) -> str:
@@ -253,38 +212,24 @@ def _report(st: Settings, records: list, table_text: str | None = None,
     else:
         text = _render_table(records) if table_text is None else table_text
     if st.out:
-        Path(st.out).write_text(text + "\n")
+        _file("--out", st.out, text + "\n")
     else:
-        click.echo(text)
+        print(text, flush=True)
     if st.profile and result is not None:
         profile = result.table
         lines = ["eta,f,fp,fpp"] + [
             ",".join("%.17g" % v for v in row)
             for row in zip(profile.etas(), profile.f, profile.fp, profile.fpp)]
-        Path(st.profile).write_text("\n".join(lines) + "\n")
+        _file("--profile", st.profile, "\n".join(lines) + "\n")
 
 
-@click.group()
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
-              help="key=value defaults file; flags override it.")
-@click.pass_context
-def cli(ctx, config_path):
-    """Non-iterative transformation methods for boundary-layer problems."""
-    ctx.obj = _load_config_file(config_path) if config_path else {}
-
-
-@cli.command()
-@_run_options
-@click.pass_context
-def blasius(ctx, **flags):
+def blasius(st, args):
     """Classic Blasius via the Topfer transformation.
 
     With --boundaries, solves each listed boundary as fixed and reports
     its shear; otherwise walks the default schedule to lambda agreement
     and reports the shear at each boundary walked.
     """
-    st = _settings(ctx, **flags)
     spec = solvers.classic_problem(p=st.sign)
 
     report_lines = []
@@ -311,20 +256,10 @@ def blasius(ctx, **flags):
     return 0
 
 
-@cli.command()
-@_run_options
-@click.option("--problem", required=True,
-              type=click.Choice(solvers.PARAMETRIZED))
-@click.option("--values", "values_text", required=True,
-              help=f"Star values: comma list or lo:hi:count, count at most "
-                   f"{MAX_RANGE_COUNT}.")
-@click.pass_context
-def sweep(ctx, problem, values_text, **flags):
+def sweep(st, args):
     """Solve one row per star value, like the reference tables."""
-    st = _settings(ctx, **flags)
-    _refuse_profile(st, "sweeps")
-    values = _parse_values(values_text)
-    rows = solvers.sweep(problem, values, st.sign, st.nitm_config())
+    values = _parse_values(args.values)
+    rows = solvers.sweep(args.problem, values, st.sign, st.nitm_config())
     records = [{"star_param": star, "error": _reason(row)}
                if isinstance(row, NitmError) else _record(row)
                for star, row in zip(values, rows)]
@@ -332,119 +267,61 @@ def sweep(ctx, problem, values_text, **flags):
     return 0 if any("error" not in r for r in records) else 2
 
 
-def _single_solve(ctx, variant, star, flags):
-    st = _settings(ctx, **flags)
-    star_value = _parse_float(star, "star parameter")
-    res = solvers.solve_variant(variant, star_value, st.sign, st.nitm_config())
+def _single_solve(st, args):
+    """One solve of the variant the command names."""
+    star = _parse_float(args.star, "star parameter")
+    res = solvers.solve_variant(args.command, star, st.sign, st.nitm_config())
     _report(st, [_record(res)], result=res)
     return 0
 
 
-@cli.command("moving-wall")
-@_run_options
-@click.argument("b_star")
-@click.pass_context
-def moving_wall(ctx, b_star, **flags):
-    """Moving-wall solve for one b*."""
-    return _single_solve(ctx, "moving-wall", b_star, flags)
-
-
-@cli.command()
-@_run_options
-@click.argument("c_star")
-@click.pass_context
-def slip(ctx, c_star, **flags):
-    """Slip-flow solve for one c*."""
-    return _single_solve(ctx, "slip", c_star, flags)
-
-
-@cli.command()
-@_run_options
-@click.argument("s_star")
-@click.pass_context
-def gasification(ctx, s_star, **flags):
-    """Surface-gasification solve for one s*."""
-    return _single_solve(ctx, "gasification", s_star, flags)
-
-
-@cli.command("critical-b")
-@_grid_options
-@click.option("--scan-lo", type=float, default=None,
-              help=f"Most negative scanned b* (default {_SCAN_DEFAULTS['scan_lo'].default:g}).")
-@click.option("--scan-hi", type=float, default=None,
-              help=f"Least negative scanned b* (default {_SCAN_DEFAULTS['scan_hi'].default:g}).")
-@click.option("--scan-points", type=int, default=None,
-              help=f"Scan resolution (default {_SCAN_DEFAULTS['scan_points'].default}).")
-@click.option("--json", "as_json", is_flag=True, help="Shorthand for --format json.")
-@click.pass_context
-def critical_b(ctx, scan_lo, scan_hi, scan_points, as_json, **flags):
+def critical_b(st, args):
     """Most negative physical b on the plus branch."""
-    st = _settings(ctx, **flags)
-    _refuse_profile(st, "critical-b")
-    scan = {"scan_lo": scan_lo, "scan_hi": scan_hi, "scan_points": scan_points}
+    scan = {"scan_lo": args.scan_lo, "scan_hi": args.scan_hi,
+            "scan_points": args.scan_points}
     # flags left unset take find_critical_b's defaults
     result = solvers.find_critical_b(
         st.nitm_config(), **{k: v for k, v in scan.items() if v is not None})
-    if as_json:
+    if args.json:
         st.fmt = "json"
     _report(st, [{"b_c": result.b_c, "b_star": result.b_star}],
             f"b_c = {result.b_c:.6f}\nb_star = {result.b_star:.6f}")
     return 0
 
 
-@cli.command()
-@_run_options
-@click.option("--problem", required=True,
-              type=click.Choice(solvers.PARAMETRIZED))
-@click.option("--b", "b_target", default=None, help="Target moving-wall b.")
-@click.option("--c", "c_target", default=None, help="Target slip c.")
-@click.option("--s", "s_target", default=None, help="Target gasification s.")
-@click.option("--bracket", default=None, help="Star bracket as lo,hi.")
-@click.pass_context
-def target(ctx, problem, b_target, c_target, s_target, bracket, **flags):
+def target(st, args):
     """Find the star value whose physical parameter hits a target."""
-    st = _settings(ctx, **flags)
-    by_flag = {"moving-wall": b_target, "slip": c_target, "gasification": s_target}
-    given = [(k, v) for k, v in (("--b", b_target), ("--c", c_target),
-                                 ("--s", s_target)) if v is not None]
+    by_flag = {"moving-wall": args.b, "slip": args.c, "gasification": args.s}
+    given = [(k, v) for k, v in (("--b", args.b), ("--c", args.c),
+                                 ("--s", args.s)) if v is not None]
     if len(given) != 1:
-        raise click.UsageError("pass exactly one of --b, --c, --s")
-    if by_flag[problem] is None:
-        raise click.UsageError(
-            f"{given[0][0]} does not match --problem {problem}"
-        )
+        raise ValueError("pass exactly one of --b, --c, --s")
+    if by_flag[args.problem] is None:
+        raise ValueError(f"{given[0][0]} does not match --problem {args.problem}")
     target_value = _parse_float(given[0][1], given[0][0])
     bracket_pair = None
-    if bracket is not None:
-        parts = str(bracket).split(",")
+    if args.bracket is not None:
+        parts = args.bracket.split(",")
         if len(parts) != 2:
-            raise click.UsageError(f"--bracket must be lo,hi, got {bracket!r}")
+            raise ValueError(f"--bracket must be lo,hi, got {args.bracket!r}")
         bracket_pair = (_parse_float(parts[0], "--bracket"),
                         _parse_float(parts[1], "--bracket"))
-    res = solvers.find_star_for_target(problem, target_value, st.sign,
+    res = solvers.find_star_for_target(args.problem, target_value, st.sign,
                                        st.nitm_config(), bracket=bracket_pair)
     _report(st, [_record(res)], result=res)
     return 0
 
 
-@cli.command("series-check")
-@click.option("--eta-max", default=None,
-              help=f"Comparison window end (default {_SERIES_DEFAULTS['eta_max'].default:g}).")
-@click.option("--step", default=None,
-              help=f"Fine comparison step (default {_SERIES_DEFAULTS['step'].default:g}).")
-@_report_options
-@click.pass_context
-def series_check(ctx, eta_max, step, **flags):
+def series_check(st, args):
     """Compare the wall series against a fine star-IVP solve."""
-    st = _settings(ctx, **flags)
-    _refuse_profile(st, "series-check")
-    eta_max_value = (_SERIES_DEFAULTS["eta_max"].default if eta_max is None
-                     else _parse_float(eta_max, "--eta-max"))
-    step_value = (_SERIES_DEFAULTS["step"].default if step is None
-                  else _parse_float(step, "--step"))
-    if eta_max_value <= 0 or step_value <= 0 or eta_max_value < 10 * step_value:
-        raise click.UsageError("need 0 < step << eta-max")
-    deviation, order = analysis.series_deviation(eta_max_value, step_value)
+    from . import analysis
+    eta_max = (analysis.SERIES_ETA_MAX if args.eta_max is None
+               else _parse_float(args.eta_max, "--eta-max"))
+    step = (analysis.SERIES_STEP if args.step is None
+            else _parse_float(args.step, "--step"))
+    if eta_max <= 0 or step <= 0 or eta_max < 10 * step:
+        raise ValueError("need 0 < step << eta-max")
+    deviation, order = analysis.series_deviation(eta_max, step)
     ok = order >= 13.0
     _report(st, [{"max_deviation": deviation, "fitted_order": order, "order_ok": ok}],
             f"max deviation = {deviation:.3e}\n"
@@ -453,17 +330,12 @@ def series_check(ctx, eta_max, step, **flags):
     return 0 if ok else 2
 
 
-@cli.command()
-@click.option("--M", "m_value", required=True, help="Truncated boundary.")
-@_report_options
-@click.pass_context
-def rubel(ctx, m_value, **flags):
+def rubel(st, args):
     """Truncation error bound at M, validated against the 2M solution."""
-    st = _settings(ctx, **flags)
-    _refuse_profile(st, "rubel")
-    M = _parse_float(m_value, "--M")
+    from . import analysis
+    M = _parse_float(args.M, "--M")
     if M < 1.0:
-        raise click.UsageError(f"--M must be at least 1, got {M}")
+        raise ValueError(f"--M must be at least 1, got {M}")
     sol = analysis.truncated_solution(M)
     sol2 = analysis.truncated_solution(2.0 * M)
     bound = analysis.rubel_bound(sol.table)
@@ -483,40 +355,149 @@ def rubel(ctx, m_value, **flags):
     return 0 if valid else 2
 
 
-@cli.command()
-def info():
+def info(st, args):
     """Package version and the integration kernel in use, with why."""
-    click.echo(f"nitm {__version__}\n"
-               f"backend: {kernels.BACKEND}\n"
-               f"reason: {kernels.BACKEND_REASON}")
+    print(f"nitm {__version__}\n"
+          f"backend: {kernels.BACKEND}\n"
+          f"reason: {kernels.BACKEND_REASON}")
     return 0
+
+
+# name -> (handler(settings, parsed arguments) -> exit code, description)
+_COMMANDS = {name: (run, inspect.cleandoc(doc or run.__doc__)) for name, run, doc in (
+    ("blasius", blasius, None),
+    ("sweep", sweep, None),
+    ("moving-wall", _single_solve, "Moving-wall solve for one b*."),
+    ("slip", _single_solve, "Slip-flow solve for one c*."),
+    ("gasification", _single_solve, "Surface-gasification solve for one s*."),
+    ("critical-b", critical_b, None),
+    ("target", target, None),
+    ("series-check", series_check, None),
+    ("rubel", rubel, None),
+    ("info", info, None),
+)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1: exit code 2 is a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _join_values(argv: list) -> list:
+    """argv with each --option but the flags joined to the next word as --option=value.
+
+    argparse refuses a separate value starting with "-" unless it is a plain
+    number ("--values -1,0"). Before "--", a negative star value is refused.
+    """
+    out = []
+    words = iter(argv)
+    for word in words:
+        if word == "--":
+            return out + [word, *words]
+        if word.startswith("--"):
+            if "=" not in word and word not in ("--help", "--json"):
+                value = next(words, None)
+                word = word if value is None else f"{word}={value}"
+        elif word.startswith("-") and word not in ("-", "-h"):
+            raise ValueError(f"no such option {word!r}; a negative value goes after --")
+        out.append(word)
+    return out
+
+
+def _add_options(parser, command: str) -> None:
+    """Add the named command's options and arguments to its parser."""
+    solves = command not in ("series-check", "rubel", "info")
+    if solves:
+        step = solvers.DEFAULT_CONFIG.step
+        parser.add_argument("--step", help=f"Grid step (default {step:g}).")
+        parser.add_argument("--boundaries",
+                            help="Comma-separated truncated-boundary schedule.")
+        parser.add_argument("--lambda-tol",
+                            help="Agreement tolerance on successive lambda values.")
+        parser.add_argument("--profile",
+                            help="Write the rescaled profile as CSV (eta,f,fp,fpp).")
+        if command != "critical-b":    # critical-b has only the +1 branch
+            parser.add_argument("--sign", help="Seeded f''*(0), +1 or -1.")
+    if command != "info":
+        parser.add_argument("--format", dest="fmt", choices=_FORMATS,
+                            help="Output format (default table).")
+        parser.add_argument("--out", help="Write the report here instead of stdout.")
+    if command in ("sweep", "target"):
+        parser.add_argument("--problem", required=True, choices=solvers.PARAMETRIZED)
+    if command in solvers.PARAMETRIZED:
+        parser.add_argument("star", metavar="STAR")
+    # the help quotes the library's own defaults
+    if command == "sweep":
+        parser.add_argument("--values", required=True, help=(
+            f"Star values: comma list or lo:hi:count, count at most "
+            f"{MAX_RANGE_COUNT}."))
+    elif command == "critical-b":
+        parser.add_argument("--scan-lo", type=float, help=(
+            f"Most negative scanned b* (default {_SCAN['scan_lo'].default:g})."))
+        parser.add_argument("--scan-hi", type=float, help=(
+            f"Least negative scanned b* (default {_SCAN['scan_hi'].default:g})."))
+        parser.add_argument("--scan-points", type=int, help=(
+            f"Scan resolution (default {_SCAN['scan_points'].default})."))
+        parser.add_argument("--json", action="store_true",
+                            help="Shorthand for --format json.")
+    elif command == "target":
+        parser.add_argument("--b", help="Target moving-wall b.")
+        parser.add_argument("--c", help="Target slip c.")
+        parser.add_argument("--s", help="Target gasification s.")
+        parser.add_argument("--bracket", help="Star bracket as lo,hi.")
+    elif command == "series-check":
+        from . import analysis
+        parser.add_argument("--eta-max", help=(
+            f"Comparison window end (default {analysis.SERIES_ETA_MAX:g})."))
+        parser.add_argument("--step", help=(
+            f"Fine comparison step (default {analysis.SERIES_STEP:g})."))
+    elif command == "rubel":
+        parser.add_argument("--M", required=True, help="Truncated boundary.")
+
+
+def _parser(command) -> _Parser:
+    """The nitm parser: the named command's alone, or every command's for help."""
+    parser = _Parser(prog="nitm", allow_abbrev=False, description=(
+        "Non-iterative transformation methods for boundary-layer problems."))
+    parser.add_argument("--config", help="key=value defaults file; flags override it.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        doc = _COMMANDS[name][1]
+        _add_options(commands.add_parser(
+            name, help=doc.splitlines()[0], description=doc, allow_abbrev=False,
+            formatter_class=argparse.RawDescriptionHelpFormatter), name)
+    return parser
 
 
 def main(argv=None) -> int:
     """Entry point with the package's exit-code contract."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
+        argv = _join_values(sys.argv[1:] if argv is None else list(argv))
+        command = next((w for w in argv if not w.startswith("-")), None)
+        args = _parser(command).parse_args(argv)
+        cfg = _load_config_file(args.config) if args.config else {}
+        st = None if args.command == "info" else Settings(cfg, args)
+        return _COMMANDS[args.command][0](st, args)
+    except SystemExit as exc:     # --help, and usage errors from _Parser.error
+        return exc.code
+    except (BrokenPipeError, KeyboardInterrupt):
+        # the reader closed stdout, as `| head` does, or Ctrl-C: what is
+        # still buffered goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.Abort:
-        return 1
-    except NitmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
     except (MemoryError, OverflowError) as exc:
         # MemoryError often carries no message; the report stays one line
         name = type(exc).__name__
         detail = " ".join(str(exc).split())
-        click.echo(f"error: {name}: {detail}" if detail else f"error: {name}",
-                   err=True)
+        print(f"error: {name}: {detail}" if detail else f"error: {name}",
+              file=sys.stderr)
         return 2
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    return rv if isinstance(rv, int) else 0
+    except (NitmError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, NitmError) else 1
 
 
 if __name__ == "__main__":

@@ -334,11 +334,46 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     ("rubel", "--M", "0.5"),
     ("no-such-command",),
     ("critical-b", "--profile", "x.csv"),
+    # files that cannot be written or read, named by their flag
+    ("slip", "1.0", "--out", "/nonexistent/dir/x.txt"),
+    ("slip", "1.0", "--profile", "/nonexistent/p.csv"),
+    ("--config", "/nonexistent/run.cfg", "blasius"),
+    ("--config", ".", "blasius"),                # a directory
+    # the parser: no abbreviations, required options, choices and types
+    ("sweep", "--problem", "slip", "--val", "1,2"),
+    ("sweep", "--values", "1,2"),
+    ("sweep", "--problem", "slip", "--values", "1,2", "--format", "xml"),
+    ("critical-b", "--scan-points", "x"),
+    ("moving-wall", "-1.0"),                     # a negative star goes after --
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
-    assert err  # complaint goes to stderr
+    assert err.count("error:") == 1  # one complaint, on stderr
+    for flag in ("--out", "--profile", "--config"):
+        if flag in argv:
+            assert f"error: {flag} " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--problem", "moving-wall", "--values", "-1,0,0.5,2"),
+    ("target", "--problem", "moving-wall", "--b", "-0.5", "--bracket", "-5,-1.2323"),
+    ("target", "--problem", "moving-wall", "--b", "-1e-06"),
+    ("critical-b", "--scan-hi", "-1e-05"),
+    ("sweep", "--problem", "moving-wall", "--values=-1,0"),
+], ids=["values", "bracket", "b", "scan-hi", "values="])
+def test_option_values_may_start_with_a_minus(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["nitm", "sweep", "--problem", "moving-wall",
+                                      "--values", "-1,0", "--format", "json"])
+    assert main() == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -402,19 +437,24 @@ def test_value_counts_are_refused_before_anything_is_allocated(
 
 
 # each command, run in one fresh process after `import nitm` and a default
-# solve, then the reads that do need numpy: a table and a --profile
+# solve, then the reads that do need numpy: a table and a --profile. Each
+# step records which of the modules no solve needs are loaded by then.
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
+def loaded():
+    return [m for m in ("numpy", "click", "fractions", "nitm.analysis", "nitm.models")
+            if m in sys.modules]
 import nitm
+seen = [("import nitm", loaded())]
 res = nitm.solve_auxiliary(nitm.classic_problem())
-seen = [("import nitm and solve", "numpy" in sys.modules)]
+seen.append(("solve", loaded()))
 from nitm.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen.append((" ".join(argv), code, "numpy" in sys.modules))
+    seen.append((" ".join(argv), code, loaded()))
 fp_inf = res.table.fp[-1]
-seen.append(("table", fp_inf.hex(), "numpy" in sys.modules))
+seen.append(("table", fp_inf.hex(), loaded()))
 with contextlib.redirect_stdout(io.StringIO()):
     seen.append(("profile", main(["moving-wall", "1.0", "--profile", sys.argv[2]])))
 print(json.dumps(seen))
@@ -440,11 +480,11 @@ def test_solve_commands_never_import_numpy(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout)
-    assert seen[0] == ["import nitm and solve", False]
-    assert seen[1:-2] == [[" ".join(argv), 0, False] for argv in _NUMPY_FREE_COMMANDS]
+    assert seen[:2] == [["import nitm", []], ["solve", []]]
+    assert seen[2:-2] == [[" ".join(argv), 0, []] for argv in _NUMPY_FREE_COMMANDS]
     # the table still reads, with numpy now loaded, and bit for bit
     want = nitm.solve_auxiliary(nitm.classic_problem()).table.fp[-1]
-    assert seen[-2] == ["table", float(want).hex(), True]
+    assert seen[-2] == ["table", float(want).hex(), ["numpy"]]
     assert seen[-1] == ["profile", 0]
     assert profile.read_text().startswith("eta,f,fp,fpp\n0,0,")
 
@@ -488,10 +528,44 @@ def test_python_m_runs_the_cli():
     assert "backend:" in out.stdout
 
 
+_COMMAND_NAMES = ("blasius", "sweep", "moving-wall", "slip", "gasification",
+                  "critical-b", "target", "series-check", "rubel", "info")
+
+
+def test_closed_stdout_exits_one_quietly():
+    # a reader that stops early, as `nitm ... | head` does
+    env = dict(os.environ, PYTHONPATH=str(Path(nitm.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "nitm.cli", "slip", "1.0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
-    assert "blasius" in out
+    assert all(name in out for name in _COMMAND_NAMES)
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("command", (None,) + _COMMAND_NAMES)
+def test_help_on_the_group_and_each_command(capsys, command, flag):
+    argv = (flag,) if command is None else (command, flag)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert out.startswith(f"usage: nitm {command or ''}".rstrip())
+
+
+def test_every_public_name_resolves():
+    for name in nitm.__all__:
+        assert getattr(nitm, name) is not None
+    assert set(nitm.__all__) <= set(dir(nitm))
+    namespace = {}
+    exec("from nitm import *", namespace)
+    assert set(nitm.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("command, fn, names", [

@@ -2,9 +2,9 @@
 
 golden_cli.json holds, for each case below, the exit code, a sha256 of
 stdout and a sha256 of each file the command wrote (--profile and
---out). Stderr is not pinned, since click names the program there, and
-neither is `nitm info`, which prints a cache path. Record it again only
-when an output is meant to change:
+--out). Stderr is not pinned, since an error's wording is not part of
+the contract, only its exit code; neither is `nitm info`, which prints
+a cache path. Record it again only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """

@@ -1,4 +1,4 @@
-"""Scaling-group algebra: lambda recovery, rescaling, exponent systems."""
+"""Scaling-group algebra: lambda recovery, rescaling, and models' exponent systems."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,9 @@ from nitm import (BlasiusFamilyRhs, FalknerSkanRhs, GridConfig, State3,
                   blasius_exponent_system, falkner_skan_exponent_system,
                   integrate, numeric_invariance_check, solve_invariance_exponents)
 from nitm.errors import ScalingBreakdownError
+from nitm.models import ExponentSystem
 from nitm.ode import SolutionTable
-from nitm.scaling import (ExponentSystem, lambda_from_asymptote,
-                          lambda_moving_wall, map_parameter, rescale)
+from nitm.scaling import lambda_from_asymptote, lambda_moving_wall, map_parameter, rescale
 
 lam_values = st.floats(min_value=0.5, max_value=2.0)
 

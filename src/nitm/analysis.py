@@ -8,11 +8,12 @@ routes independent of the lambda-agreement machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from array import array
+from typing import TYPE_CHECKING, NamedTuple
 
+from . import kernels
 from .errors import check_real
-from .ode import MAX_NODES, GridConfig, SolutionTable, integrate
+from .ode import MAX_NODES, GridConfig, Record, SolutionTable, integrate
 from .scaling import rescale
 
 if TYPE_CHECKING:
@@ -31,10 +32,15 @@ _C14 = 27897.0 / (16.0 * math.factorial(14))
 NODES_PER_UNIT = 1000
 _TRUNCATION_TOL = 1e-12
 _TRUNCATION_MAX_ITER = 60
+# _crossing moves the Hermite root only when g there misses M^2 by more
+# than this, relatively. The pass at the root integrates on its own
+# step, which near the gate makes its miss 0.6-4e-14 of M^2 smaller
+# (seen over 3000 random M in [0.008, 0.5]), so a root whose pass lands
+# inside _TRUNCATION_TOL as it is keeps its bits.
+_CROSSING_GATE = 1.05e-12
 
 
-@dataclass(frozen=True)
-class BlasiusSeries:
+class BlasiusSeries(NamedTuple):
     """Wall expansion f = C2 eta^2 + C5 eta^5 + C8 eta^8 + C11 eta^11."""
 
     shear: float
@@ -81,8 +87,7 @@ def _fit_order(etas: np.ndarray, errs: np.ndarray,
     return float(slope)
 
 
-@dataclass(frozen=True)
-class RubelBound:
+class RubelBound(NamedTuple):
     """Computable truncation-error bound M * fpp_M(M) / f_M(M)."""
 
     M: float
@@ -91,13 +96,14 @@ class RubelBound:
     bound: float
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSolution:
+class TruncatedSolution(Record):
     """beta=1 problem solved on [0, M] with fp(M) = 1 enforced exactly."""
 
-    t_star: float
-    lam: float
-    table: SolutionTable
+    _fields = ("t_star", "lam", "table")
+    __slots__ = tuple("_" + name for name in _fields)
+
+    def __init__(self, t_star: float, lam: float, table: SolutionTable):
+        self._t_star, self._lam, self._table = t_star, lam, table
 
 
 def _crossing(star: SolutionTable, target: float) -> float:
@@ -107,7 +113,10 @@ def _crossing(star: SolutionTable, target: float) -> float:
     found by bisection since g increases along the table; its end slopes
     are g' = 2 eta* fp* + eta*^2 fpp*. The root is three Newton steps on
     the cubic from the chord's root, whose error, a thousandth of a step
-    or so, squares at each.
+    or so, squares at each. The cubic itself misses the table's
+    trajectory by up to a few 1e-9 of target on the coarsest grids: one
+    RK4 step of the beta = 1 ODE from the node below the root gives g
+    there, and past _CROSSING_GATE the root takes one Newton step on g.
     """
     step, fp, fpp = star.grid.step, star.fp, star.fpp
     lo, hi = 0, star.grid.nodes - 1
@@ -129,7 +138,19 @@ def _crossing(star: SolutionTable, target: float) -> float:
     for _ in range(3):
         s -= (g0 - target + s * (d0 + s * (c2 + s * c3))) / (
             d0 + s * (2.0 * c2 + 3.0 * s * c3))
-    return float(a + s * step)
+    t = float(a + s * step)
+    f1, fp1, fpp1 = (array("d", (float(x[lo]), 0.0)) for x in (star.f, fp, fpp))
+    # looked up at each call, so a kernel patched onto the module is used
+    kernels.fill_blasius_family(1.0, f1, fp1, fpp1, t - a, 0, 1)
+    miss = t * t * fp1[1] - target
+    if abs(miss) > _CROSSING_GATE * target:
+        t = _newton(t, miss, fp1[1], fpp1[1])
+    return t
+
+
+def _newton(t: float, miss: float, fp: float, fpp: float) -> float:
+    """t after one Newton step on g = t^2 fp*(t), which misses its target by miss."""
+    return t - miss / (t * (2.0 * fp + t * fpp))
 
 
 def truncated_solution(M: float) -> TruncatedSolution:
@@ -141,7 +162,9 @@ def truncated_solution(M: float) -> TruncatedSolution:
     steps, starting at t = 0.8 M. Short of M^2, t grows by
     sqrt(M^2/g(t)), which overshoots T because fp* increases; past it,
     the next t is where the Hermite fit of g between the bracketing
-    nodes reaches M^2. Two passes do for M >= 2.7, where T < 0.8 M.
+    nodes reaches M^2, and a pass there that still misses takes one
+    Newton step on g. Two passes do for M >= 2.7, where T < 0.8 M, and
+    three below.
     lambda = M/T then rescales the star table so the physical boundary
     lands on M with fp(M) = 1. The physical grid step is M/n, so
     solutions for M and 2M share their nodes on [0, M].
@@ -157,12 +180,21 @@ def truncated_solution(M: float) -> TruncatedSolution:
     target = M * M
 
     t = 0.8 * M
+    crossed = False
     for _ in range(_TRUNCATION_MAX_ITER):
         star = integrate(1.0, (0.0, 0.0, 1.0), GridConfig.of_nodes(n + 1, t / n))
         g = t * t * star.fp_inf
         if abs(g - target) <= _TRUNCATION_TOL * target:
             break
-        t = t * math.sqrt(target / g) if g < target else _crossing(star, target)
+        if crossed:
+            # a Hermite root left in _CROSSING_GATE that still misses: one
+            # Newton step on g from the end node
+            t = _newton(t, g - target, star.fp_inf, float(star.fpp[-1]))
+            crossed = False
+        elif g < target:
+            t = t * math.sqrt(target / g)
+        else:
+            t, crossed = _crossing(star, target), True
     else:
         raise ValueError(f"truncated boundary for M = {M} not matched in "
                          f"{_TRUNCATION_MAX_ITER} passes")

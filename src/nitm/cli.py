@@ -8,7 +8,6 @@ running out of memory or overflowing a float.
 """
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -31,9 +30,6 @@ _CONFIG_KEYS = ("step", "boundaries", "lambda_tol", "sign", "format",
 MAX_RANGE_COUNT = 10**5
 
 _PROFILED = ("blasius", "moving-wall", "slip", "gasification", "target")
-
-# find_critical_b's own defaults, which critical-b's help quotes
-_SCAN = inspect.signature(solvers.find_critical_b).parameters
 
 
 def _parse_float(text, name: str) -> float:
@@ -363,8 +359,13 @@ def info(st, args):
     return 0
 
 
+def _dedent(doc: str) -> str:
+    """A docstring with each line stripped: no command's holds an indented block."""
+    return "\n".join(line.strip() for line in doc.strip().splitlines())
+
+
 # name -> (handler(settings, parsed arguments) -> exit code, description)
-_COMMANDS = {name: (run, inspect.cleandoc(doc or run.__doc__)) for name, run, doc in (
+_COMMANDS = {name: (run, _dedent(doc or run.__doc__)) for name, run, doc in (
     ("blasius", blasius, None),
     ("sweep", sweep, None),
     ("moving-wall", _single_solve, "Moving-wall solve for one b*."),
@@ -436,11 +437,11 @@ def _add_options(parser, command: str) -> None:
             f"{MAX_RANGE_COUNT}."))
     elif command == "critical-b":
         parser.add_argument("--scan-lo", type=float, help=(
-            f"Most negative scanned b* (default {_SCAN['scan_lo'].default:g})."))
+            f"Most negative scanned b* (default {solvers.SCAN_LO:g})."))
         parser.add_argument("--scan-hi", type=float, help=(
-            f"Least negative scanned b* (default {_SCAN['scan_hi'].default:g})."))
+            f"Least negative scanned b* (default {solvers.SCAN_HI:g})."))
         parser.add_argument("--scan-points", type=int, help=(
-            f"Scan resolution (default {_SCAN['scan_points'].default})."))
+            f"Scan resolution (default {solvers.SCAN_POINTS})."))
         parser.add_argument("--json", action="store_true",
                             help="Shorthand for --format json.")
     elif command == "target":

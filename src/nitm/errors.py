@@ -1,17 +1,18 @@
 """Exception types shared across the package, and the type check of numeric inputs."""
 
-from numbers import Real
-
 
 def check_real(name: str, value) -> None:
     """Refuse a value that is not a real number with a TypeError naming it.
 
     Runs ahead of any arithmetic, which would otherwise fail with a bare
     TypeError that does not say which input was wrong. A float skips the
-    abstract-class check, which costs most of a microsecond.
+    abstract-class check, which costs most of a microsecond, and the
+    import of numbers, which a process that passes only floats never makes.
     """
-    if type(value) is not float and not isinstance(value, Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if type(value) is not float:
+        from numbers import Real
+        if not isinstance(value, Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 class NitmError(Exception):

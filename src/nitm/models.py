@@ -5,14 +5,13 @@ over the rationals. Topfer's group, which the solvers apply, is in scaling.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ode import State3
 
 
-@dataclass(frozen=True)
-class BlasiusFamilyRhs:
+class BlasiusFamilyRhs(NamedTuple("BlasiusFamilyRhs", [("beta", float)])):
     """f''' = -beta * f * f''.
 
     beta is 1/2 for the classic Blasius, moving-wall, and slip problems
@@ -20,32 +19,33 @@ class BlasiusFamilyRhs:
     as a field keeps the convention explicit per problem.
     """
 
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+    def __new__(cls, beta: float):
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"beta must be positive, got {beta}")
+        return tuple.__new__(cls, (beta,))
 
     def __call__(self, eta: float, s: State3) -> State3:
         return State3(s.fp, s.fpp, -self.beta * s.f * s.fpp)
 
 
-@dataclass(frozen=True)
-class FalknerSkanRhs:
+class FalknerSkanRhs(NamedTuple("FalknerSkanRhs", [("P", float)])):
     """f''' = -f f'' - P (1 - f'^2), P the pressure-gradient parameter."""
 
-    P: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.P):
-            raise ValueError(f"P must be finite, got {self.P}")
+    def __new__(cls, P: float):
+        if not math.isfinite(P):
+            raise ValueError(f"P must be finite, got {P}")
+        return tuple.__new__(cls, (P,))
 
     def __call__(self, eta: float, s: State3) -> State3:
         return State3(s.fp, s.fpp, -s.f * s.fpp - self.P * (1.0 - s.fp * s.fp))
 
 
-@dataclass(frozen=True)
-class ExponentSystem:
+class ExponentSystem(NamedTuple("ExponentSystem",
+                                 [("rows", tuple[tuple[Fraction, ...], ...])])):
     """Linear invariance conditions on the scaling exponents.
 
     Each row holds the coefficients of (alpha_1, ..., alpha_n) in one
@@ -53,22 +53,22 @@ class ExponentSystem:
     inhomogeneous system).
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rows:
+    def __new__(cls, rows: tuple[tuple[Fraction, ...], ...]):
+        if not rows:
             raise ValueError("system needs at least one condition row")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ValueError("condition rows must have equal width")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def unknowns(self) -> int:
         return len(self.rows[0])
 
 
-@dataclass(frozen=True)
-class InvarianceSolution:
+class InvarianceSolution(NamedTuple):
     """Null space of an ExponentSystem over the rationals."""
 
     nullity: int

@@ -9,7 +9,7 @@ keep the last node exactly on the requested boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
@@ -48,19 +48,18 @@ def node_index(eta: float, step: float, name: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple("GridConfig", [("eta_max", float), ("step", float)])):
     """Uniform grid on [0, eta_max] with eta_max an integer multiple of step."""
 
-    eta_max: float
-    step: float = DEFAULT_STEP
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_real("eta_max", self.eta_max)
-        check_real("step", self.step)
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
-        node_index(self.eta_max, self.step, "eta_max")
+    def __new__(cls, eta_max: float, step: float = DEFAULT_STEP):
+        check_real("eta_max", eta_max)
+        check_real("step", step)
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"step must be positive, got {step}")
+        node_index(eta_max, step, "eta_max")
+        return tuple.__new__(cls, (eta_max, step))
 
     @classmethod
     def of_nodes(cls, nodes: int, step: float) -> "GridConfig":
@@ -69,10 +68,7 @@ class GridConfig:
         eta_max = (nodes - 1) * step is a whole number of steps by
         construction; the caller makes sure that it is finite.
         """
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "eta_max", (nodes - 1) * step)
-        object.__setattr__(grid, "step", step)
-        return grid
+        return tuple.__new__(cls, ((nodes - 1) * step, step))
 
     @property
     def nodes(self) -> int:
@@ -84,14 +80,37 @@ class GridConfig:
         return np.arange(self.nodes) * self.step
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionTable:
+class Record:
+    """Base of the read-only records that compare by identity.
+
+    A subclass names its public fields in _fields, as a NamedTuple does,
+    and keeps each in the slot _<name>: the field reads through a
+    property with no setter, so assigning it raises AttributeError,
+    while construction is plain slot stores. repr shows the fields.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls._fields:
+            setattr(cls, name, property(attrgetter("_" + name)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class SolutionTable(Record):
     """Dense solution on a uniform grid, one row per node."""
 
-    grid: GridConfig
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
+    _fields = ("grid", "f", "fp", "fpp")
+    __slots__ = tuple("_" + name for name in _fields)
+
+    def __init__(self, grid: GridConfig, f: np.ndarray, fp: np.ndarray,
+                 fpp: np.ndarray):
+        self._grid, self._f, self._fp, self._fpp = grid, f, fp, fpp
 
     @property
     def fp_inf(self) -> float:

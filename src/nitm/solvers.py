@@ -9,7 +9,6 @@ boundaries and accept as soon as two successive lambda values agree.
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import kernels
@@ -17,7 +16,7 @@ from ._kernels_py import BLOWUP, NO_AGREEMENT, walk_member
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError, check_real)
-from .ode import DEFAULT_STEP, SolutionTable, State3, node_index
+from .ode import DEFAULT_STEP, Record, SolutionTable, State3, node_index
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
                       physical_values, rescale)
 
@@ -59,8 +58,9 @@ def _check_sign(variant: str, p: float) -> None:
                          f"{' or '.join(f'{s:+g}' for s in signs)}, got {p}")
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple("ProblemSpec", [("variant", str),
+                                              ("star_param", float | None),
+                                              ("p", float)])):
     """Auxiliary-IVP description for one solver variant.
 
     p seeds the star second derivative f''*(0); for the moving wall the
@@ -69,26 +69,24 @@ class ProblemSpec:
     values and signs are admissible; construction refuses the rest.
     """
 
-    variant: str
-    star_param: float | None
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        rules = VARIANTS.get(self.variant)
+    def __new__(cls, variant: str, star_param: float | None, p: float):
+        rules = VARIANTS.get(variant)
         if rules is None:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        _check_sign(self.variant, self.p)
-        star = self.star_param
-        if star is not None:
-            check_real("star_param", star)
+            raise ValueError(f"unknown variant {variant!r}")
+        _check_sign(variant, p)
+        if star_param is not None:
+            check_real("star_param", star_param)
         if rules.k is None:
-            if star is not None:
-                raise ValueError(f"variant {self.variant!r} takes no star_param")
-        elif star is None or not math.isfinite(star):
-            raise ValueError(f"star_param must be finite, got {star}")
-        elif star < rules.least_star:
-            raise ValueError(f"star_param of {self.variant} must be at least "
-                             f"{rules.least_star:g}, got {star}")
+            if star_param is not None:
+                raise ValueError(f"variant {variant!r} takes no star_param")
+        elif star_param is None or not math.isfinite(star_param):
+            raise ValueError(f"star_param must be finite, got {star_param}")
+        elif star_param < rules.least_star:
+            raise ValueError(f"star_param of {variant} must be at least "
+                             f"{rules.least_star:g}, got {star_param}")
+        return tuple.__new__(cls, (variant, star_param, p))
 
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
@@ -105,52 +103,63 @@ def initial_state(spec: ProblemSpec) -> State3:
     return VARIANTS[spec.variant].seed(spec.star_param, spec.p)
 
 
-@dataclass(frozen=True)
-class NitmConfig:
+class NitmConfig(NamedTuple("NitmConfig", [("step", float),
+                                            ("boundary_schedule", tuple[float, ...]),
+                                            ("lambda_tol", float),
+                                            ("stops", tuple[int, ...])])):
     """Grid step, candidate truncated boundaries, and agreement tolerance.
 
     A single-entry schedule skips the agreement test and accepts that
     boundary as given (used for fixed-boundary reports and the
     truncated-boundary analysis). stops holds the node index of each
     boundary, derived here, so a boundary off the grid is rejected on
-    construction.
+    construction; it is no argument, and repr leaves it out.
     """
 
-    step: float = DEFAULT_STEP
-    boundary_schedule: tuple[float, ...] = DEFAULT_SCHEDULE
-    lambda_tol: float = 1e-6
-    stops: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_real("step", self.step)
-        check_real("lambda_tol", self.lambda_tol)
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
+    def __new__(cls, step: float = DEFAULT_STEP,
+                boundary_schedule: tuple[float, ...] = DEFAULT_SCHEDULE,
+                lambda_tol: float = 1e-6):
+        check_real("step", step)
+        check_real("lambda_tol", lambda_tol)
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"step must be positive, got {step}")
         try:
-            sched = tuple(self.boundary_schedule)
+            sched = tuple(boundary_schedule)
         except TypeError:
             raise TypeError(f"boundary_schedule must be a sequence of numbers, "
-                            f"got {self.boundary_schedule!r}") from None
+                            f"got {boundary_schedule!r}") from None
         for b in sched:
             check_real("boundary", b)
         sched = tuple(map(float, sched))
         if not sched:
             raise ValueError("boundary schedule must be nonempty")
-        stops = tuple(node_index(b, self.step, "boundary") for b in sched)
+        stops = tuple(node_index(b, step, "boundary") for b in sched)
         if any(s2 <= s1 for s1, s2 in zip(stops, stops[1:])):
             raise ValueError(f"boundary schedule must be strictly increasing, "
                              f"got {sched}")
-        if not (math.isfinite(self.lambda_tol) and self.lambda_tol > 0.0):
-            raise ValueError(f"lambda_tol must be positive, got {self.lambda_tol}")
-        object.__setattr__(self, "boundary_schedule", sched)
-        object.__setattr__(self, "stops", stops)
+        if not (math.isfinite(lambda_tol) and lambda_tol > 0.0):
+            raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
+        return tuple.__new__(cls, (step, sched, lambda_tol, stops))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild a config from its three arguments
+        return self[:3]
+
+    def _replace(self, **changes) -> "NitmConfig":
+        # through __new__, so stops follows a new step or schedule
+        return NitmConfig(**{**dict(zip(self._fields[:3], self)), **changes})
+
+    def __repr__(self) -> str:
+        return (f"NitmConfig(step={self.step!r}, boundary_schedule="
+                f"{self.boundary_schedule!r}, lambda_tol={self.lambda_tol!r})")
 
 
 DEFAULT_CONFIG = NitmConfig()
 
 
-@dataclass(frozen=True, eq=False)
-class NitmResult:
+class NitmResult(Record):
     """One non-ITM solve: group parameter, wall values, and rescaled table.
 
     lambdas holds the lambda recovered at each boundary walked, in
@@ -160,16 +169,24 @@ class NitmResult:
     is first read; that read rescales them and drops them.
     """
 
-    lam: float
-    lambdas: tuple[float, ...]
-    eta_inf_star: float
-    fp_inf_star: float
-    star_param: float | None
-    physical_param: float | None
-    f0: float
-    fp0: float
-    fpp0: float
-    _star: tuple | None = field(repr=False)
+    _fields = ("lam", "lambdas", "eta_inf_star", "fp_inf_star", "star_param",
+               "physical_param", "f0", "fp0", "fpp0")
+    __slots__ = (*("_" + name for name in _fields), "_star", "_table")
+
+    def __init__(self, lam: float, lambdas: tuple[float, ...], eta_inf_star: float,
+                 fp_inf_star: float, star_param: float | None,
+                 physical_param: float | None, f0: float, fp0: float, fpp0: float,
+                 _star: tuple | None):
+        self._lam = lam
+        self._lambdas = lambdas
+        self._eta_inf_star = eta_inf_star
+        self._fp_inf_star = fp_inf_star
+        self._star_param = star_param
+        self._physical_param = physical_param
+        self._f0 = f0
+        self._fp0 = fp0
+        self._fpp0 = fpp0
+        self._star = _star
 
     @property
     def table(self) -> SolutionTable:
@@ -184,8 +201,8 @@ class NitmResult:
         table = rescale(step, np.frombuffer(f), np.frombuffer(fp),
                         np.frombuffer(fpp), self.lam)
         # the table before _star goes: a concurrent first read finds one of them
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_star", None)
+        self._table = table
+        self._star = None
         return table
 
 
@@ -275,19 +292,11 @@ def _row(spec: ProblemSpec, cfg: NitmConfig, start: State3, outcome: int,
         return NoConvergenceError(lambdas)
     lam = lambdas[-1]
     k = VARIANTS[spec.variant].k
-    f0, fp0, fpp0 = physical_values(lam, *start)
-    return NitmResult(
-        lam=lam,
-        lambdas=tuple(lambdas),
-        eta_inf_star=cfg.boundary_schedule[len(lambdas) - 1],
-        fp_inf_star=fps[-1],
-        star_param=spec.star_param,
-        physical_param=None if k is None else map_parameter(spec.star_param, lam, k),
-        f0=f0,
-        fp0=fp0,
-        fpp0=fpp0,
-        _star=(cfg.step, *buffers),
-    )
+    physical = None if k is None else map_parameter(spec.star_param, lam, k)
+    # positional, in field order: keywords would cost a sweep row 0.5 us
+    return NitmResult(lam, tuple(lambdas), cfg.boundary_schedule[len(lambdas) - 1],
+                      fps[-1], spec.star_param, physical,
+                      *physical_values(lam, *start), (cfg.step, *buffers))
 
 
 def solve_moving_wall(b_star: float, sign: float = 1.0,
@@ -337,6 +346,8 @@ def sweep(variant: str, star_values, sign: float = 1.0,
 # most points one scan of find_critical_b takes, checked before its
 # grid is built; each point is a solve
 MAX_SCAN_POINTS = 10**6
+# find_critical_b's default scan, which critical-b's help quotes
+SCAN_LO, SCAN_HI, SCAN_POINTS = -5.0, -1e-3, 10
 
 # find_critical_b's minimiser stops once its b* bracket is this narrow,
 # plus Brent's relative term _SQRT_EPS |b*|, which keeps every step wider
@@ -409,8 +420,8 @@ def _brent_minimum(func: Callable[[float], float], lo: float, hi: float,
 
 
 def find_critical_b(config: NitmConfig | None = None,
-                    scan_lo: float = -5.0, scan_hi: float = -1e-3,
-                    scan_points: int = 10) -> CriticalB:
+                    scan_lo: float = SCAN_LO, scan_hi: float = SCAN_HI,
+                    scan_points: int = SCAN_POINTS) -> CriticalB:
     """Most negative physical b reachable on the plus branch.
 
     Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,

@@ -141,6 +141,48 @@ def test_truncated_solution_takes_at_most_three_passes_below(monkeypatch, M):
     assert len(calls) <= 3
 
 
+# every M in [0.01, 0.335] on a 0.005 grid: before the Hermite root was
+# checked by one RK4 step, 41 of these took 4 or 5 passes
+_SMALL_M = [round(0.01 + 0.005 * i, 3) for i in range(66)]
+
+
+def test_truncated_solution_takes_at_most_three_passes_for_small_m(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    passes = {}
+    for M in _SMALL_M:
+        calls.clear()
+        truncated_solution(M)
+        passes[M] = len(calls)
+    assert max(passes.values()) == 3, passes
+
+
+def test_a_hermite_root_left_uncorrected_ends_in_one_newton_pass(monkeypatch):
+    # with the one-step check off, a pass at the Hermite root that misses
+    # takes a Newton step from its end node, and the next pass meets the gate
+    monkeypatch.setattr(analysis, "_CROSSING_GATE", math.inf)
+    calls = _count_integrations(monkeypatch)
+    for M in _SMALL_M:
+        calls.clear()
+        sol = truncated_solution(M)
+        assert len(calls) <= 4
+        # fp(M) = T^2 fp*(T) / M^2, up to the rescale's rounding
+        assert sol.table.fp_inf == pytest.approx(1.0, rel=0.0, abs=1.01e-12)
+
+
+# t_star of M that took at most three passes before the one-step check
+# of the Hermite root, recorded then: a root whose pass met the gate as
+# it was is not moved (0.209683 met it by 2e-15 relative)
+_T_STAR_BITS = {0.045: "0x1.031c1c00bfa37p-3", 0.2: "0x1.5e65d3d9f0a1ap-2",
+                0.209683: "0x1.69a355c381de8p-2", 0.3: "0x1.cb78688e754f0p-2",
+                0.335: "0x1.eeb2e43979bfbp-2", 1.0: "0x1.039d738681e1ap+0",
+                2.0: "0x1.ae5261d4c50c0p+0"}
+
+
+@pytest.mark.parametrize("M", sorted(_T_STAR_BITS))
+def test_truncated_solution_keeps_the_bits_of_three_pass_m(M):
+    assert truncated_solution(M).t_star.hex() == _T_STAR_BITS[M]
+
+
 # t_star of the secant iteration this solve replaced, on the same grids
 _SECANT_T_STAR = {3.0: 2.365346283454826, 4.0: 3.1125348476658585,
                   5.0: 3.8865114212603844, 6.0: 4.6636659098441555}

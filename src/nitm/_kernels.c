@@ -1,12 +1,13 @@
 /* Compiled integration kernel for the Blasius family.
  *
  * Twin of nitm._kernels_py; see that module for the contract. The RK4
- * step below is the same sequence of operations in the same order, and
- * it must be compiled with -ffp-contract=off and without -ffast-math
- * (no fused multiply-add, no reassociation) so that the two kernels
- * agree bit for bit. The batched walk advances up to LANES members per
- * step side by side; each lane runs the same operations as fill, so
- * vectorising across lanes changes no bit.
+ * step in fill_lanes is the same sequence of operations in the same
+ * order as the pure fill, and it must be compiled with -ffp-contract=off
+ * and without -ffast-math (no fused multiply-add, no reassociation) so
+ * that the two kernels agree bit for bit. fill_lanes is the only RK4
+ * loop here: fill_blasius_family runs it with one lane, and the batched
+ * walk with up to LANES members side by side. Every lane runs the same
+ * operations, so vectorising across lanes changes no bit.
  *
  * Built by setup.py as the extension nitm._kernels, or on first import
  * by nitm.kernels into the package's __pycache__.
@@ -25,59 +26,12 @@
 /* outcomes of a member of the batched walk, as in nitm._kernels_py */
 enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
 
-static Py_ssize_t
-fill(double beta, double *f, double *fp, double *fpp, double h,
-     Py_ssize_t start, Py_ssize_t stop)
-{
-    const double mb = -beta;
-    const double h2 = 0.5 * h;
-    const double h6 = h / 6.0;
-    double cf = f[start], cp = fp[start], cq = fpp[start];
-    double k1f, k1p, k1q, k2f, k2p, k2q, k3f, k3p, k3q, k4f, k4p, k4q;
-    double tf, tp, tq;
-    Py_ssize_t i;
-
-    for (i = start; i < stop; i++) {
-        k1f = cp;
-        k1p = cq;
-        k1q = mb * cf * cq;
-        tf = cf + h2 * k1f;
-        tp = cp + h2 * k1p;
-        tq = cq + h2 * k1q;
-        k2f = tp;
-        k2p = tq;
-        k2q = mb * tf * tq;
-        tf = cf + h2 * k2f;
-        tp = cp + h2 * k2p;
-        tq = cq + h2 * k2q;
-        k3f = tp;
-        k3p = tq;
-        k3q = mb * tf * tq;
-        tf = cf + h * k3f;
-        tp = cp + h * k3p;
-        tq = cq + h * k3q;
-        k4f = tp;
-        k4p = tq;
-        k4q = mb * tf * tq;
-        cf = cf + h6 * (k1f + 2.0 * (k2f + k3f) + k4f);
-        cp = cp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p);
-        cq = cq + h6 * (k1q + 2.0 * (k2q + k3q) + k4q);
-        /* NaN fails every comparison, so it counts as a blow-up */
-        if (!(fabs(cf) <= BLOWUP_LIMIT && fabs(cp) <= BLOWUP_LIMIT
-              && fabs(cq) <= BLOWUP_LIMIT))
-            return i + 1;
-        f[i + 1] = cf;
-        fp[i + 1] = cp;
-        fpp[i + 1] = cq;
-    }
-    return -1;
-}
-
 /* Advance n <= LANES members from node start through node stop in
  * lockstep. f[m], fp[m] and fpp[m] are member m's buffers; node start
- * must be filled. bad[m] becomes the first node at which member m left
- * [-BLOWUP_LIMIT, BLOWUP_LIMIT], as fill reports it, and that member's
- * nodes from there on are not written; it stays -1 otherwise. */
+ * must be filled. bad[m] becomes the first node at which member m's
+ * state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as outside), and
+ * that member's nodes from there on are not written; it stays -1
+ * otherwise. */
 static void
 fill_lanes(double beta, double h, int n, double **f, double **fp,
            double **fpp, Py_ssize_t start, Py_ssize_t stop, Py_ssize_t *bad)
@@ -85,16 +39,10 @@ fill_lanes(double beta, double h, int n, double **f, double **fp,
     const double mb = -beta;
     const double h2 = 0.5 * h;
     const double h6 = h / 6.0;
-    /* idle lanes hold the zero state, which every step keeps at zero */
-    double cf[LANES] = {0.0}, cp[LANES] = {0.0}, cq[LANES] = {0.0};
+    double cf[LANES], cp[LANES], cq[LANES];
     int live = n, m;
     Py_ssize_t i;
 
-    /* a lone member is faster without the idle lanes */
-    if (n == 1) {
-        bad[0] = fill(beta, f[0], fp[0], fpp[0], h, start, stop);
-        return;
-    }
     for (m = 0; m < n; m++) {
         cf[m] = f[m][start];
         cp[m] = fp[m][start];
@@ -102,7 +50,7 @@ fill_lanes(double beta, double h, int n, double **f, double **fp,
         bad[m] = -1;
     }
     for (i = start; i < stop && live > 0; i++) {
-        for (m = 0; m < LANES; m++) {
+        for (m = 0; m < n; m++) {
             double k1f, k1p, k1q, k2f, k2p, k2q, k3f, k3p, k3q, k4f, k4p, k4q;
             double tf, tp, tq;
             k1f = cp[m];
@@ -136,6 +84,8 @@ fill_lanes(double beta, double h, int n, double **f, double **fp,
             if (!(fabs(cf[m]) <= BLOWUP_LIMIT && fabs(cp[m]) <= BLOWUP_LIMIT
                   && fabs(cq[m]) <= BLOWUP_LIMIT)) {
                 bad[m] = i + 1;
+                /* it steps on until the block ends, from the zero
+                 * state, which every step keeps at zero */
                 cf[m] = cp[m] = cq[m] = 0.0;
                 live--;
                 continue;
@@ -168,10 +118,10 @@ static PyObject *
 fill_blasius_family(PyObject *self, PyObject *args)
 {
     static const char *names[3] = {"f", "fp", "fpp"};
-    double beta, h;
+    double beta, h, *f, *fp, *fpp;
     PyObject *objs[3], *result = NULL;
     Py_buffer views[3];
-    Py_ssize_t start, stop;
+    Py_ssize_t start, stop, bad;
     int k, acquired;
 
     if (!PyArg_ParseTuple(args, "dOOOdnn:fill_blasius_family", &beta,
@@ -187,8 +137,11 @@ fill_blasius_family(PyObject *self, PyObject *args)
                          start, stop, names[k], views[k].shape[0]);
             goto done;
         }
-    result = PyLong_FromSsize_t(fill(beta, views[0].buf, views[1].buf,
-                                     views[2].buf, h, start, stop));
+    f = views[0].buf;
+    fp = views[1].buf;
+    fpp = views[2].buf;
+    fill_lanes(beta, h, 1, &f, &fp, &fpp, start, stop, &bad);
+    result = PyLong_FromSsize_t(bad);
 done:
     for (k = 0; k < acquired; k++)
         PyBuffer_Release(&views[k]);

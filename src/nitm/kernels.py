@@ -18,8 +18,6 @@ import zlib
 
 from . import _kernels_py
 
-BLOWUP_LIMIT = _kernels_py.BLOWUP_LIMIT
-
 # The same flags as in setup.py. -ffp-contract=off forbids fused
 # multiply-add, which would break bit-identity with the pure kernel.
 CFLAGS = ("-O3", "-ffp-contract=off")

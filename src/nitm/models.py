@@ -8,10 +8,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ode import State3
+from .ode import Checked, State3
 
 
-class BlasiusFamilyRhs(NamedTuple("BlasiusFamilyRhs", [("beta", float)])):
+class BlasiusFamilyRhs(Checked, NamedTuple("BlasiusFamilyRhs", [("beta", float)])):
     """f''' = -beta * f * f''.
 
     beta is 1/2 for the classic Blasius, moving-wall, and slip problems
@@ -30,7 +30,7 @@ class BlasiusFamilyRhs(NamedTuple("BlasiusFamilyRhs", [("beta", float)])):
         return State3(s.fp, s.fpp, -self.beta * s.f * s.fpp)
 
 
-class FalknerSkanRhs(NamedTuple("FalknerSkanRhs", [("P", float)])):
+class FalknerSkanRhs(Checked, NamedTuple("FalknerSkanRhs", [("P", float)])):
     """f''' = -f f'' - P (1 - f'^2), P the pressure-gradient parameter."""
 
     __slots__ = ()
@@ -44,8 +44,8 @@ class FalknerSkanRhs(NamedTuple("FalknerSkanRhs", [("P", float)])):
         return State3(s.fp, s.fpp, -s.f * s.fpp - self.P * (1.0 - s.fp * s.fp))
 
 
-class ExponentSystem(NamedTuple("ExponentSystem",
-                                 [("rows", tuple[tuple[Fraction, ...], ...])])):
+class ExponentSystem(Checked, NamedTuple("ExponentSystem", [
+        ("rows", tuple[tuple[Fraction, ...], ...])])):
     """Linear invariance conditions on the scaling exponents.
 
     Each row holds the coefficients of (alpha_1, ..., alpha_n) in one

@@ -48,7 +48,23 @@ def node_index(eta: float, step: float, name: str) -> int:
     return n
 
 
-class GridConfig(NamedTuple("GridConfig", [("eta_max", float), ("step", float)])):
+class Checked:
+    """Base, before the NamedTuple, of a value type whose __new__ checks it.
+
+    The NamedTuple's own _make copies its fields in unchecked, and its
+    _replace goes through _make; this _make calls the constructor, so
+    both run the same checks as construction.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class GridConfig(Checked, NamedTuple("GridConfig", [("eta_max", float),
+                                                    ("step", float)])):
     """Uniform grid on [0, eta_max] with eta_max an integer multiple of step."""
 
     __slots__ = ()

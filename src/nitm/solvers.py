@@ -16,7 +16,8 @@ from ._kernels_py import BLOWUP, NO_AGREEMENT, walk_member
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError, check_real)
-from .ode import DEFAULT_STEP, Record, SolutionTable, State3, node_index
+from .ode import (DEFAULT_STEP, Checked, Record, SolutionTable, State3,
+                  node_index)
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
                       physical_values, rescale)
 
@@ -58,9 +59,8 @@ def _check_sign(variant: str, p: float) -> None:
                          f"{' or '.join(f'{s:+g}' for s in signs)}, got {p}")
 
 
-class ProblemSpec(NamedTuple("ProblemSpec", [("variant", str),
-                                              ("star_param", float | None),
-                                              ("p", float)])):
+class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
+        ("variant", str), ("star_param", float | None), ("p", float)])):
     """Auxiliary-IVP description for one solver variant.
 
     p seeds the star second derivative f''*(0); for the moving wall the
@@ -110,10 +110,10 @@ class NitmConfig(NamedTuple("NitmConfig", [("step", float),
     """Grid step, candidate truncated boundaries, and agreement tolerance.
 
     A single-entry schedule skips the agreement test and accepts that
-    boundary as given (used for fixed-boundary reports and the
-    truncated-boundary analysis). stops holds the node index of each
-    boundary, derived here, so a boundary off the grid is rejected on
-    construction; it is no argument, and repr leaves it out.
+    boundary as given (used for fixed-boundary reports). stops holds
+    the node index of each boundary, derived here, so a boundary off the
+    grid is rejected on construction; it is no argument, and repr leaves
+    it out.
     """
 
     __slots__ = ()
@@ -146,6 +146,12 @@ class NitmConfig(NamedTuple("NitmConfig", [("step", float),
     def __getnewargs__(self):
         # pickle and copy rebuild a config from its three arguments
         return self[:3]
+
+    @classmethod
+    def _make(cls, iterable) -> "NitmConfig":
+        # the four fields; stops is derived again, never taken as given
+        step, boundary_schedule, lambda_tol, _stops = iterable
+        return cls(step, boundary_schedule, lambda_tol)
 
     def _replace(self, **changes) -> "NitmConfig":
         # through __new__, so stops follows a new step or schedule

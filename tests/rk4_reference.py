@@ -2,10 +2,9 @@
 
 from typing import Callable
 
-from nitm import State3, kernels
+from nitm import State3
+from nitm._kernels_py import BLOWUP_LIMIT
 from nitm.errors import BlowupError
-
-BLOWUP_LIMIT = kernels.BLOWUP_LIMIT
 
 Rhs = Callable[[float, State3], tuple]
 

@@ -1,6 +1,7 @@
 """Backend selection, the kernel loader, the compiled kernel's argument
 checks and bit-identity of the two kernels' fills and batched walks."""
 
+import ast
 import importlib.machinery
 import math
 import os
@@ -97,6 +98,40 @@ def test_blowup_index_and_prefix_agree():
         assert np.isnan(compiled[bad_c]) and np.isnan(pure[bad_p])
         assert np.all(np.isfinite(compiled[:bad_c]))
         assert np.array_equal(compiled[:bad_c], pure[:bad_p])
+
+
+# a NaN with a payload of its own, so that a node is "unchanged" only
+# if its bits are
+_SENTINEL = np.array([0x7FF8DEAD0000BEEF], dtype=np.uint64).view(np.float64)[0]
+
+
+def _run_sub_fill(module, beta, state, h, start, stop, nodes):
+    f, fp, fpp = (np.full(nodes, _SENTINEL) for _ in range(3))
+    f[start], fp[start], fpp[start] = state
+    bad = module.fill_blasius_family(beta, f, fp, fpp, h, start, stop)
+    return bad, [a.view(np.uint64) for a in (f, fp, fpp)]
+
+
+@needs_compiled
+@pytest.mark.parametrize("beta, state, h, start, stop, nodes, bad", [
+    (0.5, (0.3, 0.2, 0.4), 0.01, 300, 500, 700, -1),    # mid-buffer
+    (1.0, (-0.5, 0.1, 1.0), 0.05, 1, 2, 6, -1),         # one step
+    (0.5, (1.0, 1.0, -0.1), 0.01, 7, 7, 10, -1),        # no step
+    (0.5, (0.0, 0.0, 1.0), 0.1, 40, 99, 100, -1),       # to the last node
+    (0.5, (0.0, 0.0, 1e12), 1.0, 5, 9, 12, 6),          # blows up at once
+])
+def test_fill_of_a_sub_range_writes_only_that_range(beta, state, h, start,
+                                                     stop, nodes, bad):
+    bad_c, arrays_c = _run_sub_fill(_kernels_c, beta, state, h, start, stop, nodes)
+    bad_p, arrays_p = _run_sub_fill(_kernels_py, beta, state, h, start, stop, nodes)
+    assert bad_c == bad_p == bad
+    sentinel = _SENTINEL.view(np.uint64)
+    written = stop if bad_c < 0 else bad_c - 1
+    for compiled, pure, initial in zip(arrays_c, arrays_p, state):
+        assert np.all(compiled[:start] == sentinel)
+        assert compiled[start] == np.float64(initial).view(np.uint64)
+        assert np.all(compiled[written + 1:] == sentinel)
+        assert np.array_equal(compiled, pure)
 
 
 _FINITE = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e13, 1e13))
@@ -227,6 +262,16 @@ def test_compiled_walk_rejects_bad_arguments_by_name(name, value):
     args = dict(_GOOD_WALK, **{name: value})
     with pytest.raises((ValueError, TypeError, IndexError), match=rf"^{name}\b"):
         _kernels_c.walk_blasius_family(*args.values())
+
+
+def test_setup_py_compiles_with_the_loader_flags():
+    # setup.py's extension and the loader's cache build must agree on
+    # -ffp-contract=off, which bit identity with the pure kernel rests on
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "setup.py").read_text())
+    args = [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "extra_compile_args"]
+    assert len(args) == 1
+    assert tuple(ast.literal_eval(args[0])) == kernels.CFLAGS
 
 
 def _package_copy(tmp_path):

@@ -176,3 +176,45 @@ def test_nitm_config_derives_stops_and_takes_none():
 def test_model_types_validate_on_construction(build):
     with pytest.raises(ValueError):
         build()
+
+
+_NAN = float("nan")
+
+
+# (valid value, fields _make refuses, a change _replace refuses) per type
+_CHECKED = {
+    "GridConfig": (GridConfig(4.0), (4.0, 0.03), {"step": 0.03}),
+    "ProblemSpec": (solvers.ProblemSpec("slip", 1.0, 1.0), ("nope", 1.0, 1.0),
+                    {"star_param": _NAN}),
+    "NitmConfig": (solvers.NitmConfig(), (0.01, (4.0,), -1.0, (400,)),
+                   {"boundary_schedule": (6.0, 4.0)}),
+    "BlasiusFamilyRhs": (models.BlasiusFamilyRhs(0.5), (-1.0,), {"beta": 0.0}),
+    "FalknerSkanRhs": (models.FalknerSkanRhs(0.25), (_NAN,), {"P": float("inf")}),
+    "ExponentSystem": (models.ExponentSystem(rows=((Fraction(1), Fraction(2)),)),
+                       (((Fraction(1),), (Fraction(1), Fraction(2))),),
+                       {"rows": ()}),
+}
+
+
+@pytest.mark.parametrize("name", _CHECKED)
+def test_make_runs_the_constructor_checks(name):
+    value, refused, _ = _CHECKED[name]
+    assert type(value)._make(tuple(value)) == value
+    with pytest.raises(ValueError):
+        type(value)._make(refused)
+
+
+@pytest.mark.parametrize("name", _CHECKED)
+def test_replace_runs_the_constructor_checks(name):
+    value, _, refused = _CHECKED[name]
+    assert value._replace() == value
+    with pytest.raises(ValueError):
+        value._replace(**refused)
+
+
+def test_nitm_config_make_derives_stops_again():
+    config = solvers.NitmConfig._make((0.5, (4, 6), 1e-6, (999, 1000)))
+    assert config.stops == (8, 12)
+    assert config == solvers.NitmConfig(0.5, (4, 6))
+    with pytest.raises(ValueError):
+        solvers.NitmConfig._make((0.5, (4, 6), 1e-6))

@@ -23,9 +23,9 @@ from .solvers import (DEFAULT_SCHEDULE, CriticalB, NitmConfig, NitmResult,
 __version__ = "0.1.0"
 
 _LAZY = {
-    "analysis": ("BlasiusSeries", "RubelBound", "TruncatedSolution", "rubel_bound",
-                 "series_coefficients", "series_deviation", "series_eval",
-                 "truncated_solution"),
+    "analysis": ("BlasiusSeries", "RubelBound", "RubelCheck", "TruncatedSolution",
+                 "rubel_bound", "rubel_check", "series_coefficients",
+                 "series_deviation", "series_eval", "truncated_solution"),
     "models": ("BlasiusFamilyRhs", "ExponentSystem", "FalknerSkanRhs",
                "InvarianceSolution", "blasius_exponent_system",
                "falkner_skan_exponent_system", "numeric_invariance_check",

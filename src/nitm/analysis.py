@@ -12,9 +12,10 @@ from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
-from .errors import check_real
-from .ode import MAX_NODES, GridConfig, Record, SolutionTable, integrate
-from .scaling import rescale
+from .errors import BlowupError, check_real
+from .ode import (MAX_NODES, GridConfig, Record, SolutionTable, StarTableRecord,
+                  integrate)
+from .scaling import physical_values, rescale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,30 +97,59 @@ class RubelBound(NamedTuple):
     bound: float
 
 
-class TruncatedSolution(Record):
-    """beta=1 problem solved on [0, M] with fp(M) = 1 enforced exactly."""
+class TruncatedSolution(StarTableRecord):
+    """beta=1 problem solved on [0, M] with fp(M) = 1 enforced exactly.
+
+    truncated_solution builds it with the star step and its last pass's
+    f, fp and fpp buffers in _star, so table is rescaled from them on
+    first read and kept; a table given to the constructor is kept as is.
+    """
 
     _fields = ("t_star", "lam", "table")
+    __slots__ = ("_t_star", "_lam")
+
+    def __init__(self, t_star: float, lam: float, table: SolutionTable | None = None,
+                 _star: tuple | None = None):
+        self._t_star, self._lam, self._table, self._star = t_star, lam, table, _star
+
+    @property
+    def table(self) -> SolutionTable:
+        """The physical table on [0, M], rescaled on first read and kept."""
+        # rescale is looked up here, so a wrapper patched onto the module is used
+        return self._read_table(rescale)
+
+
+class RubelCheck(Record):
+    """Rubel's bound at M against the 2M solution on the nodes the two share.
+
+    solution and solution_2M are the truncated solutions for M and 2M,
+    bound is rubel_bound of the first, and empirical_max_error the most
+    that their f differ by on [0, M].
+    """
+
+    _fields = ("solution", "solution_2M", "bound", "empirical_max_error")
     __slots__ = tuple("_" + name for name in _fields)
 
-    def __init__(self, t_star: float, lam: float, table: SolutionTable):
-        self._t_star, self._lam, self._table = t_star, lam, table
+    def __init__(self, solution: TruncatedSolution, solution_2M: TruncatedSolution,
+                 bound: RubelBound, empirical_max_error: float):
+        self._solution, self._solution_2M = solution, solution_2M
+        self._bound, self._empirical_max_error = bound, empirical_max_error
 
 
-def _crossing(star: SolutionTable, target: float) -> float:
+def _crossing(step: float, f, fp, fpp, target: float) -> float:
     """eta* at which the cubic Hermite fit of g = eta*^2 fp* reaches target.
 
-    The fit spans the two nodes of star whose g values bracket target,
-    found by bisection since g increases along the table; its end slopes
+    f, fp and fpp hold the star trajectory on the nodes i * step. The
+    fit spans the two nodes whose g values bracket target, found by
+    bisection since g increases along the trajectory; its end slopes
     are g' = 2 eta* fp* + eta*^2 fpp*. The root is three Newton steps on
     the cubic from the chord's root, whose error, a thousandth of a step
-    or so, squares at each. The cubic itself misses the table's
-    trajectory by up to a few 1e-9 of target on the coarsest grids: one
-    RK4 step of the beta = 1 ODE from the node below the root gives g
-    there, and past _CROSSING_GATE the root takes one Newton step on g.
+    or so, squares at each. The cubic itself misses the trajectory by
+    up to a few 1e-9 of target on the coarsest grids: one RK4 step of
+    the beta = 1 ODE from the node below the root gives g there, and
+    past _CROSSING_GATE the root takes one Newton step on g.
     """
-    step, fp, fpp = star.grid.step, star.fp, star.fpp
-    lo, hi = 0, star.grid.nodes - 1
+    lo, hi = 0, len(fp) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         eta = mid * step
@@ -138,8 +168,8 @@ def _crossing(star: SolutionTable, target: float) -> float:
     for _ in range(3):
         s -= (g0 - target + s * (d0 + s * (c2 + s * c3))) / (
             d0 + s * (2.0 * c2 + 3.0 * s * c3))
-    t = float(a + s * step)
-    f1, fp1, fpp1 = (array("d", (float(x[lo]), 0.0)) for x in (star.f, fp, fpp))
+    t = a + s * step
+    f1, fp1, fpp1 = (array("d", (x[lo], 0.0)) for x in (f, fp, fpp))
     # looked up at each call, so a kernel patched onto the module is used
     kernels.fill_blasius_family(1.0, f1, fp1, fpp1, t - a, 0, 1)
     miss = t * t * fp1[1] - target
@@ -153,57 +183,79 @@ def _newton(t: float, miss: float, fp: float, fpp: float) -> float:
     return t - miss / (t * (2.0 * fp + t * fpp))
 
 
+def _check_m(M: float) -> None:
+    """Refuse an M that is not a positive, finite real number."""
+    check_real("M", M)
+    if not (math.isfinite(M) and M > 0.0):
+        raise ValueError(f"M must be positive and finite, got {M}")
+
+
 def truncated_solution(M: float) -> TruncatedSolution:
     """Truncated-boundary solution by the non-iterative method.
 
     The star boundary T solves g(T) = M^2 with g(eta*) = eta*^2 fp*(eta*),
     an event on the star trajectory, since g increases along it. Each
-    pass integrates the star IVP to a candidate t on n = M*NODES_PER_UNIT
-    steps, starting at t = 0.8 M. Short of M^2, t grows by
+    pass fills the same three array('d') buffers of n + 1 nodes,
+    n = M*NODES_PER_UNIT, with the star IVP on the grid of n steps to a
+    candidate t, starting at t = 0.8 M. Short of M^2, t grows by
     sqrt(M^2/g(t)), which overshoots T because fp* increases; past it,
     the next t is where the Hermite fit of g between the bracketing
     nodes reaches M^2, and a pass there that still misses takes one
     Newton step on g. Two passes do for M >= 2.7, where T < 0.8 M, and
     three below.
-    lambda = M/T then rescales the star table so the physical boundary
-    lands on M with fp(M) = 1. The physical grid step is M/n, so
-    solutions for M and 2M share their nodes on [0, M].
+    lambda = M/T then rescales the last pass's buffers, on the first
+    read of table, so the physical boundary lands on M with fp(M) = 1.
+    The physical grid step is M/n, so solutions for M and 2M share
+    their nodes on [0, M]. The nodes are allocated once, so M is
+    refused before anything runs if n would reach MAX_NODES.
     """
-    check_real("M", M)
-    if not (math.isfinite(M) and M > 0.0):
-        raise ValueError(f"M must be positive and finite, got {M}")
+    _check_m(M)
     if M * NODES_PER_UNIT >= MAX_NODES:
         raise ValueError(f"M = {M} needs more than {MAX_NODES} grid nodes")
     n = round(M * NODES_PER_UNIT)
     if n < 8:
         raise ValueError(f"grid too coarse for M = {M}")
     target = M * M
+    # node 0 holds the star seed (0, 0, 1); every pass writes nodes 1 .. n
+    f, fp, fpp = (array("d", (0.0,)) * (n + 1) for _ in range(3))
+    fpp[0] = 1.0
 
     t = 0.8 * M
     crossed = False
     for _ in range(_TRUNCATION_MAX_ITER):
-        star = integrate(1.0, (0.0, 0.0, 1.0), GridConfig.of_nodes(n + 1, t / n))
-        g = t * t * star.fp_inf
+        step = t / n
+        # looked up at each call, so a kernel patched onto the module is used
+        bad = kernels.fill_blasius_family(1.0, f, fp, fpp, step, 0, n)
+        if bad >= 0:
+            raise BlowupError(bad * step)
+        g = t * t * fp[n]
         if abs(g - target) <= _TRUNCATION_TOL * target:
             break
         if crossed:
             # a Hermite root left in _CROSSING_GATE that still misses: one
             # Newton step on g from the end node
-            t = _newton(t, g - target, star.fp_inf, float(star.fpp[-1]))
+            t = _newton(t, g - target, fp[n], fpp[n])
             crossed = False
         elif g < target:
             t = t * math.sqrt(target / g)
         else:
-            t, crossed = _crossing(star, target), True
+            t, crossed = _crossing(step, f, fp, fpp, target), True
     else:
         raise ValueError(f"truncated boundary for M = {M} not matched in "
                          f"{_TRUNCATION_MAX_ITER} passes")
 
-    lam = M / t
     # physical step lam * (t/n) equals M/n up to rounding, and fp(M) =
     # fp*(t)/lam^2 = 1 by the choice of t
-    table = rescale(star.grid.step, star.f, star.fp, star.fpp, lam)
-    return TruncatedSolution(t_star=t, lam=lam, table=table)
+    return TruncatedSolution(t, M / t, None, (step, f, fp, fpp))
+
+
+def _bound(M: float, fM: float, fpM: float, fppM: float) -> RubelBound:
+    """The RubelBound of a solution whose values at its boundary M are given."""
+    if abs(fpM - 1.0) > 1e-6:
+        raise ValueError(f"table is not rescaled to fp(M) = 1, got fp = {fpM!r}")
+    if fM <= 0.0:
+        raise ValueError(f"f_M(M) must be positive, got {fM!r}")
+    return RubelBound(M=M, fM_at_M=fM, fppM_at_M=fppM, bound=M * fppM / fM)
 
 
 def rubel_bound(table: SolutionTable) -> RubelBound:
@@ -213,15 +265,41 @@ def rubel_bound(table: SolutionTable) -> RubelBound:
     rescaled to 1 (as produced by truncated_solution); the bound is
     M * fpp(M) / f(M).
     """
-    M = table.grid.eta_max
-    fM = float(table.f[-1])
-    fpM = float(table.fp[-1])
-    fppM = float(table.fpp[-1])
-    if abs(fpM - 1.0) > 1e-6:
-        raise ValueError(f"table is not rescaled to fp(M) = 1, got fp = {fpM!r}")
-    if fM <= 0.0:
-        raise ValueError(f"f_M(M) must be positive, got {fM!r}")
-    return RubelBound(M=M, fM_at_M=fM, fppM_at_M=fppM, bound=M * fppM / fM)
+    return _bound(table.grid.eta_max, float(table.f[-1]), float(table.fp[-1]),
+                  float(table.fpp[-1]))
+
+
+def rubel_check(M: float) -> RubelCheck:
+    """Rubel's bound at M, and the 2M solution's distance from the M solution.
+
+    Both come from the solutions' star buffers, so no table is built:
+    the bound from the M solution's end node, with the arithmetic of
+    its table's grid and physical_values, and the distance as the
+    largest |f_2M - f_M| over the nodes on [0, M], each value scaled as
+    its table would scale it. So both equal, bit for bit, rubel_bound
+    of the M table and the max over the tables' shared rows. The max
+    is a Python loop, about 0.1 us a node (M = 1000 takes about as long
+    as importing numpy). M is refused before anything runs if the 2M
+    solution would reach MAX_NODES.
+    """
+    _check_m(M)
+    if 2.0 * M * NODES_PER_UNIT >= MAX_NODES:
+        raise ValueError(f"M = {M} needs a 2M solution on more than {MAX_NODES} "
+                         f"grid nodes")
+    solution, solution_2M = truncated_solution(M), truncated_solution(2.0 * M)
+    step, f, fp, fpp = solution._star
+    lam = solution.lam
+    # the M table's grid, as rescale builds it, ends at eta_max
+    eta_max = GridConfig.of_nodes(len(f), lam * step).eta_max
+    bound = _bound(eta_max, *physical_values(lam, f[-1], fp[-1], fpp[-1]))
+    scale, scale_2M = lam ** -1.0, solution_2M.lam ** -1.0
+    empirical = 0.0
+    # zip stops at the M solution's last node
+    for f_2M, f_M in zip(solution_2M._star[1], f):
+        gap = abs(f_2M * scale_2M - f_M * scale)
+        if gap > empirical:
+            empirical = gap
+    return RubelCheck(solution, solution_2M, bound, empirical)
 
 
 def series_deviation(eta_max: float = SERIES_ETA_MAX,

@@ -332,11 +332,8 @@ def rubel(st, args):
     M = _parse_float(args.M, "--M")
     if M < 1.0:
         raise ValueError(f"--M must be at least 1, got {M}")
-    sol = analysis.truncated_solution(M)
-    sol2 = analysis.truncated_solution(2.0 * M)
-    bound = analysis.rubel_bound(sol.table)
-    n = sol.table.grid.nodes
-    empirical = float(abs(sol2.table.f[:n] - sol.table.f[:n]).max())
+    check = analysis.rubel_check(M)
+    sol, bound, empirical = check.solution, check.bound, check.empirical_max_error
     valid = empirical <= bound.bound
     _report(st, [{"M": M, "t_star": sol.t_star, "lambda": sol.lam,
                   "bound": bound.bound, "empirical_max_error": empirical,

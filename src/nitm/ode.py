@@ -102,7 +102,9 @@ class Record:
     A subclass names its public fields in _fields, as a NamedTuple does,
     and keeps each in the slot _<name>: the field reads through a
     property with no setter, so assigning it raises AttributeError,
-    while construction is plain slot stores. repr shows the fields.
+    while construction is plain slot stores. A field the subclass
+    defines itself, as a property, keeps that definition. repr shows
+    the fields.
     """
 
     __slots__ = ("__weakref__",)
@@ -111,7 +113,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         for name in cls._fields:
-            setattr(cls, name, property(attrgetter("_" + name)))
+            if name not in vars(cls):
+                setattr(cls, name, property(attrgetter("_" + name)))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -135,6 +138,34 @@ class SolutionTable(Record):
 
     def etas(self) -> np.ndarray:
         return self.grid.etas()
+
+
+class StarTableRecord(Record):
+    """Base of a record whose table is rescaled from star buffers on first read.
+
+    _star holds the star step and f, fp and fpp as buffers (array('d'))
+    until the first read, which rescales them by the record's _lam,
+    keeps the table in _table and drops them; later reads return the
+    same table. A subclass's table property passes its own module's
+    rescale, looked up at the read, so a wrapper patched onto that
+    module is used.
+    """
+
+    __slots__ = ("_star", "_table")
+
+    def _read_table(self, rescale) -> SolutionTable:
+        star = self._star
+        if star is None:
+            return self._table
+        import numpy as np
+
+        step, f, fp, fpp = star
+        table = rescale(step, np.frombuffer(f), np.frombuffer(fp),
+                        np.frombuffer(fpp), self._lam)
+        # the table before _star goes: a concurrent first read finds one of them
+        self._table = table
+        self._star = None
+        return table
 
 
 def integrate(beta: float, initial, grid: GridConfig) -> SolutionTable:

@@ -16,7 +16,7 @@ from ._kernels_py import BLOWUP, NO_AGREEMENT, walk_member
 from .errors import (BlowupError, BracketingError, NitmError,
                      NoConvergenceError, ScalingBreakdownError,
                      UnsupportedVariantError, check_real)
-from .ode import (DEFAULT_STEP, Checked, Record, SolutionTable, State3,
+from .ode import (DEFAULT_STEP, Checked, SolutionTable, StarTableRecord, State3,
                   node_index)
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
                       physical_values, rescale)
@@ -165,7 +165,7 @@ class NitmConfig(NamedTuple("NitmConfig", [("step", float),
 DEFAULT_CONFIG = NitmConfig()
 
 
-class NitmResult(Record):
+class NitmResult(StarTableRecord):
     """One non-ITM solve: group parameter, wall values, and rescaled table.
 
     lambdas holds the lambda recovered at each boundary walked, in
@@ -177,7 +177,7 @@ class NitmResult(Record):
 
     _fields = ("lam", "lambdas", "eta_inf_star", "fp_inf_star", "star_param",
                "physical_param", "f0", "fp0", "fpp0")
-    __slots__ = (*("_" + name for name in _fields), "_star", "_table")
+    __slots__ = tuple("_" + name for name in _fields)
 
     def __init__(self, lam: float, lambdas: tuple[float, ...], eta_inf_star: float,
                  fp_inf_star: float, star_param: float | None,
@@ -197,19 +197,8 @@ class NitmResult(Record):
     @property
     def table(self) -> SolutionTable:
         """The physical table, rescaled from _star on first read and kept."""
-        star = self._star
-        if star is None:
-            return self._table
-        import numpy as np
-
-        step, f, fp, fpp = star
         # rescale is looked up here, so a wrapper patched onto the module is used
-        table = rescale(step, np.frombuffer(f), np.frombuffer(fp),
-                        np.frombuffer(fpp), self.lam)
-        # the table before _star goes: a concurrent first read finds one of them
-        self._table = table
-        self._star = None
-        return table
+        return self._read_table(rescale)
 
 
 def _lambda(spec: ProblemSpec, fp_stop: float) -> float:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (GridConfig, State3, analysis, integrate, rubel_bound,
-                  series_coefficients, series_deviation, series_eval,
+from nitm import (GridConfig, State3, _kernels_py, analysis, integrate, kernels,
+                  rubel_bound, series_coefficients, series_deviation, series_eval,
                   truncated_solution)
 
 
@@ -113,14 +113,20 @@ def test_truncated_solution_at_four():
 
 
 def _count_integrations(monkeypatch):
+    """The passes of truncated_solution: kernel fills of its n >= 8 steps.
+
+    _crossing's one-step checks are not counted.
+    """
     calls = []
-    original = analysis.integrate
+    original = kernels.fill_blasius_family
 
     def counting(*args):
-        calls.append(args)
+        start, stop = args[5], args[6]
+        if stop - start > 1:
+            calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(analysis, "integrate", counting)
+    monkeypatch.setattr(kernels, "fill_blasius_family", counting)
     return calls
 
 
@@ -200,22 +206,58 @@ def test_truncated_solution_rejects_tiny_m():
         truncated_solution(0.004)
 
 
+def _no_fill(*args):
+    raise AssertionError("a kernel fill ran")
+
+
 @pytest.mark.parametrize("M", [math.nan, math.inf])
 def test_truncated_solution_refuses_non_finite_m(monkeypatch, M):
-    def no_integrate(*args, **kwargs):
-        raise AssertionError("integrate ran")
-
-    monkeypatch.setattr(analysis, "integrate", no_integrate)
+    monkeypatch.setattr(kernels, "fill_blasius_family", _no_fill)
     with pytest.raises(ValueError, match="M must be"):
         truncated_solution(M)
 
 
 @pytest.mark.parametrize("M", [1e5, 1e306])
 def test_truncated_solution_refuses_m_past_the_node_ceiling(monkeypatch, M):
-    # of_nodes builds the star grids without GridConfig's node check
-    monkeypatch.setattr(analysis, "integrate", None)
+    # the buffers are allocated once, for n + 1 nodes, after this check
+    monkeypatch.setattr(kernels, "fill_blasius_family", _no_fill)
     with pytest.raises(ValueError, match="grid nodes"):
         truncated_solution(M)
+
+
+@pytest.mark.parametrize("M", [6e4, 5e4])
+def test_rubel_check_refuses_a_2m_solution_past_the_node_ceiling(monkeypatch, M):
+    # the M solution alone would fit: the check runs before it is integrated,
+    # and the error names M, not 2M
+    monkeypatch.setattr(kernels, "fill_blasius_family", _no_fill)
+    with pytest.raises(ValueError, match=f"M = {M} needs a 2M solution on more "
+                                         f"than 100000000 grid nodes"):
+        analysis.rubel_check(M)
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, -1.0])
+def test_rubel_check_refuses_m_like_truncated_solution(monkeypatch, M):
+    monkeypatch.setattr(kernels, "fill_blasius_family", _no_fill)
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        analysis.rubel_check(M)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@pytest.mark.parametrize("M", [1.0, 1.3, 2.699, 3.0, 4.0, 8.0])
+def test_rubel_check_equals_the_table_route_bit_for_bit(monkeypatch, backend, M):
+    if backend == "pure":
+        monkeypatch.setattr(kernels, "fill_blasius_family",
+                            _kernels_py.fill_blasius_family)
+    check = analysis.rubel_check(M)
+    sol, sol2 = check.solution, check.solution_2M
+    assert sol.t_star.hex() == truncated_solution(M).t_star.hex()
+    assert sol2.t_star.hex() == truncated_solution(2.0 * M).t_star.hex()
+    # check came from the star buffers; these tables are rescaled only now
+    want = rubel_bound(sol.table)
+    assert [x.hex() for x in check.bound] == [x.hex() for x in want]
+    n = sol.table.grid.nodes
+    empirical = float(np.max(np.abs(sol2.table.f[:n] - sol.table.f[:n])))
+    assert check.empirical_max_error.hex() == empirical.hex()
 
 
 def test_rubel_bound_at_four():

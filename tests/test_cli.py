@@ -296,6 +296,21 @@ def test_rubel_json(capsys):
     assert payload["empirical_max_error"] <= payload["bound"]
 
 
+def test_rubel_refuses_a_2m_solution_past_the_node_ceiling(capsys, monkeypatch):
+    # the M = 6e4 solution alone would take 6e7 nodes and two passes before
+    # the 2M one was refused; now nothing is integrated, and the error names
+    # the M given
+    def no_fill(*args):
+        raise AssertionError("a kernel fill ran")
+
+    monkeypatch.setattr(nitm.kernels, "fill_blasius_family", no_fill)
+    code, out, err = run(capsys, "rubel", "--M", "6e4")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: M = 60000.0 needs a 2M solution on more than "
+                   "100000000 grid nodes\n")
+
+
 # ---------------------------------------------------------------------------
 # configuration and validation
 
@@ -440,7 +455,8 @@ def test_value_counts_are_refused_before_anything_is_allocated(
 # solve, then the reads that do need numpy: a table and a --profile. Each
 # step records which of the modules no solve needs are loaded by then;
 # after the table read only the first five, since numpy itself loads
-# inspect and numbers.
+# inspect and numbers. rubel, which runs last, loads nitm.analysis and no
+# more.
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 HEAVY = ("numpy", "click", "fractions", "nitm.analysis", "nitm.models")
@@ -470,6 +486,8 @@ _NUMPY_FREE_COMMANDS = (
     ["sweep", "--problem", "slip", "--values", "0:3:4"],
     ["target", "--problem", "slip", "--c", "1.5"],
     ["critical-b", "--json"],
+    ["rubel", "--M", "3"],
+    ["rubel", "--M", "4", "--format", "json"],
 )
 
 
@@ -483,10 +501,12 @@ def test_solve_commands_never_import_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout)
     assert seen[:2] == [["import nitm", []], ["solve", []]]
-    assert seen[2:-2] == [[" ".join(argv), 0, []] for argv in _NUMPY_FREE_COMMANDS]
+    assert seen[2:-2] == [[" ".join(argv), 0,
+                           ["nitm.analysis"] if argv[0] == "rubel" else []]
+                          for argv in _NUMPY_FREE_COMMANDS]
     # the table still reads, with numpy now loaded, and bit for bit
     want = nitm.solve_auxiliary(nitm.classic_problem()).table.fp[-1]
-    assert seen[-2] == ["table", float(want).hex(), ["numpy"]]
+    assert seen[-2] == ["table", float(want).hex(), ["numpy", "nitm.analysis"]]
     assert seen[-1] == ["profile", 0]
     assert profile.read_text().startswith("eta,f,fp,fpp\n0,0,")
 

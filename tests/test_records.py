@@ -71,6 +71,16 @@ _IDENTITIES = {
     "TruncatedSolution": (lambda: analysis.TruncatedSolution(t_star=1.5, lam=2.0,
                                                              table=_table()),
                           f"TruncatedSolution(t_star=1.5, lam=2.0, table={_TABLE_REPR})"),
+    "RubelCheck": (lambda: analysis.RubelCheck(
+                       analysis.TruncatedSolution(1.5, 2.0, _table()),
+                       analysis.TruncatedSolution(3.0, 2.0, _table()),
+                       analysis.RubelBound(M=0.02, fM_at_M=2.0, fppM_at_M=0.0,
+                                           bound=0.0), 0.25),
+                   f"RubelCheck(solution=TruncatedSolution(t_star=1.5, lam=2.0, "
+                   f"table={_TABLE_REPR}), solution_2M=TruncatedSolution("
+                   f"t_star=3.0, lam=2.0, table={_TABLE_REPR}), bound=RubelBound("
+                   f"M=0.02, fM_at_M=2.0, fppM_at_M=0.0, bound=0.0), "
+                   f"empirical_max_error=0.25)"),
     "NitmResult": (lambda: solvers.solve_moving_wall(1.0),
                    "NitmResult(lam=1.8548816156893206, lambdas=(1.8548532944196414, "
                    "1.8548816153585865, 1.8548816156893206), eta_inf_star=8.0, "

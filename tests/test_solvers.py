@@ -386,8 +386,8 @@ def test_sweep_matches_single_solves():
 
 def test_rescale_runs_through_the_module_globals(monkeypatch):
     # tracing tools wrap solvers.rescale and analysis.rescale by name: an
-    # accepted solve rescales through them once, on the first read of its
-    # table and never before, a truncated solution once, and a failed row
+    # accepted solve and a truncated solution rescale through them once,
+    # on the first read of their table and never before, and a failed row
     # never reaches the rescale
     calls = {solvers: 0, analysis: 0}
 
@@ -411,7 +411,9 @@ def test_rescale_runs_through_the_module_globals(monkeypatch):
     assert calls == {solvers: 2, analysis: 0}
     assert [rows[1].table, rows[2].table] == first    # the same objects
     assert calls == {solvers: 2, analysis: 0}
-    analysis.truncated_solution(4.0)
+    sol = analysis.truncated_solution(4.0)
+    assert calls == {solvers: 2, analysis: 0}
+    assert sol.table is sol.table
     assert calls == {solvers: 2, analysis: 1}
 
 

@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .errors import BlowupError, check_real
-from .ode import (MAX_NODES, GridConfig, Record, SolutionTable, StarTableRecord,
-                  integrate)
+from .ode import MAX_NODES, GridConfig, SolutionTable, StarTableRecord, integrate
 from .scaling import physical_values, rescale
 
 if TYPE_CHECKING:
@@ -119,7 +118,7 @@ class TruncatedSolution(StarTableRecord):
         return self._read_table(rescale)
 
 
-class RubelCheck(Record):
+class RubelCheck(NamedTuple):
     """Rubel's bound at M against the 2M solution on the nodes the two share.
 
     solution and solution_2M are the truncated solutions for M and 2M,
@@ -127,13 +126,10 @@ class RubelCheck(Record):
     that their f differ by on [0, M].
     """
 
-    _fields = ("solution", "solution_2M", "bound", "empirical_max_error")
-    __slots__ = tuple("_" + name for name in _fields)
-
-    def __init__(self, solution: TruncatedSolution, solution_2M: TruncatedSolution,
-                 bound: RubelBound, empirical_max_error: float):
-        self._solution, self._solution_2M = solution, solution_2M
-        self._bound, self._empirical_max_error = bound, empirical_max_error
+    solution: TruncatedSolution
+    solution_2M: TruncatedSolution
+    bound: RubelBound
+    empirical_max_error: float
 
 
 def _crossing(step: float, f, fp, fpp, target: float) -> float:
@@ -147,7 +143,8 @@ def _crossing(step: float, f, fp, fpp, target: float) -> float:
     or so, squares at each. The cubic itself misses the trajectory by
     up to a few 1e-9 of target on the coarsest grids: one RK4 step of
     the beta = 1 ODE from the node below the root gives g there, and
-    past _CROSSING_GATE the root takes one Newton step on g.
+    past _CROSSING_GATE the root takes one Newton step on g. That step
+    is written over the node above the root, which the next pass refills.
     """
     lo, hi = 0, len(fp) - 1
     while hi - lo > 1:
@@ -169,12 +166,11 @@ def _crossing(step: float, f, fp, fpp, target: float) -> float:
         s -= (g0 - target + s * (d0 + s * (c2 + s * c3))) / (
             d0 + s * (2.0 * c2 + 3.0 * s * c3))
     t = a + s * step
-    f1, fp1, fpp1 = (array("d", (x[lo], 0.0)) for x in (f, fp, fpp))
     # looked up at each call, so a kernel patched onto the module is used
-    kernels.fill_blasius_family(1.0, f1, fp1, fpp1, t - a, 0, 1)
-    miss = t * t * fp1[1] - target
+    kernels.fill_blasius_family(1.0, f, fp, fpp, t - a, lo, hi)
+    miss = t * t * fp[hi] - target
     if abs(miss) > _CROSSING_GATE * target:
-        t = _newton(t, miss, fp1[1], fpp1[1])
+        t = _newton(t, miss, fp[hi], fpp[hi])
     return t
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per solver or analysis entry point. Numbers print with
-6 decimals in table mode (matching the reference tables) and with full
-%.17g precision in CSV and JSON so emitted files re-parse exactly.
+6 decimals in table mode (matching the reference tables), in %.6e form
+below 1e-4 and from 1e6 up, and with full %.17g precision in CSV and
+JSON so emitted files re-parse exactly.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, including
 running out of memory or overflowing a float.
 """
@@ -162,7 +163,7 @@ def _fmt_table_value(value) -> str:
         return "-"
     if isinstance(value, str):
         return value
-    if value != 0.0 and abs(value) < 1e-4:
+    if value != 0.0 and not 1e-4 <= abs(value) < 1e6:
         return f"{value:.6e}"
     return f"{value:.6f}"
 
@@ -273,11 +274,8 @@ def _single_solve(st, args):
 
 def critical_b(st, args):
     """Most negative physical b on the plus branch."""
-    scan = {"scan_lo": args.scan_lo, "scan_hi": args.scan_hi,
-            "scan_points": args.scan_points}
-    # flags left unset take find_critical_b's defaults
-    result = solvers.find_critical_b(
-        st.nitm_config(), **{k: v for k, v in scan.items() if v is not None})
+    result = solvers.find_critical_b(st.nitm_config(), args.scan_lo, args.scan_hi,
+                                     args.scan_points)
     if args.json:
         st.fmt = "json"
     _report(st, [{"b_c": result.b_c, "b_star": result.b_star}],
@@ -311,10 +309,8 @@ def target(st, args):
 def series_check(st, args):
     """Compare the wall series against a fine star-IVP solve."""
     from . import analysis
-    eta_max = (analysis.SERIES_ETA_MAX if args.eta_max is None
-               else _parse_float(args.eta_max, "--eta-max"))
-    step = (analysis.SERIES_STEP if args.step is None
-            else _parse_float(args.step, "--step"))
+    eta_max = _parse_float(args.eta_max, "--eta-max")
+    step = _parse_float(args.step, "--step")
     if eta_max <= 0 or step <= 0 or eta_max < 10 * step:
         raise ValueError("need 0 < step << eta-max")
     deviation, order = analysis.series_deviation(eta_max, step)
@@ -427,18 +423,18 @@ def _add_options(parser, command: str) -> None:
         parser.add_argument("--problem", required=True, choices=solvers.PARAMETRIZED)
     if command in solvers.PARAMETRIZED:
         parser.add_argument("star", metavar="STAR")
-    # the help quotes the library's own defaults
+    # the library's own defaults, which the help quotes
     if command == "sweep":
         parser.add_argument("--values", required=True, help=(
             f"Star values: comma list or lo:hi:count, count at most "
             f"{MAX_RANGE_COUNT}."))
     elif command == "critical-b":
-        parser.add_argument("--scan-lo", type=float, help=(
-            f"Most negative scanned b* (default {solvers.SCAN_LO:g})."))
-        parser.add_argument("--scan-hi", type=float, help=(
-            f"Least negative scanned b* (default {solvers.SCAN_HI:g})."))
-        parser.add_argument("--scan-points", type=int, help=(
-            f"Scan resolution (default {solvers.SCAN_POINTS})."))
+        parser.add_argument("--scan-lo", type=float, default=solvers.SCAN_LO,
+                            help="Most negative scanned b* (default %(default)g).")
+        parser.add_argument("--scan-hi", type=float, default=solvers.SCAN_HI,
+                            help="Least negative scanned b* (default %(default)g).")
+        parser.add_argument("--scan-points", type=int, default=solvers.SCAN_POINTS,
+                            help="Scan resolution (default %(default)d).")
         parser.add_argument("--json", action="store_true",
                             help="Shorthand for --format json.")
     elif command == "target":
@@ -448,10 +444,10 @@ def _add_options(parser, command: str) -> None:
         parser.add_argument("--bracket", help="Star bracket as lo,hi.")
     elif command == "series-check":
         from . import analysis
-        parser.add_argument("--eta-max", help=(
-            f"Comparison window end (default {analysis.SERIES_ETA_MAX:g})."))
-        parser.add_argument("--step", help=(
-            f"Fine comparison step (default {analysis.SERIES_STEP:g})."))
+        parser.add_argument("--eta-max", default=analysis.SERIES_ETA_MAX,
+                            help="Comparison window end (default %(default)g).")
+        parser.add_argument("--step", default=analysis.SERIES_STEP,
+                            help="Fine comparison step (default %(default)g).")
     elif command == "rubel":
         parser.add_argument("--M", required=True, help="Truncated boundary.")
 

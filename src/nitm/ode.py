@@ -131,11 +131,6 @@ class SolutionTable(Record):
                  fpp: np.ndarray):
         self._grid, self._f, self._fp, self._fpp = grid, f, fp, fpp
 
-    @property
-    def fp_inf(self) -> float:
-        """Last-node fp, the finite-boundary estimate of the asymptote."""
-        return float(self.fp[-1])
-
     def etas(self) -> np.ndarray:
         return self.grid.etas()
 

@@ -295,11 +295,11 @@ def test_criterion_6_property_suite(capsys):
 
         # asymptote contract after rescale, all variants
         classic = solve_auxiliary(classic_problem())
-        assert abs(classic.table.fp_inf - 1.0) <= 1e-10
+        assert abs(classic.table.fp[-1] - 1.0) <= 1e-10
         mw = solve_moving_wall(1.0)
-        assert abs(mw.table.fp_inf - (1.0 - mw.physical_param)) <= 1e-10
+        assert abs(mw.table.fp[-1] - (1.0 - mw.physical_param)) <= 1e-10
         for res in (solve_slip(0.5), solve_gasification(0.75)):
-            assert abs(res.table.fp_inf - 1.0) <= 1e-10
+            assert abs(res.table.fp[-1] - 1.0) <= 1e-10
 
         # Weyl positivity and velocity monotonicity, classic solution
         assert np.all(classic.table.fpp > 0.0)
@@ -318,7 +318,7 @@ def test_criterion_6_property_suite(capsys):
         # RK4 order: error reduction between 14x and 18x on halving
         def far_slope(h):
             return integrate(0.5, State3(0.0, 0.0, 1.0),
-                             GridConfig(4.0, h)).fp_inf
+                             GridConfig(4.0, h)).fp[-1]
         reference = far_slope(0.0025)
         ratio = (abs(far_slope(0.04) - reference)
                  / abs(far_slope(0.02) - reference))

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nitm import (GridConfig, State3, _kernels_py, analysis, integrate, kernels,
                   rubel_bound, series_coefficients, series_deviation, series_eval,
                   truncated_solution)
+from nitm.errors import BlowupError
+from nitm.ode import SolutionTable
 
 
 def test_series_coefficient_values():
@@ -108,7 +110,7 @@ def test_truncated_solution_at_four():
     assert table.grid.eta_max == pytest.approx(4.0, rel=1e-12)
     assert table.grid.nodes == 4001
     # the boundary condition the rescaling enforces
-    assert table.fp_inf == pytest.approx(1.0, abs=1e-9)
+    assert table.fp[-1] == pytest.approx(1.0, abs=1e-9)
     assert table.f[0] == 0.0
 
 
@@ -172,7 +174,7 @@ def test_a_hermite_root_left_uncorrected_ends_in_one_newton_pass(monkeypatch):
         sol = truncated_solution(M)
         assert len(calls) <= 4
         # fp(M) = T^2 fp*(T) / M^2, up to the rescale's rounding
-        assert sol.table.fp_inf == pytest.approx(1.0, rel=0.0, abs=1.01e-12)
+        assert sol.table.fp[-1] == pytest.approx(1.0, rel=0.0, abs=1.01e-12)
 
 
 # t_star of M that took at most three passes before the one-step check
@@ -225,6 +227,38 @@ def test_truncated_solution_refuses_m_past_the_node_ceiling(monkeypatch, M):
         truncated_solution(M)
 
 
+def test_truncated_solution_reports_a_blowup_where_the_pass_left_the_range(
+        monkeypatch):
+    def blowup_at_node_5(*args):
+        return 5
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", blowup_at_node_5)
+    with pytest.raises(BlowupError) as err:
+        truncated_solution(1.0)
+    # the first pass runs to 0.8 M on n = 1000 steps
+    assert err.value.eta == 5 * (0.8 / 1000)
+
+
+def test_truncated_solution_gives_up_after_its_pass_limit(monkeypatch):
+    # each pass's end node misses by 1e-3 relative, alternately high and
+    # low, so no pass meets the 1e-12 gate that the last one aimed at
+    passes = []
+    original = kernels.fill_blasius_family
+
+    def jittered(beta, f, fp, fpp, step, start, stop):
+        bad = original(beta, f, fp, fpp, step, start, stop)
+        if stop - start > 1:
+            passes.append(step)
+            fp[stop] *= 1.0 + (-1.0) ** len(passes) * 1e-3
+        return bad
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", jittered)
+    with pytest.raises(ValueError, match="truncated boundary for M = 4.0 not "
+                                         "matched in 60 passes"):
+        truncated_solution(4.0)
+    assert len(passes) == analysis._TRUNCATION_MAX_ITER == 60
+
+
 @pytest.mark.parametrize("M", [6e4, 5e4])
 def test_rubel_check_refuses_a_2m_solution_past_the_node_ceiling(monkeypatch, M):
     # the M solution alone would fit: the check runs before it is integrated,
@@ -274,6 +308,14 @@ def test_rubel_bound_at_four():
 def test_rubel_bound_requires_unit_far_field():
     table = integrate(0.5, State3(0.0, 0.0, 1.0), GridConfig(6.0, 0.01))
     with pytest.raises(ValueError):
+        rubel_bound(table)
+
+
+@pytest.mark.parametrize("f_end", [0.0, -1.0])
+def test_rubel_bound_requires_positive_f_at_m(f_end):
+    table = SolutionTable(GridConfig(0.02, 0.01), np.array([0.0, 0.5, f_end]),
+                          np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="f_M\\(M\\) must be positive"):
         rubel_bound(table)
 
 

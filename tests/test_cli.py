@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nitm
-from nitm.cli import HEADERS, MAX_RANGE_COUNT, main
+from nitm.cli import HEADERS, MAX_RANGE_COUNT, _fmt_table_value, main
 
 
 def run(capsys, *argv):
@@ -177,6 +177,34 @@ def test_sweep_json_error_objects(capsys):
     assert rows[1]["fp_inf_star"] == pytest.approx(0.5286, abs=5e-4)
 
 
+def test_sweep_row_that_does_not_converge_reads_error(capsys):
+    code, out, _ = run(capsys, "sweep", "--problem", "moving-wall", "--values", "0",
+                       "--boundaries", "4,6", "--lambda-tol", "1e-15")
+    assert code == 2
+    row = out.splitlines()[1].split()
+    assert row == ["0.000000"] + ["ERROR(no", "convergence)"] * (len(HEADERS) - 1)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.0, "0.000000"),
+    (1e-4, "0.000100"),
+    (9.99e-5, "9.990000e-05"),
+    (999999.0, "999999.000000"),
+    (1e6, "1.000000e+06"),
+    (-2.5e6, "-2.500000e+06"),
+    (1e20, "1.000000e+20"),
+])
+def test_table_cells_use_exponent_form_outside_1e_4_to_1e6(value, text):
+    assert _fmt_table_value(value) == text
+
+
+def test_sweep_table_prints_large_star_values_in_exponent_form(capsys):
+    code, out, _ = run(capsys, "sweep", "--problem", "slip", "--values=1e7,1e20")
+    assert code == 2                      # both rows blow up
+    assert [line.split()[0] for line in out.splitlines()[1:]] == [
+        "1.000000e+07", "1.000000e+20"]
+
+
 # ---------------------------------------------------------------------------
 # critical-b and target
 
@@ -334,6 +362,28 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(cfg), "blasius")
     assert code == 1
     assert "unknown config key" in err
+
+
+def test_config_file_rejects_a_line_without_equals(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("step 0.1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "blasius")
+    assert (code, out) == (1, "")
+    assert err == "error: config line 'step 0.1' is not key=value\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--problem", "slip", "--values", "1:2"),
+     "range syntax is lo:hi:count, got '1:2'"),
+    (("blasius", "--boundaries", ","), "--boundaries needs at least one value"),
+    (("sweep", "--problem", "slip", "--values", ","), "--values needs at least one value"),
+    (("series-check", "--eta-max", "2", "--step", "0.25"),
+     "need 0 < step << eta-max"),
+], ids=["values-range", "boundaries-empty", "values-empty", "series-window"])
+def test_malformed_values_are_refused_with_their_reason(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

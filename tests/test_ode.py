@@ -65,7 +65,7 @@ def test_rk4_global_fourth_order():
     def fp_inf(h):
         table = integrate(0.5, State3(0.0, 0.0, 1.0),
                           GridConfig(4.0, h))
-        return table.fp_inf
+        return table.fp[-1]
 
     ref = fp_inf(0.0025)
     ratio = abs(fp_inf(0.04) - ref) / abs(fp_inf(0.02) - ref)
@@ -117,7 +117,6 @@ def test_solution_table_views():
                       GridConfig(1.0, 0.1))
     assert len(table.f) == len(table.fp) == len(table.fpp) == table.grid.nodes == 11
     assert (table.f[0], table.fp[0], table.fpp[0]) == (0.0, 0.0, 1.0)
-    assert table.fp_inf == table.fp[-1]
     assert np.array_equal(table.etas(), table.grid.etas())
 
 

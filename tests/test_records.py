@@ -27,6 +27,9 @@ _TABLE_REPR = ("SolutionTable(grid=GridConfig(eta_max=0.02, step=0.01), "
                "fpp=array([ 1., -1.,  0.]))")
 
 
+_RUBEL_SOLUTIONS = (analysis.TruncatedSolution(1.5, 2.0, _table()),
+                    analysis.TruncatedSolution(3.0, 2.0, _table()))
+
 # (build, pinned repr); build() twice gives two equal values
 _VALUES = {
     "GridConfig": (lambda: GridConfig(4.0, 0.01),
@@ -52,6 +55,16 @@ _VALUES = {
     "RubelBound": (lambda: analysis.RubelBound(M=3.0, fM_at_M=1.5, fppM_at_M=0.25,
                                                bound=0.5),
                    "RubelBound(M=3.0, fM_at_M=1.5, fppM_at_M=0.25, bound=0.5)"),
+    # both builds hold the same two solutions, which compare by identity
+    "RubelCheck": (lambda: analysis.RubelCheck(
+                       *_RUBEL_SOLUTIONS,
+                       analysis.RubelBound(M=0.02, fM_at_M=2.0, fppM_at_M=0.0,
+                                           bound=0.0), 0.25),
+                   f"RubelCheck(solution=TruncatedSolution(t_star=1.5, lam=2.0, "
+                   f"table={_TABLE_REPR}), solution_2M=TruncatedSolution("
+                   f"t_star=3.0, lam=2.0, table={_TABLE_REPR}), bound=RubelBound("
+                   f"M=0.02, fM_at_M=2.0, fppM_at_M=0.0, bound=0.0), "
+                   f"empirical_max_error=0.25)"),
     "BlasiusFamilyRhs": (lambda: models.BlasiusFamilyRhs(0.5),
                          "BlasiusFamilyRhs(beta=0.5)"),
     "FalknerSkanRhs": (lambda: models.FalknerSkanRhs(P=0.25),
@@ -71,16 +84,6 @@ _IDENTITIES = {
     "TruncatedSolution": (lambda: analysis.TruncatedSolution(t_star=1.5, lam=2.0,
                                                              table=_table()),
                           f"TruncatedSolution(t_star=1.5, lam=2.0, table={_TABLE_REPR})"),
-    "RubelCheck": (lambda: analysis.RubelCheck(
-                       analysis.TruncatedSolution(1.5, 2.0, _table()),
-                       analysis.TruncatedSolution(3.0, 2.0, _table()),
-                       analysis.RubelBound(M=0.02, fM_at_M=2.0, fppM_at_M=0.0,
-                                           bound=0.0), 0.25),
-                   f"RubelCheck(solution=TruncatedSolution(t_star=1.5, lam=2.0, "
-                   f"table={_TABLE_REPR}), solution_2M=TruncatedSolution("
-                   f"t_star=3.0, lam=2.0, table={_TABLE_REPR}), bound=RubelBound("
-                   f"M=0.02, fM_at_M=2.0, fppM_at_M=0.0, bound=0.0), "
-                   f"empirical_max_error=0.25)"),
     "NitmResult": (lambda: solvers.solve_moving_wall(1.0),
                    "NitmResult(lam=1.8548816156893206, lambdas=(1.8548532944196414, "
                    "1.8548816153585865, 1.8548816156893206), eta_inf_star=8.0, "

@@ -215,7 +215,7 @@ def test_classic_profile_shape():
     assert table.grid.step == pytest.approx(0.01 * res.lam, rel=1e-12)
     assert np.all(np.diff(table.fp) >= 0.0)          # monotone velocity
     assert table.fp[-1] <= 1.0 * (1.0 + 1e-9)
-    assert table.fp_inf == pytest.approx(1.0, abs=1e-10)
+    assert table.fp[-1] == pytest.approx(1.0, abs=1e-10)
     assert np.all(table.fpp > 0.0)                   # positive curvature
 
 
@@ -232,7 +232,7 @@ def test_moving_wall_unit_star():
     assert res.fpp0 == pytest.approx(0.15669365450835177, rel=1e-12)
     # wall-to-stream asymptote: fp must climb from b to 1 - b... the
     # rescaled far field equals d = 1 - b.
-    assert res.table.fp_inf == pytest.approx(1.0 - res.physical_param,
+    assert res.table.fp[-1] == pytest.approx(1.0 - res.physical_param,
                                              abs=1e-10)
 
 
@@ -474,6 +474,42 @@ def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
     assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
 
 
+def _fake_moving_wall(monkeypatch, fails):
+    """Patch solve_moving_wall to b(b*) = (b* + 1.2)^2 - 0.55, raising BlowupError
+    at each b* that fails(b*) is true for; returns the b* asked for, in order."""
+    asked = []
+
+    def b_of(b_star, sign, config):
+        asked.append(b_star)
+        if fails(b_star):
+            raise BlowupError(1.0)
+        return SimpleNamespace(physical_param=(b_star + 1.2) ** 2 - 0.55)
+
+    monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
+    return asked
+
+
+def test_critical_b_skips_a_scan_point_whose_solve_fails(monkeypatch):
+    # the scan's second point, b* = -1.94, is the left neighbour of the
+    # least scanned b; without it the minimiser starts from (-5, -0.29)
+    # and still finds the minimum
+    asked = _fake_moving_wall(monkeypatch, lambda b_star: -2.0 < b_star < -1.9)
+    crit = find_critical_b()
+    assert sum(-2.0 < b < -1.9 for b in asked) == 1
+    assert crit.b_star == pytest.approx(-1.2, abs=1e-5)
+    assert crit.b_c == pytest.approx(-0.55, abs=1e-9)
+
+
+def test_critical_b_needs_three_solvable_scan_points(monkeypatch):
+    asked = _fake_moving_wall(monkeypatch, lambda b_star: b_star > -1.0)
+    with pytest.raises(BracketingError, match="too few solvable points") as err:
+        find_critical_b()
+    # every scan point was tried, and none of the minimiser's
+    assert len(asked) == solvers.SCAN_POINTS
+    assert list(err.value.scanned) == asked
+    assert sum(b <= -1.0 for b in asked) == 2
+
+
 def _record_critical_solves(monkeypatch):
     """(b*, b) of each solve find_critical_b makes, in order."""
     solved = []
@@ -686,6 +722,37 @@ def test_target_no_convergence_reports_the_last_two_solved_values(monkeypatch):
     assert err.value.values == tuple(solved[1:])
 
 
+def test_target_returns_the_lower_end_when_it_already_hits(monkeypatch):
+    hit = solve_slip(0.5).physical_param
+    solved = []
+    solve = solvers.solve_variant
+
+    def recording_solve(variant, star, *args):
+        solved.append(star)
+        return solve(variant, star, *args)
+
+    monkeypatch.setattr(solvers, "solve_variant", recording_solve)
+    res = find_star_for_target("slip", hit, bracket=(0.5, 2.0))
+    assert solved == [0.5]
+    assert res.star_param == 0.5 and res.physical_param == hit
+
+
+def test_target_bisects_when_two_iterates_share_g(monkeypatch):
+    # a map flat past 1.5: the secant step from the ends lands on the flat
+    # part at 2, where g equals g at the upper end, so the next step is the
+    # bracket's midpoint, 1, which hits the target 0
+    solved = []
+
+    def clamped(variant, star, sign, config):
+        solved.append(star)
+        return SimpleNamespace(physical_param=min(max(star - 1.0, -0.5), 0.5))
+
+    monkeypatch.setattr(solvers, "solve_variant", clamped)
+    res = find_star_for_target("slip", 0.0, bracket=(0.0, 4.0))
+    assert solved == [0.0, 4.0, 2.0, 1.0]
+    assert res.physical_param == 0.0
+
+
 def test_target_slip_minus_has_no_default_bracket(monkeypatch):
     # -1 is a valid slip sign, so the missing bracket is what is refused
     monkeypatch.setattr(solvers, "solve_auxiliary", None)
@@ -735,7 +802,7 @@ def test_solve_variant_dispatch():
 ])
 def test_rescaled_far_field_hits_target(res_fn, d_fn):
     res = res_fn()
-    assert res.table.fp_inf == pytest.approx(d_fn(res), abs=1e-10)
+    assert res.table.fp[-1] == pytest.approx(d_fn(res), abs=1e-10)
 
 
 @settings(max_examples=15, deadline=None)

@@ -309,8 +309,6 @@ def series_deviation(eta_max: float = SERIES_ETA_MAX,
     the first dropped term, C14 eta^14, clears ROUNDOFF_FLOOR; eta_max
     and step are refused before integrating if the grid has fewer.
     """
-    check_real("eta_max", eta_max)
-    check_real("step", step)
     grid = GridConfig(eta_max=eta_max, step=step)
     # the first node where the series error is predicted above the floor
     eta_floor = (ROUNDOFF_FLOOR / _C14) ** (1.0 / 14.0)

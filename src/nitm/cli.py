@@ -27,10 +27,13 @@ _CONFIG_KEYS = ("step", "boundaries", "lambda_tol", "sign", "format",
                 "out", "profile")
 
 # most star values a --values lo:hi:count range makes, checked before the
-# list is built: a sweep keeps every row, about 20 kB each at the default step
+# list is built: a sweep holds one batch of solves and a record per row
 MAX_RANGE_COUNT = 10**5
 
 _PROFILED = ("blasius", "moving-wall", "slip", "gasification", "target")
+
+# the physical parameter each problem's target option names
+_TARGETS = {"moving-wall": "b", "slip": "c", "gasification": "s"}
 
 
 def _parse_float(text, name: str) -> float:
@@ -43,11 +46,12 @@ def _parse_float(text, name: str) -> float:
     return value
 
 
-def _parse_boundaries(text) -> tuple[float, ...]:
+def _parse_list(text, flag: str) -> list[float]:
+    """A comma list of numbers, as --boundaries and --values take."""
     parts = [p for p in str(text).split(",") if p.strip()]
     if not parts:
-        raise ValueError("--boundaries needs at least one value")
-    return tuple(_parse_float(p, "--boundaries") for p in parts)
+        raise ValueError(f"{flag} needs at least one value")
+    return [_parse_float(p, flag) for p in parts]
 
 
 def _parse_values(text) -> list[float]:
@@ -70,10 +74,7 @@ def _parse_values(text) -> list[float]:
                              f"got {count}")
         span = hi - lo
         return [lo + span * i / (count - 1) for i in range(count)]
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("--values needs at least one value")
-    return [_parse_float(p, "--values") for p in parts]
+    return _parse_list(text, "--values")
 
 
 def _file(flag: str, path: str, text: str | None = None):
@@ -100,46 +101,41 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-class Settings:
-    """Merged run configuration: flags override the config file.
+def _settle(args: argparse.Namespace, file_cfg: dict) -> None:
+    """Fill the options left out from the config file, then parse them.
 
-    Only turns strings into values. NitmConfig holds the solver
-    defaults and checks the ranges, so only the values given reach it.
-    A --profile, by flag or config key, is refused unless the command
-    makes one solve.
+    A key fills only an option the command has and that has no default
+    of its own (series-check's fine --step keeps its). NitmConfig holds
+    the solver defaults and checks the ranges, so step, lambda_tol and
+    boundaries stay None unless given. A --profile, by flag or config
+    key, is refused unless the command makes one solve.
     """
-
-    def __init__(self, file_cfg: dict, args: argparse.Namespace):
-        def pick(key):
-            flag = getattr(args, "fmt" if key == "format" else key, None)
-            return flag if flag is not None else file_cfg.get(key)
-
-        self._given = {}
-        for key, flag in (("step", "--step"), ("lambda_tol", "--lambda-tol")):
-            value = pick(key)
-            if value is not None:
-                self._given[key] = _parse_float(value, flag)
-        boundaries = pick("boundaries")
-        self.boundaries = None if boundaries is None else _parse_boundaries(boundaries)
-        sign = pick("sign")
-        self.sign = 1.0 if sign is None else _parse_float(sign, "--sign")
-        if self.sign not in (1.0, -1.0):
+    options = vars(args)
+    for key, value in file_cfg.items():
+        if key in options and options[key] is None:
+            options[key] = value
+    for key, parse in (("step", _parse_float), ("lambda_tol", _parse_float),
+                       ("boundaries", _parse_list)):
+        if options.get(key) is not None:
+            options[key] = parse(options[key], "--" + key.replace("_", "-"))
+    if "sign" in options:
+        sign = args.sign
+        args.sign = 1.0 if sign is None else _parse_float(sign, "--sign")
+        if args.sign not in (1.0, -1.0):
             raise ValueError(f"--sign must be +1 or -1, got {sign!r}")
-        fmt = pick("format")
-        self.fmt = "table" if fmt is None else fmt
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"--format must be one of {_FORMATS}, got {self.fmt!r}")
-        self.out = pick("out")
-        self.profile = pick("profile")
-        if self.profile and args.command not in _PROFILED:
-            raise ValueError(f"--profile applies to single solves, not {args.command}")
+    args.format = "table" if args.format is None else args.format
+    if args.format not in _FORMATS:
+        raise ValueError(f"--format must be one of {_FORMATS}, got {args.format!r}")
+    profile = options.get("profile") or file_cfg.get("profile")
+    if profile and args.command not in _PROFILED:
+        raise ValueError(f"--profile applies to single solves, not {args.command}")
 
-    def nitm_config(self, boundaries=None) -> NitmConfig:
-        schedule = boundaries or self.boundaries
-        kwargs = dict(self._given)
-        if schedule is not None:
-            kwargs["boundary_schedule"] = schedule
-        return NitmConfig(**kwargs)
+
+def _nitm_config(args, boundaries=None) -> NitmConfig:
+    """The solve settings given, over NitmConfig's defaults."""
+    given = {"step": args.step, "lambda_tol": args.lambda_tol,
+             "boundary_schedule": boundaries or args.boundaries}
+    return NitmConfig(**{key: v for key, v in given.items() if v is not None})
 
 
 def _reason(exc: NitmError) -> str:
@@ -190,7 +186,7 @@ def _render_table(records) -> str:
     return "\n".join(lines)
 
 
-def _report(st: Settings, records: list, table_text: str | None = None,
+def _report(args, records: list, table_text: str | None = None,
             single: bool = True, result=None) -> None:
     """Write records to --out or stdout, and result's table to --profile.
 
@@ -200,44 +196,44 @@ def _report(st: Settings, records: list, table_text: str | None = None,
     the aligned solve table. The result's table, and so numpy, is only
     read when --profile is given.
     """
-    if st.fmt == "json":
+    if args.format == "json":
         text = json.dumps(records[0] if single else records, indent=2)
-    elif st.fmt == "csv":
+    elif args.format == "csv":
         columns = HEADERS if "error" in records[0] else tuple(records[0])
         text = "\n".join([",".join(columns)] + [
             ",".join(_fmt_full(v) for v in _values(r, columns)) for r in records])
     else:
         text = _render_table(records) if table_text is None else table_text
-    if st.out:
-        _file("--out", st.out, text + "\n")
+    if args.out:
+        _file("--out", args.out, text + "\n")
     else:
         print(text, flush=True)
-    if st.profile and result is not None:
+    if result is not None and args.profile:
         profile = result.table
         lines = ["eta,f,fp,fpp"] + [
             ",".join("%.17g" % v for v in row)
             for row in zip(profile.etas(), profile.f, profile.fp, profile.fpp)]
-        _file("--profile", st.profile, "\n".join(lines) + "\n")
+        _file("--profile", args.profile, "\n".join(lines) + "\n")
 
 
-def blasius(st, args):
+def blasius(args):
     """Classic Blasius via the Topfer transformation.
 
     With --boundaries, solves each listed boundary as fixed and reports
     its shear; otherwise walks the default schedule to lambda agreement
     and reports the shear at each boundary walked.
     """
-    spec = solvers.classic_problem(p=st.sign)
+    spec = solvers.classic_problem(p=args.sign)
 
     report_lines = []
-    if st.boundaries is not None:
-        results = [solvers.solve_auxiliary(spec, st.nitm_config((b,)))
-                   for b in st.boundaries]
-        for b, res in zip(st.boundaries, results):
+    if args.boundaries is not None:
+        results = [solvers.solve_auxiliary(spec, _nitm_config(args, (b,)))
+                   for b in args.boundaries]
+        for b, res in zip(args.boundaries, results):
             report_lines.append(f"boundary {b:g}: shear {res.fpp0:.9f}")
         final = results[-1]
     else:
-        config = st.nitm_config()
+        config = _nitm_config(args)
         final = solvers.solve_auxiliary(spec, config)
         # the solve's closed-form fpp0 at each boundary, so the same bits a
         # fixed solve at b prints: the walk reached b through the same steps
@@ -248,51 +244,58 @@ def blasius(st, args):
         report_lines.append(f"accepted boundary {final.eta_inf_star:g}: "
                             f"shear {final.fpp0:.9f}")
     records = [_record(final)]
-    _report(st, records, "\n".join(report_lines + [_render_table(records)]),
+    _report(args, records, "\n".join(report_lines + [_render_table(records)]),
             result=final)
     return 0
 
 
-def sweep(st, args):
+def sweep(args):
     """Solve one row per star value, like the reference tables."""
-    values = _parse_values(args.values)
-    rows = solvers.sweep(args.problem, values, st.sign, st.nitm_config())
-    records = [{"star_param": star, "error": _reason(row)}
-               if isinstance(row, NitmError) else _record(row)
-               for star, row in zip(values, rows)]
-    _report(st, records, single=False)
+    # every value is checked before the first solve
+    specs = [solvers.ProblemSpec(args.problem, star, args.sign)
+             for star in _parse_values(args.values)]
+    config = _nitm_config(args)
+    records = []
+    # a batch of solves at a time, turned into records before the next: a
+    # result holds its walk buffers, which a sweep never reads
+    for first in range(0, len(specs), solvers._BATCH):
+        batch = specs[first:first + solvers._BATCH]
+        records += [{"star_param": spec.star_param, "error": _reason(row)}
+                    if isinstance(row, NitmError) else _record(row)
+                    for spec, row in zip(batch, solvers.solve_many(batch, config))]
+    _report(args, records, single=False)
     return 0 if any("error" not in r for r in records) else 2
 
 
-def _single_solve(st, args):
+def _single_solve(args):
     """One solve of the variant the command names."""
     star = _parse_float(args.star, "star parameter")
-    res = solvers.solve_variant(args.command, star, st.sign, st.nitm_config())
-    _report(st, [_record(res)], result=res)
+    res = solvers.solve_variant(args.command, star, args.sign, _nitm_config(args))
+    _report(args, [_record(res)], result=res)
     return 0
 
 
-def critical_b(st, args):
+def critical_b(args):
     """Most negative physical b on the plus branch."""
-    result = solvers.find_critical_b(st.nitm_config(), args.scan_lo, args.scan_hi,
+    result = solvers.find_critical_b(_nitm_config(args), args.scan_lo, args.scan_hi,
                                      args.scan_points)
     if args.json:
-        st.fmt = "json"
-    _report(st, [{"b_c": result.b_c, "b_star": result.b_star}],
+        args.format = "json"
+    _report(args, [{"b_c": result.b_c, "b_star": result.b_star}],
             f"b_c = {result.b_c:.6f}\nb_star = {result.b_star:.6f}")
     return 0
 
 
-def target(st, args):
+def target(args):
     """Find the star value whose physical parameter hits a target."""
-    by_flag = {"moving-wall": args.b, "slip": args.c, "gasification": args.s}
-    given = [(k, v) for k, v in (("--b", args.b), ("--c", args.c),
-                                 ("--s", args.s)) if v is not None]
+    given = [problem for problem, name in _TARGETS.items()
+             if getattr(args, name) is not None]
     if len(given) != 1:
         raise ValueError("pass exactly one of --b, --c, --s")
-    if by_flag[args.problem] is None:
-        raise ValueError(f"{given[0][0]} does not match --problem {args.problem}")
-    target_value = _parse_float(given[0][1], given[0][0])
+    name = _TARGETS[given[0]]
+    if given[0] != args.problem:
+        raise ValueError(f"--{name} does not match --problem {args.problem}")
+    target_value = _parse_float(getattr(args, name), f"--{name}")
     bracket_pair = None
     if args.bracket is not None:
         parts = args.bracket.split(",")
@@ -300,29 +303,28 @@ def target(st, args):
             raise ValueError(f"--bracket must be lo,hi, got {args.bracket!r}")
         bracket_pair = (_parse_float(parts[0], "--bracket"),
                         _parse_float(parts[1], "--bracket"))
-    res = solvers.find_star_for_target(args.problem, target_value, st.sign,
-                                       st.nitm_config(), bracket=bracket_pair)
-    _report(st, [_record(res)], result=res)
+    res = solvers.find_star_for_target(args.problem, target_value, args.sign,
+                                       _nitm_config(args), bracket=bracket_pair)
+    _report(args, [_record(res)], result=res)
     return 0
 
 
-def series_check(st, args):
+def series_check(args):
     """Compare the wall series against a fine star-IVP solve."""
     from . import analysis
-    eta_max = _parse_float(args.eta_max, "--eta-max")
-    step = _parse_float(args.step, "--step")
+    eta_max, step = _parse_float(args.eta_max, "--eta-max"), args.step
     if eta_max <= 0 or step <= 0 or eta_max < 10 * step:
         raise ValueError("need 0 < step << eta-max")
     deviation, order = analysis.series_deviation(eta_max, step)
     ok = order >= 13.0
-    _report(st, [{"max_deviation": deviation, "fitted_order": order, "order_ok": ok}],
+    _report(args, [{"max_deviation": deviation, "fitted_order": order, "order_ok": ok}],
             f"max deviation = {deviation:.3e}\n"
             f"fitted order = {order:.2f}\n"
             f"order >= 13: {'yes' if ok else 'NO'}")
     return 0 if ok else 2
 
 
-def rubel(st, args):
+def rubel(args):
     """Truncation error bound at M, validated against the 2M solution."""
     from . import analysis
     M = _parse_float(args.M, "--M")
@@ -331,7 +333,7 @@ def rubel(st, args):
     check = analysis.rubel_check(M)
     sol, bound, empirical = check.solution, check.bound, check.empirical_max_error
     valid = empirical <= bound.bound
-    _report(st, [{"M": M, "t_star": sol.t_star, "lambda": sol.lam,
+    _report(args, [{"M": M, "t_star": sol.t_star, "lambda": sol.lam,
                   "bound": bound.bound, "empirical_max_error": empirical,
                   "valid": valid}],
             f"M = {M:g}\n"
@@ -344,7 +346,7 @@ def rubel(st, args):
     return 0 if valid else 2
 
 
-def info(st, args):
+def info(args):
     """Package version and the integration kernel in use, with why."""
     print(f"nitm {__version__}\n"
           f"backend: {kernels.BACKEND}\n"
@@ -357,7 +359,7 @@ def _dedent(doc: str) -> str:
     return "\n".join(line.strip() for line in doc.strip().splitlines())
 
 
-# name -> (handler(settings, parsed arguments) -> exit code, description)
+# name -> (handler(parsed and settled arguments) -> exit code, description)
 _COMMANDS = {name: (run, _dedent(doc or run.__doc__)) for name, run, doc in (
     ("blasius", blasius, None),
     ("sweep", sweep, None),
@@ -416,7 +418,7 @@ def _add_options(parser, command: str) -> None:
         if command != "critical-b":    # critical-b has only the +1 branch
             parser.add_argument("--sign", help="Seeded f''*(0), +1 or -1.")
     if command != "info":
-        parser.add_argument("--format", dest="fmt", choices=_FORMATS,
+        parser.add_argument("--format", choices=_FORMATS,
                             help="Output format (default table).")
         parser.add_argument("--out", help="Write the report here instead of stdout.")
     if command in ("sweep", "target"):
@@ -438,9 +440,8 @@ def _add_options(parser, command: str) -> None:
         parser.add_argument("--json", action="store_true",
                             help="Shorthand for --format json.")
     elif command == "target":
-        parser.add_argument("--b", help="Target moving-wall b.")
-        parser.add_argument("--c", help="Target slip c.")
-        parser.add_argument("--s", help="Target gasification s.")
+        for problem, name in _TARGETS.items():
+            parser.add_argument(f"--{name}", help=f"Target {problem} {name}.")
         parser.add_argument("--bracket", help="Star bracket as lo,hi.")
     elif command == "series-check":
         from . import analysis
@@ -473,8 +474,9 @@ def main(argv=None) -> int:
         command = next((w for w in argv if not w.startswith("-")), None)
         args = _parser(command).parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
-        st = None if args.command == "info" else Settings(cfg, args)
-        return _COMMANDS[args.command][0](st, args)
+        if args.command != "info":
+            _settle(args, cfg)
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:     # --help, and usage errors from _Parser.error
         return exc.code
     except (BrokenPipeError, KeyboardInterrupt):

@@ -471,8 +471,11 @@ def find_critical_b(config: NitmConfig | None = None,
 # finer step) to reach more extreme parameters.
 _TARGET_BRACKETS = {
     ("moving-wall", 1.0): (1e-6, 100.0),
-    # the minus branch only exists above the Sakiadis star value ~1.7188,
-    # where fp_inf_star reaches zero
+    # the minus branch solves below b* = 1.75 too: at the default step,
+    # b* = 1.70 gives b = 1.0269 and 1.683 gives b = 1.0544, while 1.682
+    # gets no lambda agreement and 1.681 breaks down. This bracket, at
+    # b = 0.962 on its lower end, so misses targets with b between 0.962
+    # and about 1.054; widening it would move target's bits.
     ("moving-wall", -1.0): (1.75, 100.0),
     ("slip", 1.0): (0.0, 40.0),
     ("gasification", 1.0): (0.0, 4.0),
@@ -517,7 +520,8 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     check_real("target", target)
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    if bracket is None:
+    default = bracket is None
+    if default:
         bracket = _default_bracket(variant, target, sign)
     else:
         try:
@@ -543,10 +547,12 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     if abs(g_hi) < _TARGET_TOL:
         return res_hi
     if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        raise BracketingError(
-            f"target {target:.6g} not bracketed by ({lo:.6g}, {hi:.6g})",
-            (res_lo.physical_param, res_hi.physical_param),
-        )
+        message = f"target {target:.6g} not bracketed by ({lo:.6g}, {hi:.6g})"
+        if default and lo == _CRITICAL_B_STAR and g_lo > 0.0:
+            # the plus branch's b at the critical b* is its least, b_c
+            message += (f": no solution exists below "
+                        f"b_c ~ {res_lo.physical_param:.6g}")
+        raise BracketingError(message, (res_lo.physical_param, res_hi.physical_param))
 
     # the last two iterates, with the physical values they solved to
     x0, g0, b0 = lo, g_lo, res_lo.physical_param

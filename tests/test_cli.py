@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,33 @@ def test_sweep_row_that_does_not_converge_reads_error(capsys):
     assert code == 2
     row = out.splitlines()[1].split()
     assert row == ["0.000000"] + ["ERROR(no", "convergence)"] * (len(HEADERS) - 1)
+
+
+def test_a_long_sweep_holds_one_batch_of_solves(capsys, monkeypatch):
+    # a solve keeps its walk buffers, about 15 kB a row at the default
+    # step, which a sweep never reads; a batch of 4 keeps the traced run
+    # short on the pure kernel, and the sweep still walks 12 of them
+    monkeypatch.setattr(nitm.solvers, "_BATCH", 4)
+    argv = ("sweep", "--problem", "moving-wall", "--format", "csv", "--values")
+    assert run(capsys, *argv, "0:5:4")[0] == 0          # lazy imports first
+    tracemalloc.start()
+    try:
+        code = main([*argv, "0:5:48"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and len(out.splitlines()) == 49
+    assert peak < 48 * 5000
+
+
+def test_sweep_refuses_a_value_past_its_first_batch_before_any_solve(
+        capsys, monkeypatch):
+    monkeypatch.setattr(nitm.solvers, "solve_many", _no_solve)
+    values = ",".join(["1"] * (nitm.solvers._BATCH + 1) + ["-1"])
+    code, out, err = run(capsys, "sweep", "--problem", "slip", f"--values={values}")
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1
 
 
 @pytest.mark.parametrize("value, text", [
@@ -481,6 +509,29 @@ def test_profile_from_config_file_is_refused_by_the_analysis_commands(
     assert code == 1
     assert f"--profile applies to single solves, not {argv[0]}" in err
     assert out == "" and not profile.exists()
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("step = abc", ("rubel", "--M", "3")),
+    ("sign = 2", ("critical-b",)),
+    ("boundaries = x", ("series-check",)),
+    ("lambda_tol = x\nsign = x", ("rubel", "--M", "3", "--format", "csv")),
+], ids=["rubel-step", "critical-b-sign", "series-check-boundaries", "rubel-two"])
+def test_config_key_reaches_only_a_command_that_has_its_option(
+        capsys, tmp_path, key, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(key + "\n")
+    by_file = run(capsys, "--config", str(cfg), *argv)
+    assert by_file == run(capsys, *argv)
+    assert by_file[0] == 0 and by_file[1]
+
+
+def test_config_key_is_parsed_for_a_command_that_has_its_option(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("step = abc\n")
+    code, out, err = run(capsys, "--config", str(cfg), "blasius")
+    assert (code, out) == (1, "")
+    assert err == "error: --step must be a number, got 'abc'\n"
 
 
 def _no_solve(*args, **kwargs):

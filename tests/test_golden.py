@@ -27,8 +27,10 @@ CONFIGS = {
 }
 
 # (variant, sign, star values); the classic problem takes no star value.
-# Below b* = 1.7188 the moving-wall -1 branch has no solution, and the
-# -1 branches of slip and classic blow up: those rows pin the errors.
+# The moving-wall -1 branch fails at b* = 1.0, and at 1.5 on a walked
+# schedule; at the default step it solves down to b* = 1.683 (b = 1.0544),
+# while 1.682 gets no lambda agreement and 1.681 breaks down. The -1
+# branches of slip and classic blow up. Those rows pin the errors.
 CASES = (
     ("classic", 1.0, (None,)),
     ("classic", -1.0, (None,)),

@@ -695,6 +695,21 @@ def test_target_requires_sign_change():
     assert err.value.scanned  # reports the achieved parameters
 
 
+def test_target_below_b_c_says_no_solution_exists():
+    # the default plus-branch bracket starts at the critical b*, where b
+    # is least; an explicit bracket keeps the bare message
+    with pytest.raises(BracketingError) as err:
+        find_star_for_target("moving-wall", -0.6)
+    assert str(err.value) == (
+        "target -0.6 not bracketed by (-1.2322, -1e-06): no solution exists "
+        "below b_c ~ -0.548246 (scanned: -0.548246, -4.79522e-07)")
+    assert err.value.scanned[0] == pytest.approx(-0.54824616283, abs=1e-11)
+    with pytest.raises(BracketingError) as err:
+        find_star_for_target("moving-wall", -0.6, bracket=(-1.2322, -1e-6))
+    assert str(err.value) == ("target -0.6 not bracketed by (-1.2322, -1e-06) "
+                              "(scanned: -0.548246, -4.79522e-07)")
+
+
 def test_target_bracketing_error_reports_the_solved_ends():
     # rebuilt as g + target, both ends would read 0 at this target
     with pytest.raises(BracketingError) as err:
@@ -870,7 +885,7 @@ def test_lean_solve_wall_values_and_table_ownership(backend, spec, config):
 # batched solves: solve_many row for row against solve_auxiliary
 
 # every variant and sign, over star ranges that reach blow-ups (slip -1)
-# and scaling breakdowns (moving wall -1 below b* = 1.7188)
+# and scaling breakdowns (moving wall -1 below about b* = 1.68)
 _STARS = {"moving-wall": (-1.5, 6.0), "slip": (0.0, 6.0), "gasification": (0.0, 4.0)}
 
 # steps 0.1 and a tolerance of 1e-4 on three boundaries: most rows agree,

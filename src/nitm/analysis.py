@@ -12,7 +12,7 @@ from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
-from .errors import BlowupError, check_real
+from .errors import BlowupError, check_finite, check_positive
 from .ode import MAX_NODES, GridConfig, SolutionTable, StarTableRecord, integrate
 from .scaling import physical_values, rescale
 
@@ -53,8 +53,9 @@ def series_coefficients(shear: float) -> BlasiusSeries:
     C2 = shear/2, C5 = -shear^2/(2*5!), C8 = 11 shear^3/(4*8!),
     C11 = -375 shear^4/(8*11!).
     """
-    if shear == 0.0 or not math.isfinite(shear):
-        raise ValueError(f"shear must be finite and nonzero, got {shear}")
+    shear = check_finite("shear", shear)
+    if shear == 0.0:
+        raise ValueError("shear must be nonzero")
     return BlasiusSeries(shear, (
         shear / 2.0,
         -shear ** 2 / 240.0,
@@ -179,13 +180,6 @@ def _newton(t: float, miss: float, fp: float, fpp: float) -> float:
     return t - miss / (t * (2.0 * fp + t * fpp))
 
 
-def _check_m(M: float) -> None:
-    """Refuse an M that is not a positive, finite real number."""
-    check_real("M", M)
-    if not (math.isfinite(M) and M > 0.0):
-        raise ValueError(f"M must be positive and finite, got {M}")
-
-
 def truncated_solution(M: float) -> TruncatedSolution:
     """Truncated-boundary solution by the non-iterative method.
 
@@ -205,7 +199,7 @@ def truncated_solution(M: float) -> TruncatedSolution:
     their nodes on [0, M]. The nodes are allocated once, so M is
     refused before anything runs if n would reach MAX_NODES.
     """
-    _check_m(M)
+    M = check_positive("M", M)
     if M * NODES_PER_UNIT >= MAX_NODES:
         raise ValueError(f"M = {M} needs more than {MAX_NODES} grid nodes")
     n = round(M * NODES_PER_UNIT)
@@ -278,7 +272,7 @@ def rubel_check(M: float) -> RubelCheck:
     as importing numpy). M is refused before anything runs if the 2M
     solution would reach MAX_NODES.
     """
-    _check_m(M)
+    M = check_positive("M", M)
     if 2.0 * M * NODES_PER_UNIT >= MAX_NODES:
         raise ValueError(f"M = {M} needs a 2M solution on more than {MAX_NODES} "
                          f"grid nodes")

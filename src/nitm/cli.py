@@ -10,12 +10,12 @@ running out of memory or overflowing a float.
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import __version__, kernels, solvers
-from .errors import BlowupError, NitmError, NoConvergenceError, ScalingBreakdownError
+from .errors import (BlowupError, NitmError, NoConvergenceError, ScalingBreakdownError,
+                     check_finite)
 from .solvers import NitmConfig
 
 HEADERS = ("star_param", "fp_inf_star", "lambda", "physical_param",
@@ -41,9 +41,7 @@ def _parse_float(text, name: str) -> float:
         value = float(text)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {text!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text!r}")
-    return value
+    return check_finite(name, value)
 
 
 def _parse_list(text, flag: str) -> list[float]:
@@ -105,10 +103,10 @@ def _settle(args: argparse.Namespace, file_cfg: dict) -> None:
     """Fill the options left out from the config file, then parse them.
 
     A key fills only an option the command has and that has no default
-    of its own (series-check's fine --step keeps its). NitmConfig holds
-    the solver defaults and checks the ranges, so step, lambda_tol and
-    boundaries stay None unless given. A --profile, by flag or config
-    key, is refused unless the command makes one solve.
+    of its own (series-check's fine --step keeps its). The solves check
+    the ranges and the sign, and NitmConfig holds the solver defaults,
+    so step, lambda_tol and boundaries stay None unless given. A --profile,
+    by flag or config key, is refused unless the command makes one solve.
     """
     options = vars(args)
     for key, value in file_cfg.items():
@@ -119,10 +117,7 @@ def _settle(args: argparse.Namespace, file_cfg: dict) -> None:
         if options.get(key) is not None:
             options[key] = parse(options[key], "--" + key.replace("_", "-"))
     if "sign" in options:
-        sign = args.sign
-        args.sign = 1.0 if sign is None else _parse_float(sign, "--sign")
-        if args.sign not in (1.0, -1.0):
-            raise ValueError(f"--sign must be +1 or -1, got {sign!r}")
+        args.sign = 1.0 if args.sign is None else _parse_float(args.sign, "--sign")
     args.format = "table" if args.format is None else args.format
     if args.format not in _FORMATS:
         raise ValueError(f"--format must be one of {_FORMATS}, got {args.format!r}")

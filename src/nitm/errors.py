@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and the type check of numeric inputs."""
+"""Exception types shared across the package, and the checks of numeric inputs.
+
+Each check refuses an input by an error whose message starts with its name."""
+
+import math
 
 
 def check_real(name: str, value) -> None:
-    """Refuse a value that is not a real number with a TypeError naming it.
+    """Refuse a value that is not a real number, or is a bool, by a TypeError naming it.
 
     Runs ahead of any arithmetic, which would otherwise fail with a bare
     TypeError that does not say which input was wrong. A float skips the
@@ -11,8 +15,40 @@ def check_real(name: str, value) -> None:
     """
     if type(value) is not float:
         from numbers import Real
-        if not isinstance(value, Real):
+        if not isinstance(value, Real) or isinstance(value, bool):
             raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def check_finite(name: str, value) -> float:
+    """float(value), refused unless value is a finite real number."""
+    if type(value) is not float:
+        check_real(name, value)
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_positive(name: str, value) -> float:
+    """float(value), refused unless value is a positive, finite real number."""
+    if type(value) is not float:
+        check_real(name, value)
+        value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_numbers(name: str, values, item: str) -> tuple[float, ...]:
+    """The floats of a nonempty sequence of finite numbers; a bad one is named item."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of numbers, "
+                        f"got {values!r}") from None
+    if not values:
+        raise ValueError(f"{name} must be nonempty")
+    return tuple([check_finite(item, value) for value in values])
 
 
 class NitmError(Exception):

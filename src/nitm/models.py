@@ -4,10 +4,10 @@ Also which power-law scalings leave an equation invariant, found exactly
 over the rationals. Topfer's group, which the solvers apply, is in scaling.
 """
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import check_finite, check_positive
 from .ode import Checked, State3
 
 
@@ -22,9 +22,7 @@ class BlasiusFamilyRhs(Checked, NamedTuple("BlasiusFamilyRhs", [("beta", float)]
     __slots__ = ()
 
     def __new__(cls, beta: float):
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise ValueError(f"beta must be positive, got {beta}")
-        return tuple.__new__(cls, (beta,))
+        return tuple.__new__(cls, (check_positive("beta", beta),))
 
     def __call__(self, eta: float, s: State3) -> State3:
         return State3(s.fp, s.fpp, -self.beta * s.f * s.fpp)
@@ -36,9 +34,7 @@ class FalknerSkanRhs(Checked, NamedTuple("FalknerSkanRhs", [("P", float)])):
     __slots__ = ()
 
     def __new__(cls, P: float):
-        if not math.isfinite(P):
-            raise ValueError(f"P must be finite, got {P}")
-        return tuple.__new__(cls, (P,))
+        return tuple.__new__(cls, (check_finite("P", P),))
 
     def __call__(self, eta: float, s: State3) -> State3:
         return State3(s.fp, s.fpp, -s.f * s.fpp - self.P * (1.0 - s.fp * s.fp))
@@ -158,8 +154,7 @@ def numeric_invariance_check(rhs, lam_test: float, states) -> float:
     worst absolute mismatch is returned. The result is ~0 exactly when
     the equation is invariant under the group.
     """
-    if not (lam_test > 0.0) or not math.isfinite(lam_test):
-        raise ValueError(f"lam_test must be positive, got {lam_test}")
+    lam_test = check_positive("lam_test", lam_test)
     third_weight = lam_test ** 4.0
     worst = 0.0
     for sample in states:

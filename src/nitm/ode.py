@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
-from .errors import BlowupError, check_real
+from .errors import BlowupError, check_numbers, check_positive, check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,9 +71,7 @@ class GridConfig(Checked, NamedTuple("GridConfig", [("eta_max", float),
 
     def __new__(cls, eta_max: float, step: float = DEFAULT_STEP):
         check_real("eta_max", eta_max)
-        check_real("step", step)
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValueError(f"step must be positive, got {step}")
+        step = check_positive("step", step)
         node_index(eta_max, step, "eta_max")
         return tuple.__new__(cls, (eta_max, step))
 
@@ -165,11 +163,8 @@ class StarTableRecord(Record):
 
 def integrate(beta: float, initial, grid: GridConfig) -> SolutionTable:
     """Integrate f''' = -beta*f*f'' from eta=0 to grid.eta_max, storing every node."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    start = State3(*initial)
-    if not all(map(math.isfinite, start)):
-        raise ValueError(f"initial state must be finite, got {start}")
+    beta = check_positive("beta", beta)
+    start = State3(*check_numbers("initial", initial, "initial state"))
     import numpy as np
 
     # every caller goes on to numpy work: exact-size buffers, not zero-filled

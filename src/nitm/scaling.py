@@ -13,7 +13,7 @@ models, which no solve imports.
 
 import math
 
-from .errors import ScalingBreakdownError
+from .errors import ScalingBreakdownError, check_positive
 from .ode import GridConfig, SolutionTable
 
 
@@ -57,8 +57,7 @@ def rescale(step_star: float, f, fp, fpp, lam: float) -> SolutionTable:
     eta = lambda eta*; the values follow physical_values. The arrays may
     be views of a larger buffer: the table holds the fresh products only.
     """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"lambda must be positive, got {lam}")
+    lam = check_positive("lam", lam)
     grid = GridConfig.of_nodes(len(f), lam * step_star)
     if not (grid.step > 0.0 and math.isfinite(grid.eta_max)):
         raise ValueError(f"lambda = {lam} takes the grid out of float range")

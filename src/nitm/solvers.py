@@ -13,9 +13,9 @@ from typing import Callable, NamedTuple
 
 from . import kernels
 from ._kernels_py import BLOWUP, NO_AGREEMENT, walk_member
-from .errors import (BlowupError, BracketingError, NitmError,
-                     NoConvergenceError, ScalingBreakdownError,
-                     UnsupportedVariantError, check_real)
+from .errors import (BlowupError, BracketingError, NitmError, NoConvergenceError,
+                     ScalingBreakdownError, UnsupportedVariantError, check_finite,
+                     check_numbers, check_positive, check_real)
 from .ode import (DEFAULT_STEP, Checked, SolutionTable, StarTableRecord, State3,
                   node_index)
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
@@ -76,16 +76,14 @@ class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
         if rules is None:
             raise ValueError(f"unknown variant {variant!r}")
         _check_sign(variant, p)
-        if star_param is not None:
-            check_real("star_param", star_param)
         if rules.k is None:
             if star_param is not None:
                 raise ValueError(f"variant {variant!r} takes no star_param")
-        elif star_param is None or not math.isfinite(star_param):
-            raise ValueError(f"star_param must be finite, got {star_param}")
-        elif star_param < rules.least_star:
-            raise ValueError(f"star_param of {variant} must be at least "
-                             f"{rules.least_star:g}, got {star_param}")
+        else:
+            star_param = check_finite("star_param", star_param)
+            if star_param < rules.least_star:
+                raise ValueError(f"star_param of {variant} must be at least "
+                                 f"{rules.least_star:g}, got {star_param}")
         return tuple.__new__(cls, (variant, star_param, p))
 
 
@@ -121,26 +119,13 @@ class NitmConfig(NamedTuple("NitmConfig", [("step", float),
     def __new__(cls, step: float = DEFAULT_STEP,
                 boundary_schedule: tuple[float, ...] = DEFAULT_SCHEDULE,
                 lambda_tol: float = 1e-6):
-        check_real("step", step)
-        check_real("lambda_tol", lambda_tol)
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValueError(f"step must be positive, got {step}")
-        try:
-            sched = tuple(boundary_schedule)
-        except TypeError:
-            raise TypeError(f"boundary_schedule must be a sequence of numbers, "
-                            f"got {boundary_schedule!r}") from None
-        for b in sched:
-            check_real("boundary", b)
-        sched = tuple(map(float, sched))
-        if not sched:
-            raise ValueError("boundary schedule must be nonempty")
+        step = check_positive("step", step)
+        lambda_tol = check_positive("lambda_tol", lambda_tol)
+        sched = check_numbers("boundary_schedule", boundary_schedule, "boundary")
         stops = tuple(node_index(b, step, "boundary") for b in sched)
         if any(s2 <= s1 for s1, s2 in zip(stops, stops[1:])):
             raise ValueError(f"boundary schedule must be strictly increasing, "
                              f"got {sched}")
-        if not (math.isfinite(lambda_tol) and lambda_tol > 0.0):
-            raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
         return tuple.__new__(cls, (step, sched, lambda_tol, stops))
 
     def __getnewargs__(self):
@@ -163,6 +148,15 @@ class NitmConfig(NamedTuple("NitmConfig", [("step", float),
 
 
 DEFAULT_CONFIG = NitmConfig()
+
+
+def _config(config) -> NitmConfig:
+    """DEFAULT_CONFIG for None, else config, refused unless a NitmConfig."""
+    if config is None:
+        return DEFAULT_CONFIG
+    if not isinstance(config, NitmConfig):
+        raise TypeError(f"config must be a NitmConfig or None, got {config!r}")
+    return config
 
 
 class NitmResult(StarTableRecord):
@@ -224,7 +218,9 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     state in closed form; the result keeps the walk's buffers, which
     hold the accepted boundary's nodes and no more, for its table.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
+    # _config only for what is neither: a single solve makes no extra call
+    cfg = (DEFAULT_CONFIG if config is None
+           else config if type(config) is NitmConfig else _config(config))
     start = initial_state(spec)
     # the fill is looked up at each call, so a kernel patched onto the module is used
     row = _row(spec, cfg, start, *walk_member(
@@ -249,7 +245,7 @@ def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | Nit
     the same message: lambda is recomputed at each boundary the member
     walked with the same scaling calls.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
+    cfg = _config(config)
     specs = list(specs)
     members: dict[float, list[int]] = {}
     for i, spec in enumerate(specs):
@@ -327,14 +323,8 @@ def sweep(variant: str, star_values, sign: float = 1.0,
     then solved together by solve_many.
     """
     _check_parametrized(variant)
-    try:
-        star_values = tuple(star_values)
-    except TypeError:
-        raise TypeError(f"star_values must be a sequence of numbers, "
-                        f"got {star_values!r}") from None
-    specs = [ProblemSpec(variant, value, sign) for value in star_values]
-    if not specs:
-        raise ValueError("sweep needs at least one star value")
+    specs = [ProblemSpec(variant, value, sign)
+             for value in check_numbers("star_values", star_values, "star_param")]
     return solve_many(specs, config)
 
 
@@ -425,6 +415,7 @@ def find_critical_b(config: NitmConfig | None = None,
     _brent_minimum from that point. Returns the least b the minimiser
     solved and the b* attaining it.
     """
+    config = _config(config)
     check_real("scan_lo", scan_lo)
     check_real("scan_hi", scan_hi)
     if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
@@ -517,21 +508,15 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     """
     _check_parametrized(variant)
     _check_sign(variant, sign)
-    check_real("target", target)
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+    target = check_finite("target", target)
+    config = _config(config)
     default = bracket is None
     if default:
         bracket = _default_bracket(variant, target, sign)
     else:
-        try:
-            bracket = tuple(bracket)
-        except TypeError:
-            raise TypeError(f"bracket must be two numbers, got {bracket!r}") from None
-        for end in bracket:
-            check_real("bracket end", end)
-        if len(bracket) != 2 or not all(map(math.isfinite, bracket)):
-            raise ValueError(f"bracket must be two finite numbers, got {bracket}")
+        bracket = check_numbers("bracket", bracket, "bracket end")
+        if len(bracket) != 2:
+            raise ValueError(f"bracket must be two numbers, got {bracket}")
     lo, hi = bracket
     if not lo < hi:
         raise BracketingError(f"empty bracket ({lo:.6g}, {hi:.6g})")

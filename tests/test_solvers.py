@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from nitm import (DEFAULT_SCHEDULE, GridConfig, NitmConfig, NitmResult, ProblemSpec,
                   State3, _kernels_py, analysis, classic_problem,
-                  find_critical_b, find_star_for_target, initial_state,
-                  kernels, solve_auxiliary, solve_gasification, solve_many,
-                  solve_moving_wall, solve_slip, solve_variant, solvers, sweep)
+                  find_critical_b, find_star_for_target, initial_state, integrate,
+                  kernels, models, scaling, solve_auxiliary, solve_gasification,
+                  solve_many, solve_moving_wall, solve_slip, solve_variant, solvers,
+                  sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
                          NoConvergenceError, ScalingBreakdownError,
                          UnsupportedVariantError)
@@ -613,11 +614,33 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
     (lambda: GridConfig("1"), "eta_max"),
     (lambda: GridConfig(1.0, "0.01"), "step"),
     (lambda: sweep("slip", 1.0), "star_values"),
+    (lambda: integrate("x", (0.0, 0.0, 1.0), GridConfig(1.0)), "beta"),
+    (lambda: integrate(0.5, ("a", 0.0, 1.0), GridConfig(1.0)), "initial state"),
+    (lambda: models.BlasiusFamilyRhs("x"), "beta"),
+    (lambda: models.FalknerSkanRhs("x"), "P"),
+    (lambda: analysis.series_coefficients("x"), "shear"),
+    (lambda: models.numeric_invariance_check(models.BlasiusFamilyRhs(0.5), "x", []),
+     "lam_test"),
+    (lambda: scaling.rescale(0.01, *np.zeros((3, 2)), lam="x"), "lam"),
+    (lambda: NitmConfig(step=True), "step"),
+    (lambda: analysis.truncated_solution(True), "M"),
+    (lambda: sweep("slip", [True]), "star_param"),
+    (lambda: find_star_for_target("slip", True), "target"),
+    (lambda: solve_auxiliary(classic_problem(), "x"), "config"),
+    (lambda: solve_many([classic_problem()], "x"), "config"),
+    (lambda: sweep("slip", [1.0], config="x"), "config"),
+    (lambda: find_star_for_target("slip", 1.5, config="x"), "config"),
+    (lambda: find_critical_b(config="x"), "config"),
 ], ids=["truncated-M", "series-eta-max", "critical-b-scan-lo", "target-value",
         "target-bracket-end", "target-bracket-not-a-pair", "sweep-value",
         "config-step", "config-lambda-tol", "config-schedule-not-a-sequence",
         "config-boundary", "grid-eta-max", "grid-step",
-        "sweep-values-not-a-sequence"])
+        "sweep-values-not-a-sequence", "integrate-beta", "integrate-initial-state",
+        "blasius-rhs-beta", "falkner-skan-p", "series-shear",
+        "invariance-lam-test", "rescale-lam", "config-step-bool",
+        "truncated-M-bool", "sweep-value-bool", "target-value-bool",
+        "solve-config", "solve-many-config", "sweep-config", "target-config",
+        "critical-b-config"])
 def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the input was checked")
@@ -627,6 +650,14 @@ def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name)
     monkeypatch.setattr(analysis, "integrate", no_solve)
     with pytest.raises(TypeError, match=f"^{name} "):
         call()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: find_star_for_target("slip", 1.5, bracket=np.array([0.0, 10.0])),
+    lambda: sweep("slip", np.array([1.0]))[0],
+], ids=["target-numpy-bracket", "sweep-numpy-values"])
+def test_numpy_inputs_give_results_of_plain_floats(solve):
+    assert type(solve().star_param) is float
 
 
 def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):

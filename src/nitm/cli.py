@@ -249,15 +249,12 @@ def sweep(args):
     # every value is checked before the first solve
     specs = [solvers.ProblemSpec(args.problem, star, args.sign)
              for star in _parse_values(args.values)]
-    config = _nitm_config(args)
-    records = []
-    # a batch of solves at a time, turned into records before the next: a
-    # result holds its walk buffers, which a sweep never reads
-    for first in range(0, len(specs), solvers._BATCH):
-        batch = specs[first:first + solvers._BATCH]
-        records += [{"star_param": spec.star_param, "error": _reason(row)}
-                    if isinstance(row, NitmError) else _record(row)
-                    for spec, row in zip(batch, solvers.solve_many(batch, config))]
+    # a record per row as it is solved, as a sweep never reads the walk buffers;
+    # strict, so the rows run out and drop their last batch before the report
+    rows = solvers.iter_solves(specs, _nitm_config(args))
+    records = [{"star_param": spec.star_param, "error": _reason(row)}
+               if isinstance(row, NitmError) else _record(row)
+               for spec, row in zip(specs, rows, strict=True)]
     _report(args, records, single=False)
     return 0 if any("error" not in r for r in records) else 2
 

@@ -5,25 +5,28 @@ Each check refuses an input by an error whose message starts with its name."""
 import math
 
 
-def check_real(name: str, value) -> None:
-    """Refuse a value that is not a real number, or is a bool, by a TypeError naming it.
+def check_real(name: str, value) -> float:
+    """float(value), refused unless a real number, no bool, within the float range.
 
-    Runs ahead of any arithmetic, which would otherwise fail with a bare
-    TypeError that does not say which input was wrong. A float skips the
-    abstract-class check, which costs most of a microsecond, and the
-    import of numbers, which a process that passes only floats never makes.
+    Runs ahead of any arithmetic, whose bare TypeError or OverflowError
+    would not say which input was wrong. A float skips the abstract-class
+    check (most of a microsecond) and the import of numbers.
     """
-    if type(value) is not float:
-        from numbers import Real
-        if not isinstance(value, Real) or isinstance(value, bool):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
+    if type(value) is float:
+        return value
+    from numbers import Real
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got one past the float range") from None
 
 
 def check_finite(name: str, value) -> float:
     """float(value), refused unless value is a finite real number."""
     if type(value) is not float:
-        check_real(name, value)
-        value = float(value)
+        value = check_real(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -32,8 +35,7 @@ def check_finite(name: str, value) -> float:
 def check_positive(name: str, value) -> float:
     """float(value), refused unless value is a positive, finite real number."""
     if type(value) is not float:
-        check_real(name, value)
-        value = float(value)
+        value = check_real(name, value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value

@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
-from .errors import BlowupError, check_numbers, check_positive, check_real
+from .errors import BlowupError, check_finite, check_numbers, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +70,7 @@ class GridConfig(Checked, NamedTuple("GridConfig", [("eta_max", float),
     __slots__ = ()
 
     def __new__(cls, eta_max: float, step: float = DEFAULT_STEP):
-        check_real("eta_max", eta_max)
+        eta_max = check_finite("eta_max", eta_max)
         step = check_positive("step", step)
         node_index(eta_max, step, "eta_max")
         return tuple.__new__(cls, (eta_max, step))

@@ -52,11 +52,14 @@ PARAMETRIZED = tuple(v for v, rules in VARIANTS.items() if rules.k is not None)
 DEFAULT_SCHEDULE = tuple(float(b) for b in range(4, 52, 2))
 
 
-def _check_sign(variant: str, p: float) -> None:
+def _check_sign(variant: str, p: float) -> float:
+    if type(p) is not float:
+        p = check_real("sign", p)
     signs = VARIANTS[variant].signs
     if p not in signs:
         raise ValueError(f"sign p of {variant} must be "
                          f"{' or '.join(f'{s:+g}' for s in signs)}, got {p}")
+    return p
 
 
 class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
@@ -72,10 +75,12 @@ class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
     __slots__ = ()
 
     def __new__(cls, variant: str, star_param: float | None, p: float):
-        rules = VARIANTS.get(variant)
-        if rules is None:
-            raise ValueError(f"unknown variant {variant!r}")
-        _check_sign(variant, p)
+        try:
+            rules = VARIANTS[variant]
+        except (KeyError, TypeError):       # TypeError: unhashable
+            raise (ValueError if isinstance(variant, str) else TypeError)(
+                f"variant must be one of {tuple(VARIANTS)}, got {variant!r}") from None
+        p = _check_sign(variant, p)
         if rules.k is None:
             if star_param is not None:
                 raise ValueError(f"variant {variant!r} takes no star_param")
@@ -134,13 +139,10 @@ class NitmConfig(NamedTuple("NitmConfig", [("step", float),
 
     @classmethod
     def _make(cls, iterable) -> "NitmConfig":
-        # the four fields; stops is derived again, never taken as given
+        # the four fields, as _replace passes them too; stops is derived
+        # again, never taken as given, so it follows a new step or schedule
         step, boundary_schedule, lambda_tol, _stops = iterable
         return cls(step, boundary_schedule, lambda_tol)
-
-    def _replace(self, **changes) -> "NitmConfig":
-        # through __new__, so stops follows a new step or schedule
-        return NitmConfig(**{**dict(zip(self._fields[:3], self)), **changes})
 
     def __repr__(self) -> str:
         return (f"NitmConfig(step={self.step!r}, boundary_schedule="
@@ -231,37 +233,40 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     return row
 
 
-# most members one batched walk of solve_many holds at once, so members
+# most members one batched walk of iter_solves holds at once, so members
 # that never agree cannot pile up buffers on a long sweep
 _BATCH = 64
 
 
-def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | NitmError]:
-    """Solve each spec as solve_auxiliary does, one row per spec, in order.
+def iter_solves(specs, config: NitmConfig | None = None):
+    """Yield the row solve_auxiliary gives each spec, a result or its error, in order.
 
-    The specs of one beta are walked together by the batched kernel
-    entry, _BATCH at a time, with Topfer's agreement test inside it. A
-    row that fails carries the error solve_auxiliary would raise, with
-    the same message: lambda is recomputed at each boundary the member
-    walked with the same scaling calls.
+    Takes _BATCH specs at a time and yields their rows before the next
+    batch: the specs of one beta are walked together by the batched
+    kernel entry, with Topfer's agreement test inside it, and lambda is
+    recomputed at each boundary walked, so an error keeps its message.
     """
     cfg = _config(config)
-    specs = list(specs)
-    members: dict[float, list[int]] = {}
-    for i, spec in enumerate(specs):
-        members.setdefault(VARIANTS[spec.variant].beta, []).append(i)
-    rows: list = [None] * len(specs)
-    for beta, indices in members.items():
-        for first in range(0, len(indices), _BATCH):
-            batch = indices[first:first + _BATCH]
-            starts = [initial_state(specs[i]) for i in batch]
-            offsets = [_offset(specs[i]) for i in batch]
+    specs = iter(specs)
+    # zip stops at the range's end before it pulls one spec more
+    while batch := [spec for _, spec in zip(range(_BATCH), specs)]:
+        members: dict[float, list[int]] = {}
+        for i, spec in enumerate(batch):
+            members.setdefault(VARIANTS[spec.variant].beta, []).append(i)
+        rows: list = [None] * len(batch)
+        for beta, indices in members.items():
+            starts = [initial_state(batch[i]) for i in indices]
+            offsets = [_offset(batch[i]) for i in indices]
             # looked up at each call, so a kernel patched onto the module is used
-            walked = kernels.walk_blasius_family(beta, cfg.step, cfg.stops, starts,
-                                                 offsets, cfg.lambda_tol)
-            for i, start, member in zip(batch, starts, walked):
-                rows[i] = _row(specs[i], cfg, start, *member)
-    return rows
+            for i, start, member in zip(indices, starts, kernels.walk_blasius_family(
+                    beta, cfg.step, cfg.stops, starts, offsets, cfg.lambda_tol)):
+                rows[i] = _row(batch[i], cfg, start, *member)
+        yield from rows
+
+
+def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | NitmError]:
+    """The rows of iter_solves, as a list."""
+    return list(iter_solves(specs, config))
 
 
 def _row(spec: ProblemSpec, cfg: NitmConfig, start: State3, outcome: int,
@@ -410,19 +415,16 @@ def find_critical_b(config: NitmConfig | None = None,
     """Most negative physical b reachable on the plus branch.
 
     Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,
-    3 to MAX_SCAN_POINTS of them, to bracket the minimum of b(b*)
-    between the neighbours of the least scanned b, then refines it by
-    _brent_minimum from that point. Returns the least b the minimiser
-    solved and the b* attaining it.
+    3 to MAX_SCAN_POINTS of them, solved together by iter_solves, to
+    bracket the minimum of b(b*) between the neighbours of the least
+    scanned b, then refines it by _brent_minimum from that point.
+    Returns the least b the minimiser solved and the b* attaining it.
     """
-    config = _config(config)
     check_real("scan_lo", scan_lo)
     check_real("scan_hi", scan_hi)
     if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
-        raise ValueError(
-            f"scan range must satisfy scan_lo < scan_hi < 0, "
-            f"got ({scan_lo}, {scan_hi})"
-        )
+        raise ValueError(f"scan range must satisfy scan_lo < scan_hi < 0, "
+                         f"got ({scan_lo}, {scan_hi})")
     try:
         scan_points = operator.index(scan_points)
     except TypeError:
@@ -432,28 +434,25 @@ def find_critical_b(config: NitmConfig | None = None,
         raise ValueError(f"scan_points must be between 3 and {MAX_SCAN_POINTS}, "
                          f"got {scan_points}")
 
-    def b_of(b_star: float) -> float:
-        return solve_moving_wall(b_star, 1.0, config).physical_param
-
     log_lo, log_hi = math.log10(-scan_lo), math.log10(-scan_hi)
-    scanned: list[float] = []
-    points: list[tuple[float, float]] = []
-    for i in range(scan_points):
-        x = -10.0 ** (log_lo + (log_hi - log_lo) * i / (scan_points - 1))
-        scanned.append(x)
-        try:
-            points.append((x, b_of(x)))
-        except NitmError:
-            continue
+
+    def scanned():     # rebuilt for an error: a solved row holds its b* as star_param
+        return (-10.0 ** (log_lo + (log_hi - log_lo) * i / (scan_points - 1))
+                for i in range(scan_points))
+
+    rows = iter_solves((ProblemSpec("moving-wall", x, 1.0) for x in scanned()), config)
+    points = [(row.star_param, row.physical_param) for row in rows
+              if not isinstance(row, NitmError)]
     if len(points) < 3:
         raise BracketingError("too few solvable points to bracket the minimum",
-                              scanned)
+                              scanned())
     i_min = min(range(len(points)), key=lambda i: points[i][1])
     if i_min == 0 or i_min == len(points) - 1:
-        raise BracketingError("minimum of b(b*) sits at the scan edge", scanned)
+        raise BracketingError("minimum of b(b*) sits at the scan edge", scanned())
 
-    b_star, b_c = _brent_minimum(b_of, points[i_min - 1][0],
-                                 points[i_min + 1][0], *points[i_min])
+    b_star, b_c = _brent_minimum(
+        lambda x: solve_moving_wall(x, 1.0, config).physical_param,
+        points[i_min - 1][0], points[i_min + 1][0], *points[i_min])
     return CriticalB(b_c=b_c, b_star=b_star)
 
 
@@ -507,7 +506,7 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     up after _TARGET_MAX_ITER secant steps.
     """
     _check_parametrized(variant)
-    _check_sign(variant, sign)
+    sign = _check_sign(variant, sign)
     target = check_finite("target", target)
     config = _config(config)
     default = bracket is None

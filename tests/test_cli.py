@@ -207,6 +207,7 @@ def test_a_long_sweep_holds_one_batch_of_solves(capsys, monkeypatch):
 def test_sweep_refuses_a_value_past_its_first_batch_before_any_solve(
         capsys, monkeypatch):
     monkeypatch.setattr(nitm.solvers, "solve_many", _no_solve)
+    monkeypatch.setattr(nitm.solvers, "iter_solves", _no_solve)
     values = ",".join(["1"] * (nitm.solvers._BATCH + 1) + ["-1"])
     code, out, err = run(capsys, "sweep", "--problem", "slip", f"--values={values}")
     assert (code, out) == (1, "")

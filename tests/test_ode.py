@@ -30,10 +30,20 @@ def test_grid_default_step():
     (0.005, 0.01),      # shorter than one step
     (4.005, 0.01),      # not a whole number of steps
     (1e9, 0.01),        # over the node ceiling; refused before allocating
+    (math.inf, 0.01),
+    pytest.param(10**400, 0.01, id="eta-max-past-the-float-range"),
+    pytest.param(6.0, 10**400, id="step-past-the-float-range"),
 ])
 def test_grid_rejects_bad_shapes(eta_max, step):
     with pytest.raises(ValueError):
         GridConfig(eta_max, step)
+
+
+@pytest.mark.parametrize("eta_max", [math.inf, -math.inf, math.nan])
+def test_grid_says_a_non_finite_eta_max_is_not_finite(eta_max):
+    # not that it needs more grid nodes than the ceiling
+    with pytest.raises(ValueError, match="^eta_max must be finite"):
+        GridConfig(eta_max)
 
 
 def test_rk4_single_step_blasius():

@@ -50,7 +50,11 @@ def test_problem_validation():
 
 @pytest.mark.parametrize("solve, value", [(solve_moving_wall, math.nan),
                                           (solve_slip, math.nan),
-                                          (solve_gasification, math.inf)])
+                                          (solve_gasification, math.inf),
+                                          pytest.param(solve_slip, 10**400,
+                                                       id="slip-int-past-float"),
+                                          pytest.param(solve_moving_wall, -10**400,
+                                                       id="moving-wall-int-past-float")])
 def test_non_finite_star_param_rejected(solve, value):
     with pytest.raises(ValueError, match="star_param"):
         solve(value)
@@ -83,6 +87,10 @@ def test_config_validation():
         NitmConfig(boundary_schedule=())
     with pytest.raises(ValueError):
         NitmConfig(lambda_tol=0.0)
+    # an int past the float range, refused by name rather than by a bare
+    # OverflowError from its conversion
+    with pytest.raises(ValueError, match="^step must be finite"):
+        NitmConfig(step=10**400)
     assert NitmConfig().boundary_schedule == DEFAULT_SCHEDULE
 
 
@@ -447,6 +455,7 @@ def test_critical_b_scan_points_are_refused_before_the_scan(monkeypatch):
         raise AssertionError("solved before scan_points was checked")
 
     monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
+    monkeypatch.setattr(solvers, "iter_solves", no_solve)
     for points in (10**12, solvers.MAX_SCAN_POINTS + 1):
         with pytest.raises(ValueError, match="scan_points"):
             find_critical_b(scan_points=points)
@@ -463,30 +472,43 @@ def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
     # wider than that, so that it stops
     calls = []
 
-    def b_of(b_star, sign, config):
+    def b_of(b_star, sign=1.0, config=None):
         calls.append(b_star)
         if len(calls) >= 2000:
             raise AssertionError("the minimiser did not stop")
-        return SimpleNamespace(physical_param=((b_star + 1e12) / 1e11) ** 2 - 0.55)
+        return SimpleNamespace(star_param=b_star,
+                               physical_param=((b_star + 1e12) / 1e11) ** 2 - 0.55)
 
     monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
+    monkeypatch.setattr(solvers, "iter_solves",
+                        lambda specs, config: (b_of(spec.star_param) for spec in specs))
     crit = find_critical_b(scan_lo=-2e12, scan_hi=-1e11)
     assert crit.b_star == pytest.approx(-1e12, rel=1e-8)
     assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
 
 
 def _fake_moving_wall(monkeypatch, fails):
-    """Patch solve_moving_wall to b(b*) = (b* + 1.2)^2 - 0.55, raising BlowupError
-    at each b* that fails(b*) is true for; returns the b* asked for, in order."""
+    """Patch solve_moving_wall and the scan's iter_solves to b(b*) =
+    (b* + 1.2)^2 - 0.55, failing with BlowupError at each b* that fails(b*)
+    is true for; returns the b* asked for, in order."""
     asked = []
 
-    def b_of(b_star, sign, config):
+    def row(b_star):
         asked.append(b_star)
         if fails(b_star):
-            raise BlowupError(1.0)
-        return SimpleNamespace(physical_param=(b_star + 1.2) ** 2 - 0.55)
+            return BlowupError(1.0)
+        return SimpleNamespace(star_param=b_star,
+                               physical_param=(b_star + 1.2) ** 2 - 0.55)
+
+    def b_of(b_star, sign, config):
+        res = row(b_star)
+        if isinstance(res, NitmError):
+            raise res
+        return res
 
     monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
+    monkeypatch.setattr(solvers, "iter_solves",
+                        lambda specs, config: (row(spec.star_param) for spec in specs))
     return asked
 
 
@@ -512,16 +534,24 @@ def test_critical_b_needs_three_solvable_scan_points(monkeypatch):
 
 
 def _record_critical_solves(monkeypatch):
-    """(b*, b) of each solve find_critical_b makes, in order."""
+    """(b*, b) of each solve find_critical_b makes, scan rows included, in order;
+    a failed solve has no b and is left out."""
     solved = []
-    original = solvers.solve_moving_wall
+    original, original_rows = solvers.solve_moving_wall, solvers.iter_solves
 
     def recording(b_star, *args):
         res = original(b_star, *args)
         solved.append((b_star, res.physical_param))
         return res
 
+    def recording_rows(specs, config=None):
+        for row in original_rows(specs, config):
+            if not isinstance(row, NitmError):
+                solved.append((row.star_param, row.physical_param))
+            yield row
+
     monkeypatch.setattr(solvers, "solve_moving_wall", recording)
+    monkeypatch.setattr(solvers, "iter_solves", recording_rows)
     return solved
 
 
@@ -532,6 +562,23 @@ def test_critical_b_takes_at_most_25_solves(monkeypatch):
     # the least b solved, not one more solve at the returned b*
     assert min(b for _, b in solved) == crit.b_c
     assert (crit.b_star, crit.b_c) in solved
+
+
+def test_critical_b_scans_in_one_batched_walk(monkeypatch):
+    seeds = []
+    walk = kernels.walk_blasius_family
+
+    def recording_walk(beta, h, stops, starts, offsets, lambda_tol):
+        seeds.append(list(starts))
+        return walk(beta, h, stops, starts, offsets, lambda_tol)
+
+    monkeypatch.setattr(kernels, "walk_blasius_family", recording_walk)
+    find_critical_b()
+    # each scan point's b* seeds f'*(0); Brent's steps are single solves
+    assert len(seeds) == 1
+    b_stars = [start.fp for start in seeds[0]]
+    assert len(b_stars) == solvers.SCAN_POINTS and b_stars == sorted(b_stars)
+    assert (b_stars[0], b_stars[-1]) == pytest.approx((solvers.SCAN_LO, solvers.SCAN_HI))
 
 
 # b_c of the golden section this scan and minimiser replaced: the default
@@ -631,6 +678,11 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
     (lambda: sweep("slip", [1.0], config="x"), "config"),
     (lambda: find_star_for_target("slip", 1.5, config="x"), "config"),
     (lambda: find_critical_b(config="x"), "config"),
+    (lambda: ProblemSpec(["slip"], 1.0, 1.0), "variant"),
+    (lambda: classic_problem(p=True), "sign"),
+    (lambda: ProblemSpec("slip", 1.0, "1"), "sign"),
+    (lambda: sweep("moving-wall", [1.0], sign=False), "sign"),
+    (lambda: find_star_for_target("slip", 1.5, sign="+1"), "sign"),
 ], ids=["truncated-M", "series-eta-max", "critical-b-scan-lo", "target-value",
         "target-bracket-end", "target-bracket-not-a-pair", "sweep-value",
         "config-step", "config-lambda-tol", "config-schedule-not-a-sequence",
@@ -640,7 +692,8 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
         "invariance-lam-test", "rescale-lam", "config-step-bool",
         "truncated-M-bool", "sweep-value-bool", "target-value-bool",
         "solve-config", "solve-many-config", "sweep-config", "target-config",
-        "critical-b-config"])
+        "critical-b-config", "spec-variant-list", "classic-sign-bool", "spec-sign-text",
+        "sweep-sign-bool", "target-sign-text"])
 def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the input was checked")
@@ -655,9 +708,23 @@ def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name)
 @pytest.mark.parametrize("solve", [
     lambda: find_star_for_target("slip", 1.5, bracket=np.array([0.0, 10.0])),
     lambda: sweep("slip", np.array([1.0]))[0],
-], ids=["target-numpy-bracket", "sweep-numpy-values"])
+    lambda: sweep("slip", [1.0], sign=np.float64(1.0))[0],
+    lambda: solve_moving_wall(-1.0, np.int64(1)),
+    lambda: find_star_for_target("moving-wall", 0.3, sign=np.float64(1.0)),
+], ids=["target-numpy-bracket", "sweep-numpy-values", "sweep-numpy-sign",
+        "moving-wall-numpy-sign", "target-numpy-sign"])
 def test_numpy_inputs_give_results_of_plain_floats(solve):
-    assert type(solve().star_param) is float
+    res = solve()
+    assert type(res.star_param) is float
+    # a numpy sign seeds f''*(0), and so every wall value
+    assert all(type(value) is float for value in (
+        res.lam, res.fp_inf_star, res.physical_param, res.f0, res.fp0, res.fpp0))
+
+
+@pytest.mark.parametrize("sign", [1, -1, np.float64(1.0), np.int64(-1)])
+def test_a_sign_is_stored_as_a_float(sign):
+    assert type(ProblemSpec("slip", 1.0, sign).p) is float
+    assert type(classic_problem(sign).p) is float
 
 
 def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
@@ -665,6 +732,7 @@ def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
         raise AssertionError("solve_moving_wall ran")
 
     monkeypatch.setattr(solvers, "solve_moving_wall", no_solve)
+    monkeypatch.setattr(solvers, "iter_solves", no_solve)
     with pytest.raises(ValueError, match="scan range"):
         find_critical_b(scan_lo=-math.inf)
 

@@ -9,6 +9,18 @@
  * walk with up to LANES members side by side. Every lane runs the same
  * operations, so vectorising across lanes changes no bit.
  *
+ * The batched walk steps its blocks through walk_lanes, which on x86-64
+ * Linux with glibc is built twice by target_clones: once for AVX2 and
+ * once as the default, and the dynamic linker picks one for the CPU
+ * when the module loads. Both clones
+ * keep the bits: -ffp-contract=off forbids fused multiply-add (and the
+ * avx2 target does not enable FMA), and a lane of a 256-bit add,
+ * multiply or compare rounds as the scalar IEEE operation does. An AVX2
+ * host never runs the default clone, which is the code built without
+ * the attribute. Elsewhere walk_lanes is one plain function. The
+ * single-lane fill is not cloned, so it keeps its own inlined
+ * one-lane copy of fill_lanes.
+ *
  * Built by setup.py as the extension nitm._kernels, or on first import
  * by nitm.kernels into the package's __pycache__.
  */
@@ -23,6 +35,21 @@
 /* members advanced side by side in the batched walk */
 #define LANES 8
 
+/* an AVX2 and a default build of walk_lanes, where the compiler and the
+ * C library can pick one at load time (ifunc); each clone inlines its
+ * own copy of fill_lanes, built for its target */
+#if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define WALK_CLONES __attribute__((target_clones("avx2", "default")))
+#define FILL_INLINE inline __attribute__((always_inline))
+#endif
+#endif
+#ifndef WALK_CLONES
+#define WALK_CLONES
+#define FILL_INLINE
+#endif
+
 /* outcomes of a member of the batched walk, as in nitm._kernels_py */
 enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
 
@@ -32,7 +59,7 @@ enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
  * state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as outside), and
  * that member's nodes from there on are not written; it stays -1
  * otherwise. */
-static void
+static FILL_INLINE void
 fill_lanes(double beta, double h, int n, double **f, double **fp,
            double **fpp, Py_ssize_t start, Py_ssize_t stop, Py_ssize_t *bad)
 {
@@ -97,6 +124,15 @@ fill_lanes(double beta, double h, int n, double **f, double **fp,
     }
 }
 
+/* fill_lanes for a block of the batched walk, in the clones WALK_CLONES
+ * names. */
+WALK_CLONES static void
+walk_lanes(double beta, double h, int n, double **f, double **fp,
+           double **fpp, Py_ssize_t start, Py_ssize_t stop, Py_ssize_t *bad)
+{
+    fill_lanes(beta, h, n, f, fp, fpp, start, stop, bad);
+}
+
 /* Acquire a writable, C-contiguous, one-dimensional float64 buffer. */
 static int
 get_array(PyObject *obj, const char *name, Py_buffer *view)
@@ -152,7 +188,7 @@ done:
 typedef struct {
     PyObject *buf[3];       /* f, fp, fpp as bytearrays; NULL once freed */
     double offset;          /* lambda = sqrt(fp + offset) */
-    double lam;             /* lambda at the last stop walked */
+    double fp_stop;         /* fp at the last stop walked */
     int outcome;
     Py_ssize_t walked, bad;
 } Member;
@@ -286,24 +322,34 @@ retire(Member *mem, int outcome)
     Py_CLEAR(mem->buf[2]);
 }
 
-/* (outcome, fp at each stop walked, blow-up node, f, fp, fpp) */
+/* (outcome, lambda at each stop that passed Topfer's test, fp at the last
+ * stop walked or None, blow-up node, f, fp, fpp) */
 static PyObject *
-member_row(Member *mem, const double *fps)
+member_row(Member *mem, const double *lams)
 {
-    PyObject *walked = PyTuple_New(mem->walked);
-    Py_ssize_t j;
+    /* a breakdown's last stop has no lambda */
+    Py_ssize_t count = mem->walked - (mem->outcome == BREAKDOWN), j;
+    PyObject *taken = PyTuple_New(count), *fp_stop;
 
-    if (walked == NULL)
+    if (taken == NULL)
         return NULL;
-    for (j = 0; j < mem->walked; j++) {
-        PyObject *x = PyFloat_FromDouble(fps[j]);
+    for (j = 0; j < count; j++) {
+        PyObject *x = PyFloat_FromDouble(lams[j]);
         if (x == NULL) {
-            Py_DECREF(walked);
+            Py_DECREF(taken);
             return NULL;
         }
-        PyTuple_SET_ITEM(walked, j, x);
+        PyTuple_SET_ITEM(taken, j, x);
     }
-    return Py_BuildValue("(iNnOOO)", mem->outcome, walked, mem->bad,
+    if (mem->walked == 0) {
+        Py_INCREF(Py_None);
+        fp_stop = Py_None;
+    }
+    else if ((fp_stop = PyFloat_FromDouble(mem->fp_stop)) == NULL) {
+        Py_DECREF(taken);
+        return NULL;
+    }
+    return Py_BuildValue("(iNNnOOO)", mem->outcome, taken, fp_stop, mem->bad,
                          mem->buf[0] ? mem->buf[0] : Py_None,
                          mem->buf[1] ? mem->buf[1] : Py_None,
                          mem->buf[2] ? mem->buf[2] : Py_None);
@@ -317,7 +363,7 @@ walk_blasius_family(PyObject *self, PyObject *args)
     Py_ssize_t *stops = NULL, *live = NULL;
     Py_ssize_t nstops = 0, n = 0, nlive, j, m, k, start = 0;
     Member *members = NULL;
-    double *fps = NULL;
+    double *lams = NULL;
 
     if (!PyArg_ParseTuple(args, "ddOOOd:walk_blasius_family", &beta, &h,
                           &stops_obj, &seeds_obj, &offsets_obj, &tol))
@@ -342,9 +388,9 @@ walk_blasius_family(PyObject *self, PyObject *args)
         goto done;
     /* PyMem_New(type, 0) is not NULL */
     live = PyMem_New(Py_ssize_t, n);
-    fps = (n <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / nstops)
-          ? PyMem_New(double, n * nstops) : NULL;
-    if (live == NULL || fps == NULL) {
+    lams = (n <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / nstops)
+           ? PyMem_New(double, n * nstops) : NULL;
+    if (live == NULL || lams == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -374,33 +420,31 @@ walk_blasius_family(PyObject *self, PyObject *args)
                 fp[i] = (double *)PyByteArray_AS_STRING(mem->buf[1]);
                 fpp[i] = (double *)PyByteArray_AS_STRING(mem->buf[2]);
             }
-            fill_lanes(beta, h, lanes, f, fp, fpp, start, stop, bad);
+            walk_lanes(beta, h, lanes, f, fp, fpp, start, stop, bad);
             for (i = 0; i < lanes; i++)
                 members[live[first + i]].bad = bad[i];
         }
         for (m = 0; m < nlive; m++) {
             Member *mem = &members[live[m]];
-            double x, base, lam;
+            double *lam = lams + live[m] * nstops, base;
 
             if (mem->bad >= 0) {
                 retire(mem, BLOWUP);
                 continue;
             }
-            x = ((double *)PyByteArray_AS_STRING(mem->buf[1]))[stop];
-            fps[live[m] * nstops + j] = x;
+            mem->fp_stop = ((double *)PyByteArray_AS_STRING(mem->buf[1]))[stop];
             mem->walked = j + 1;
             /* the tests of lambda_from_asymptote and lambda_moving_wall */
-            base = x + mem->offset;
+            base = mem->fp_stop + mem->offset;
             if (!(base > 0.0) || !isfinite(base)) {
                 retire(mem, BREAKDOWN);
                 continue;
             }
-            lam = sqrt(base);
-            if (nstops == 1 || (j > 0 && fabs(lam - mem->lam) <= tol)) {
+            lam[j] = sqrt(base);
+            if (nstops == 1 || (j > 0 && fabs(lam[j] - lam[j - 1]) <= tol)) {
                 mem->outcome = ACCEPTED;
                 continue;
             }
-            mem->lam = lam;
             if (j == nstops - 1) {
                 retire(mem, NO_AGREEMENT);
                 continue;
@@ -415,7 +459,7 @@ walk_blasius_family(PyObject *self, PyObject *args)
     if (result == NULL)
         goto done;
     for (m = 0; m < n; m++) {
-        PyObject *row = member_row(&members[m], fps + m * nstops);
+        PyObject *row = member_row(&members[m], lams + m * nstops);
         if (row == NULL) {
             Py_CLEAR(result);
             goto done;
@@ -429,7 +473,7 @@ done:
                 Py_XDECREF(members[m].buf[k]);
     PyMem_Free(members);
     PyMem_Free(live);
-    PyMem_Free(fps);
+    PyMem_Free(lams);
     PyMem_Free(stops);
     return result;
 }
@@ -444,7 +488,8 @@ static PyMethodDef methods[] = {
      "walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol)\n--\n\n"
      "Walk each seed through the stop indices in lockstep, retiring it at\n"
      "lambda agreement, a blow-up, a scaling breakdown or the schedule's\n"
-     "end; see nitm._kernels_py.walk_blasius_family."},
+     "end. Returns one (outcome, lambdas, fp_stop, bad, f, fp, fpp) per\n"
+     "seed; see nitm._kernels_py.walk_blasius_family."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -77,13 +77,15 @@ def walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol):
     successive lambdas within lambda_tol, or its first stop when there
     is only one (ACCEPTED), and the last stop (NO_AGREEMENT).
 
-    Returns one (outcome, fps, bad, f, fp, fpp) per member: fps holds
-    fp at each stop whose lambda was taken, bad the blow-up node (-1
-    if none). f, fp and fpp hold nodes 0 through the accepted stop and
-    no more; they are None for a member that failed. The compiled twin
-    checks its arguments and runs up to eight members side by side;
-    this one walks the members in turn, as the bits do not depend on
-    the order.
+    Returns one (outcome, lambdas, fp_stop, bad, f, fp, fpp) per member:
+    lambdas holds the lambda of each stop that passed that test, so a
+    breakdown's last stop has none; fp_stop is fp at the last stop
+    walked (None if the member blew up before its first stop); bad is
+    the blow-up node (-1 if none). f, fp and fpp hold nodes 0 through
+    the accepted stop and no more; they are None for a member that
+    failed. The compiled twin checks its arguments and runs up to eight
+    members side by side; this one walks the members in turn, as the
+    bits do not depend on the order.
     """
     return [walk_member(fill_blasius_family, beta, h, stops, seed, offset,
                         lambda_tol)
@@ -93,12 +95,16 @@ def walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol):
 def walk_member(fill, beta, h, stops, seed, offset, lambda_tol):
     """One member's row of walk_blasius_family, with fill doing the steps.
 
-    f, fp and fpp are array('d') buffers grown to stop + 1 nodes at each
-    stop, so they never hold a node past the last stop walked.
+    Each lambda is sqrt(fp[stop] + offset), the operations of
+    scaling.lambda_moving_wall (offset b*) and of lambda_from_asymptote
+    (offset 0, as fp + 0.0 is fp wherever the test passes), so the
+    caller takes them as they are. f, fp and fpp are
+    array('d') buffers grown to stop + 1 nodes at each stop, so they
+    never hold a node past the last stop walked.
     """
     f, fp, fpp = (array("d", (x,)) for x in seed)
-    fps = []
-    previous = None
+    lambdas = []
+    fp_stop = None
     start = 0
     for stop in stops:
         zeros = bytes(8 * (stop - start))
@@ -107,15 +113,14 @@ def walk_member(fill, beta, h, stops, seed, offset, lambda_tol):
         fpp.frombytes(zeros)
         bad = fill(beta, f, fp, fpp, h, start, stop)
         if bad >= 0:
-            return BLOWUP, tuple(fps), bad, None, None, None
-        fps.append(fp[stop])
-        base = fp[stop] + offset
+            return BLOWUP, tuple(lambdas), fp_stop, bad, None, None, None
+        fp_stop = fp[stop]
+        base = fp_stop + offset
         if not (base > 0.0) or not math.isfinite(base):
-            return BREAKDOWN, tuple(fps), -1, None, None, None
-        lam = math.sqrt(base)
-        if len(stops) == 1 or (previous is not None
-                               and abs(lam - previous) <= lambda_tol):
-            return ACCEPTED, tuple(fps), -1, f, fp, fpp
-        previous = lam
+            return BREAKDOWN, tuple(lambdas), fp_stop, -1, None, None, None
+        lambdas.append(math.sqrt(base))
+        if len(stops) == 1 or (len(lambdas) > 1
+                               and abs(lambdas[-1] - lambdas[-2]) <= lambda_tol):
+            return ACCEPTED, tuple(lambdas), fp_stop, -1, f, fp, fpp
         start = stop
-    return NO_AGREEMENT, tuple(fps), -1, None, None, None
+    return NO_AGREEMENT, tuple(lambdas), fp_stop, -1, None, None, None

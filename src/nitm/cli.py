@@ -10,6 +10,7 @@ running out of memory or overflowing a float.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -71,6 +72,10 @@ def _parse_values(text) -> list[float]:
             raise ValueError(f"range count must be at most {MAX_RANGE_COUNT}, "
                              f"got {count}")
         span = hi - lo
+        # span * (count - 1) is the largest product below
+        if not math.isfinite(span * (count - 1)):
+            raise ValueError(f"--values range {text!r} is too wide: "
+                             f"(hi - lo) * (count - 1) is past the float range")
         return [lo + span * i / (count - 1) for i in range(count)]
     return _parse_list(text, "--values")
 
@@ -124,6 +129,13 @@ def _settle(args: argparse.Namespace, file_cfg: dict) -> None:
     profile = options.get("profile") or file_cfg.get("profile")
     if profile and args.command not in _PROFILED:
         raise ValueError(f"--profile applies to single solves, not {args.command}")
+
+
+def _backend_notice() -> None:
+    """One stderr line when the pure kernel runs without NITM_PURE choosing it."""
+    if kernels.BACKEND == "pure" and os.environ.get("NITM_PURE", "") in ("", "0"):
+        print(f"note: the pure-Python kernel is running, slower than the "
+              f"compiled one: {kernels.BACKEND_REASON}", file=sys.stderr)
 
 
 def _nitm_config(args, boundaries=None) -> NitmConfig:
@@ -467,6 +479,7 @@ def main(argv=None) -> int:
         args = _parser(command).parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
         if args.command != "info":
+            _backend_notice()
             _settle(args, cfg)
         return _COMMANDS[args.command][0](args)
     except SystemExit as exc:     # --help, and usage errors from _Parser.error

@@ -12,7 +12,7 @@ import operator
 from typing import Callable, NamedTuple
 
 from . import kernels
-from ._kernels_py import BLOWUP, NO_AGREEMENT, walk_member
+from ._kernels_py import BLOWUP, BREAKDOWN, NO_AGREEMENT, walk_member
 from .errors import (BlowupError, BracketingError, NitmError, NoConvergenceError,
                      ScalingBreakdownError, UnsupportedVariantError, check_finite,
                      check_numbers, check_positive, check_real)
@@ -214,11 +214,12 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
 
     Integrates the star IVP over the boundary schedule, accepting the
     larger boundary of the first pair whose lambda values agree within
-    lambda_tol, then recovers lambda. The schedule is walked
-    incrementally by walk_member, so integration never proceeds past
-    the accepted boundary. The wall values come from the star initial
-    state in closed form; the result keeps the walk's buffers, which
-    hold the accepted boundary's nodes and no more, for its table.
+    lambda_tol. The schedule is walked incrementally by walk_member,
+    which hands back the lambda of each boundary walked, so integration
+    never proceeds past the accepted boundary. The wall values come
+    from the star initial state in closed form; the result keeps the
+    walk's buffers, which hold the accepted boundary's nodes and no
+    more, for its table.
     """
     # _config only for what is neither: a single solve makes no extra call
     cfg = (DEFAULT_CONFIG if config is None
@@ -243,8 +244,9 @@ def iter_solves(specs, config: NitmConfig | None = None):
 
     Takes _BATCH specs at a time and yields their rows before the next
     batch: the specs of one beta are walked together by the batched
-    kernel entry, with Topfer's agreement test inside it, and lambda is
-    recomputed at each boundary walked, so an error keeps its message.
+    kernel entry, with Topfer's agreement test inside it, and each row
+    takes the lambdas that test computed. An error keeps the message of
+    the single solve's.
     """
     cfg = _config(config)
     specs = iter(specs)
@@ -270,28 +272,31 @@ def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | Nit
 
 
 def _row(spec: ProblemSpec, cfg: NitmConfig, start: State3, outcome: int,
-         fps: tuple[float, ...], bad: int, *buffers) -> NitmResult | NitmError:
+         lambdas: tuple[float, ...], fp_stop: float | None, bad: int,
+         *buffers) -> NitmResult | NitmError:
     """The result, or the error, of one walked member.
 
-    buffers are the member's f, fp and fpp through the accepted
-    boundary, where fp holds fps[-1]; the wall values come from start
-    in closed form.
+    lambdas are the walk's, whose operations are those of _lambda, and
+    fp_stop is fp at the last boundary walked. buffers are the member's
+    f, fp and fpp through the accepted boundary; the wall values come
+    from start in closed form.
     """
     if outcome == BLOWUP:
         return BlowupError(bad * cfg.step)
-    try:
-        lambdas = [_lambda(spec, x) for x in fps]
-    except ScalingBreakdownError as exc:
-        # without its traceback: that holds this frame, and so the rows
-        return exc.with_traceback(None)
+    if outcome == BREAKDOWN:
+        try:
+            _lambda(spec, fp_stop)      # the walk's test, for its error
+        except ScalingBreakdownError as exc:
+            # without its traceback: that holds this frame, and so the rows
+            return exc.with_traceback(None)
     if outcome == NO_AGREEMENT:
         return NoConvergenceError(lambdas)
     lam = lambdas[-1]
     k = VARIANTS[spec.variant].k
     physical = None if k is None else map_parameter(spec.star_param, lam, k)
     # positional, in field order: keywords would cost a sweep row 0.5 us
-    return NitmResult(lam, tuple(lambdas), cfg.boundary_schedule[len(lambdas) - 1],
-                      fps[-1], spec.star_param, physical,
+    return NitmResult(lam, lambdas, cfg.boundary_schedule[len(lambdas) - 1],
+                      fp_stop, spec.star_param, physical,
                       *physical_values(lam, *start), (cfg.step, *buffers))
 
 

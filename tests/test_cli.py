@@ -214,6 +214,25 @@ def test_sweep_refuses_a_value_past_its_first_batch_before_any_solve(
     assert err.count("error:") == 1
 
 
+@pytest.mark.parametrize("values", ["-1e308:1e308:3", "-1e308:7e307:3",
+                                    "0:1e306:1000"])
+def test_sweep_refuses_a_range_too_wide_for_a_float(capsys, monkeypatch, values):
+    # hi - lo, or a step's product with it, overflows: once read as a NaN
+    # or infinite star_param that named neither --values nor the cause
+    monkeypatch.setattr(nitm.solvers, "iter_solves", _no_solve)
+    code, out, err = run(capsys, "sweep", "--problem", "slip", f"--values={values}")
+    assert (code, out) == (1, "")
+    assert err == (f"error: --values range {values!r} is too wide: "
+                   f"(hi - lo) * (count - 1) is past the float range\n")
+
+
+def test_sweep_range_near_the_float_range_keeps_its_bits(capsys):
+    code, out, _ = run(capsys, "sweep", "--problem", "moving-wall",
+                       "--values=-1e304:1e304:1000", "--format", "csv")
+    stars = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert stars == [-1e304 + 2e304 * i / 999 for i in range(1000)]
+
+
 @pytest.mark.parametrize("value, text", [
     (0.0, "0.000000"),
     (1e-4, "0.000100"),
@@ -641,6 +660,44 @@ def test_info_reports_version_and_backend(capsys):
     assert out.splitlines() == [f"nitm {nitm.__version__}",
                                 f"backend: {nitm.kernels.BACKEND}",
                                 f"reason: {nitm.kernels.BACKEND_REASON}"]
+
+
+_PURE_REASON = "compiled kernel unavailable: cc exited with status 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("moving-wall", "1.0"),
+    ("sweep", "--problem", "slip", "--values", "0,1", "--format", "csv"),
+    ("blasius", "--format", "json"),
+], ids=["moving-wall", "sweep", "blasius"])
+def test_pure_backend_not_asked_for_says_so_on_stderr(capsys, monkeypatch, argv):
+    monkeypatch.delenv("NITM_PURE", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[2] == "" or nitm.kernels.BACKEND == "pure"
+    monkeypatch.setattr(nitm.kernels, "BACKEND", "pure")
+    monkeypatch.setattr(nitm.kernels, "BACKEND_REASON", _PURE_REASON)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == expected[:2]
+    assert err == ("note: the pure-Python kernel is running, slower than the "
+                   f"compiled one: {_PURE_REASON}\n")
+
+
+@pytest.mark.parametrize("backend, nitm_pure, argv", [
+    ("pure", "1", ("moving-wall", "1.0")),
+    ("pure", None, ("info",)),
+    ("compiled", None, ("moving-wall", "1.0")),
+], ids=["NITM_PURE", "info", "compiled"])
+def test_no_backend_notice_when_chosen_compiled_or_info(capsys, monkeypatch, backend,
+                                                        nitm_pure, argv):
+    monkeypatch.setattr(nitm.kernels, "BACKEND", backend)
+    monkeypatch.setattr(nitm.kernels, "BACKEND_REASON", _PURE_REASON)
+    if nitm_pure is None:
+        monkeypatch.delenv("NITM_PURE", raising=False)
+    else:
+        monkeypatch.setenv("NITM_PURE", nitm_pure)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_python_m_runs_the_cli():

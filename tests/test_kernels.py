@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nitm
-from nitm import BlasiusFamilyRhs, State3, kernels
+from nitm import BlasiusFamilyRhs, State3, kernels, scaling, solvers
 from nitm import _kernels_py
+from nitm.errors import ScalingBreakdownError
 from rk4_reference import rk4_step
 
 # the compiled kernel, installed or built into the cache, also when
@@ -194,10 +195,13 @@ def test_compiled_kernel_rejects_nodes_outside_a_buffer(slot, start, stop):
 # -- the batched walk ---------------------------------------------------------
 
 def _walk_rows(module, *args):
-    """The walk's rows with each buffer as its bytes, None for a freed one."""
-    return [(outcome, fps, bad,
+    """The walk's rows with each float as its hex and each buffer as its
+    bytes, None for a freed one."""
+    return [(outcome, tuple(map(float.hex, lambdas)),
+             None if fp_stop is None else fp_stop.hex(), bad,
              *(None if b is None else bytes(b) for b in buffers))
-            for outcome, fps, bad, *buffers in module.walk_blasius_family(*args)]
+            for outcome, lambdas, fp_stop, bad, *buffers
+            in module.walk_blasius_family(*args)]
 
 
 _SEEDS = st.tuples(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0),
@@ -219,13 +223,82 @@ def test_compiled_and_pure_walks_are_bit_identical(beta, h, gaps, members, tol):
     args = (beta, h, stops, seeds, offsets, tol)
     compiled = _walk_rows(_kernels_c, *args)
     assert compiled == _walk_rows(_kernels_py, *args)
-    for outcome, fps, bad, *buffers in compiled:
-        assert len(fps) <= len(stops)
+    for outcome, lambdas, fp_stop, bad, *buffers in compiled:
+        # a breakdown's last stop is walked but has no lambda
+        walked = len(lambdas) + (outcome == _kernels_py.BREAKDOWN)
+        assert walked <= len(stops)
+        assert (fp_stop is None) == (walked == 0)
         assert (bad >= 0) == (outcome == _kernels_py.BLOWUP)
         if outcome == _kernels_py.ACCEPTED:
-            assert [len(b) for b in buffers] == [8 * (stops[len(fps) - 1] + 1)] * 3
+            assert [len(b) for b in buffers] == [8 * (stops[walked - 1] + 1)] * 3
+            assert float.fromhex(fp_stop) == np.frombuffer(buffers[1])[-1]
         else:
             assert buffers == [None] * 3
+
+
+# a seed of every variant, reaching every outcome on the default schedule:
+# agreement, a blow-up before the first stop (classic and slip with sign
+# -1), a breakdown at the first stop (the moving wall at b* = 1.2 on the
+# minus branch) and no agreement (b* = 1.682 on that branch)
+_VARIANT_SPECS = [
+    solvers.ProblemSpec(variant, star, sign) for variant, star, sign in (
+        ("classic", None, 1.0), ("classic", None, -1.0),
+        ("moving-wall", -5.0, 1.0), ("moving-wall", -1.0, 1.0),
+        ("moving-wall", 0.5, 1.0), ("moving-wall", 1.2, -1.0),
+        ("moving-wall", 1.682, -1.0), ("moving-wall", 3.0, -1.0),
+        ("slip", 1.0, 1.0), ("slip", 0.5, -1.0),
+        ("gasification", 0.5, 1.0), ("gasification", 1.5, 1.0))]
+
+_BOTH_WALKS = [pytest.param(_kernels_py, id="pure"),
+               pytest.param(_kernels_c, id="compiled", marks=needs_compiled)]
+
+
+def _scaling_lambda(spec, fp):
+    if spec.variant == "moving-wall":
+        return scaling.lambda_moving_wall(fp, spec.star_param)
+    return scaling.lambda_from_asymptote(fp)
+
+
+@pytest.mark.parametrize("module", _BOTH_WALKS)
+def test_walk_lambdas_are_the_scaling_lambdas_bit_for_bit(module):
+    cfg = solvers.DEFAULT_CONFIG
+    outcomes = set()
+    for beta in {solvers.VARIANTS[spec.variant].beta for spec in _VARIANT_SPECS}:
+        specs = [spec for spec in _VARIANT_SPECS
+                 if solvers.VARIANTS[spec.variant].beta == beta]
+        seeds = [solvers.initial_state(spec) for spec in specs]
+        rows = module.walk_blasius_family(
+            beta, cfg.step, cfg.stops, seeds, [solvers._offset(s) for s in specs],
+            cfg.lambda_tol)
+        for spec, seed, (outcome, lambdas, fp_stop, *_) in zip(specs, seeds, rows):
+            outcomes.add(outcome)
+            walked = len(lambdas) + (outcome == _kernels_py.BREAKDOWN)
+            if walked == 0:
+                assert outcome == _kernels_py.BLOWUP and fp_stop is None
+                continue
+            # fp at every stop walked, from one fill of the same kernel
+            _, _, fp, _ = _run_fill(module, beta, seed, cfg.step,
+                                    cfg.stops[walked - 1])
+            at_stops = [float(fp[stop]) for stop in cfg.stops[:walked]]
+            assert fp_stop.hex() == at_stops[-1].hex()
+            assert [lam.hex() for lam in lambdas] == [
+                _scaling_lambda(spec, x).hex() for x in at_stops[:len(lambdas)]]
+            if outcome == _kernels_py.BREAKDOWN:
+                with pytest.raises(ScalingBreakdownError):
+                    _scaling_lambda(spec, fp_stop)
+    assert outcomes == {_kernels_py.ACCEPTED, _kernels_py.BLOWUP,
+                        _kernels_py.BREAKDOWN, _kernels_py.NO_AGREEMENT}
+
+
+def test_a_batched_breakdown_keeps_the_single_solves_message():
+    # the batched row calls scaling only for its error, on the walk's fp
+    spec = solvers.ProblemSpec("moving-wall", 1.2, -1.0)
+    with pytest.raises(ScalingBreakdownError) as single:
+        solvers.solve_auxiliary(spec)
+    (row,) = solvers.solve_many([spec])
+    assert type(row) is ScalingBreakdownError
+    assert str(row) == str(single.value)
+    assert str(row).startswith("fp_inf_star + b_star = ")
 
 
 _GOOD_WALK = {"beta": 0.5, "h": 0.1, "stops": [40, 60], "seeds": [(0.0, 0.0, 1.0)],
@@ -283,12 +356,9 @@ def _package_copy(tmp_path):
     return copy
 
 
-def _import_backend(root, **env):
-    """BACKEND, BACKEND_REASON and the cold-path modules it loaded, from
-    a fresh process that imports the nitm under root."""
-    code = ("import sys, nitm.kernels as k; print(k.BACKEND); "
-            "print(k.BACKEND_REASON); "
-            "print(sorted({'subprocess', 'sysconfig'} & set(sys.modules)))")
+def _run_python(root, code, **env):
+    """The output lines of code, run by a fresh process that imports the
+    nitm under root, with NITM_PURE cleared."""
     path = [str(root)] + ([os.environ["PYTHONPATH"]]
                           if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
@@ -296,6 +366,15 @@ def _import_backend(root, **env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, cwd=root, check=True)
     return out.stdout.splitlines()
+
+
+def _import_backend(root, **env):
+    """BACKEND, BACKEND_REASON and the cold-path modules it loaded, from
+    a fresh process that imports the nitm under root."""
+    return _run_python(root, "import sys, nitm.kernels as k; print(k.BACKEND); "
+                       "print(k.BACKEND_REASON); "
+                       "print(sorted({'subprocess', 'sysconfig'} & set(sys.modules)))",
+                       **env)
 
 
 @needs_compiler
@@ -313,6 +392,34 @@ def test_loader_builds_once_into_the_cache(tmp_path):
     assert _import_backend(tmp_path) == [backend, reason, "[]"]
     assert list((package / "__pycache__").glob("_kernels.*")) == built
     assert built[0].stat().st_mtime_ns == mtime
+
+
+@needs_compiler
+@needs_compiled
+def test_kernel_without_target_clones_is_compiled_and_walks_the_same_bits(tmp_path):
+    # as a compiler or platform without target_clones builds it: one plain
+    # walk_lanes, never the pure fallback
+    package = _package_copy(tmp_path)
+    source = (package / "_kernels.c").read_text()
+    assert source.count("__has_attribute(target_clones)") == 1
+    (package / "_kernels.c").write_text(
+        source.replace("__has_attribute(target_clones)", "0"))
+    backend, reason, _ = _import_backend(tmp_path)
+    assert backend == "compiled", reason
+
+    cfg = solvers.DEFAULT_CONFIG
+    specs = [spec for spec in _VARIANT_SPECS if spec.variant != "gasification"]
+    args = (0.5, cfg.step, cfg.stops, [tuple(solvers.initial_state(s)) for s in specs],
+            [solvers._offset(s) for s in specs], cfg.lambda_tol)
+    # floats print by repr, which round-trips every bit
+    rows = ast.literal_eval(_run_python(tmp_path, (
+        "import nitm.kernels as k; print(repr([(*row[:4], *(None if b is None "
+        f"else bytes(b) for b in row[4:])) for row in k.walk_blasius_family(*{args!r})]))"
+    ))[-1])
+    assert [(outcome, tuple(map(float.hex, lambdas)),
+             None if fp_stop is None else fp_stop.hex(), bad, *buffers)
+            for outcome, lambdas, fp_stop, bad, *buffers in rows] == _walk_rows(
+                _kernels_c, *args)
 
 
 def _break_source(package, tmp_path):

@@ -43,11 +43,15 @@
 #if __has_attribute(target_clones)
 #define WALK_CLONES __attribute__((target_clones("avx2", "default")))
 #define FILL_INLINE inline __attribute__((always_inline))
+/* the clone the loader picks, by the CPU test its resolver makes */
+#define WALK_CLONE (__builtin_cpu_init(), \
+                    __builtin_cpu_supports("avx2") ? "avx2" : "default")
 #endif
 #endif
 #ifndef WALK_CLONES
 #define WALK_CLONES
 #define FILL_INLINE
+#define WALK_CLONE "single"
 #endif
 
 /* outcomes of a member of the batched walk, as in nitm._kernels_py */
@@ -502,8 +506,14 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
+/* WALK_CLONE names the walk_lanes that runs: "avx2", "default", or
+ * "single" where it is one plain function */
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+
+    if (m != NULL && PyModule_AddStringConstant(m, "WALK_CLONE", WALK_CLONE) < 0)
+        Py_CLEAR(m);
+    return m;
 }

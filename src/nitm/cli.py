@@ -258,15 +258,14 @@ def blasius(args):
 
 def sweep(args):
     """Solve one row per star value, like the reference tables."""
-    # every value is checked before the first solve
-    specs = [solvers.ProblemSpec(args.problem, star, args.sign)
-             for star in _parse_values(args.values)]
+    stars = _parse_values(args.values)
+    # every value is checked on this call, before the first solve
+    rows = solvers.iter_sweep(args.problem, stars, args.sign, _nitm_config(args))
     # a record per row as it is solved, as a sweep never reads the walk buffers;
     # strict, so the rows run out and drop their last batch before the report
-    rows = solvers.iter_solves(specs, _nitm_config(args))
-    records = [{"star_param": spec.star_param, "error": _reason(row)}
+    records = [{"star_param": star, "error": _reason(row)}
                if isinstance(row, NitmError) else _record(row)
-               for spec, row in zip(specs, rows, strict=True)]
+               for star, row in zip(stars, rows, strict=True)]
     _report(args, records, single=False)
     return 0 if any("error" not in r for r in records) else 2
 
@@ -351,10 +350,12 @@ def rubel(args):
 
 
 def info(args):
-    """Package version and the integration kernel in use, with why."""
+    """Package version, the integration kernel in use with why, and its walk clone."""
+    clone = kernels.WALK_CLONE or "none, as the pure backend has no walk clone"
     print(f"nitm {__version__}\n"
           f"backend: {kernels.BACKEND}\n"
-          f"reason: {kernels.BACKEND_REASON}")
+          f"reason: {kernels.BACKEND_REASON}\n"
+          f"walk clone: {clone}")
     return 0
 
 

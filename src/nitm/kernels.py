@@ -3,11 +3,12 @@
 Uses the compiled kernel nitm._kernels when it is available, otherwise
 the pure-Python twin. An installed extension (built by setup.py) comes
 first. Without one, _kernels.c is compiled once with the C compiler
-Python was built with into this package's __pycache__, and later
-imports load it from there. Any failure falls back to the pure kernel
-and never raises: BACKEND names the kernel in use and BACKEND_REASON
-says why. Setting NITM_PURE=1 in the environment forces the fallback
-(used by the benchmark and the backend-equality tests).
+Python was built with into this package's __pycache__, where it
+replaces the builds of earlier sources, and later imports load it from
+there. Any failure falls back to the pure kernel and never raises:
+BACKEND names the kernel in use and BACKEND_REASON says why. Setting
+NITM_PURE=1 in the environment forces the fallback (used by the
+benchmark and the backend-equality tests).
 """
 
 import importlib.machinery
@@ -63,6 +64,15 @@ def _build(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # the builds of earlier sources for this ABI; other ABIs' builds stay
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    for name in os.listdir(os.path.dirname(path)):
+        stale = os.path.join(os.path.dirname(path), name)
+        if name.startswith("_kernels.") and name.endswith(suffix) and stale != path:
+            try:
+                os.remove(stale)
+            except OSError:     # in use or read-only: it only takes space
+                pass
 
 
 def _load_compiled():
@@ -99,3 +109,7 @@ else:
         BACKEND = "compiled"
 fill_blasius_family = _backend.fill_blasius_family
 walk_blasius_family = _backend.walk_blasius_family
+# the build of the batched walk's block stepper that runs: "avx2" or
+# "default" (the clone the loader picked) or "single" (built without
+# clones); None for the pure backend, which has none
+WALK_CLONE = getattr(_backend, "WALK_CLONE", None)

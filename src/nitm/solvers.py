@@ -12,7 +12,7 @@ import operator
 from typing import Callable, NamedTuple
 
 from . import kernels
-from ._kernels_py import BLOWUP, BREAKDOWN, NO_AGREEMENT, walk_member
+from ._kernels_py import ACCEPTED, BLOWUP, BREAKDOWN, walk_member
 from .errors import (BlowupError, BracketingError, NitmError, NoConvergenceError,
                      ScalingBreakdownError, UnsupportedVariantError, check_finite,
                      check_numbers, check_positive, check_real)
@@ -25,26 +25,26 @@ from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
 class Variant(NamedTuple):
     """The rules of one variant: f''' = -beta f f''; physical parameter
     star * lambda^-k (k None: no star value); star >= least_star; p in
-    signs; seed(star, p) is the star initial state.
+    signs; seed(star, p) is the star initial state as a plain tuple.
     """
 
     beta: float
     k: float | None
     least_star: float
     signs: tuple[float, ...]
-    seed: Callable[[float | None, float], State3]
+    seed: Callable[[float | None, float], tuple[float, float, float]]
 
 
 VARIANTS = {
     "classic": Variant(0.5, None, -math.inf, (1.0, -1.0),
-                       lambda star, p: State3(0.0, 0.0, p)),
+                       lambda star, p: (0.0, 0.0, p)),
     "moving-wall": Variant(0.5, 2.0, -math.inf, (1.0, -1.0),
-                           lambda star, p: State3(0.0, star, p)),
+                           lambda star, p: (0.0, star, p)),
     # the slip condition f'(0) = c f''(0) carried into star variables
     "slip": Variant(0.5, -1.0, 0.0, (1.0, -1.0),
-                    lambda star, p: State3(0.0, star * p, p)),
+                    lambda star, p: (0.0, star * p, p)),
     "gasification": Variant(1.0, -2.0, 0.0, (1.0,),
-                            lambda star, p: State3(-star, 0.0, 1.0)),
+                            lambda star, p: (-star, 0.0, 1.0)),
 }
 
 PARAMETRIZED = tuple(v for v, rules in VARIANTS.items() if rules.k is not None)
@@ -86,10 +86,17 @@ class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
                 raise ValueError(f"variant {variant!r} takes no star_param")
         else:
             star_param = check_finite("star_param", star_param)
-            if star_param < rules.least_star:
-                raise ValueError(f"star_param of {variant} must be at least "
-                                 f"{rules.least_star:g}, got {star_param}")
+            _check_least(variant, (star_param,))
         return tuple.__new__(cls, (variant, star_param, p))
+
+
+def _check_least(variant: str, stars: tuple[float, ...]) -> None:
+    """Refuse the first star value below the variant's least_star."""
+    least = VARIANTS[variant].least_star
+    if min(stars) < least:
+        bad = next(star for star in stars if star < least)
+        raise ValueError(f"star_param of {variant} must be at least {least:g}, "
+                         f"got {bad}")
 
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
@@ -103,7 +110,7 @@ def _check_parametrized(variant: str) -> None:
 
 def initial_state(spec: ProblemSpec) -> State3:
     """Star-variable initial conditions for the auxiliary IVP."""
-    return VARIANTS[spec.variant].seed(spec.star_param, spec.p)
+    return State3(*VARIANTS[spec.variant].seed(spec.star_param, spec.p))
 
 
 class NitmConfig(NamedTuple("NitmConfig", [("step", float),
@@ -197,107 +204,95 @@ class NitmResult(StarTableRecord):
         return self._read_table(rescale)
 
 
-def _lambda(spec: ProblemSpec, fp_stop: float) -> float:
-    """Lambda from the star asymptote fp_stop of a walk of spec."""
-    if spec.variant == "moving-wall":
-        return lambda_moving_wall(fp_stop, spec.star_param)
-    return lambda_from_asymptote(fp_stop)
-
-
-def _offset(spec: ProblemSpec) -> float:
-    """What the walk adds to fp before Topfer's square root: b* for the moving wall."""
-    return spec.star_param if spec.variant == "moving-wall" else 0.0
-
-
 def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> NitmResult:
     """Run the non-iterative method for one problem.
 
     Integrates the star IVP over the boundary schedule, accepting the
     larger boundary of the first pair whose lambda values agree within
-    lambda_tol. The schedule is walked incrementally by walk_member,
-    which hands back the lambda of each boundary walked, so integration
-    never proceeds past the accepted boundary. The wall values come
-    from the star initial state in closed form; the result keeps the
-    walk's buffers, which hold the accepted boundary's nodes and no
-    more, for its table.
+    lambda_tol. walk_member walks the schedule with the active fill, one
+    fill per boundary and never past the accepted one, and _walk_stars
+    builds the row from that walk as it builds a batched row.
     """
     # _config only for what is neither: a single solve makes no extra call
     cfg = (DEFAULT_CONFIG if config is None
            else config if type(config) is NitmConfig else _config(config))
-    start = initial_state(spec)
-    # the fill is looked up at each call, so a kernel patched onto the module is used
-    row = _row(spec, cfg, start, *walk_member(
-        kernels.fill_blasius_family, VARIANTS[spec.variant].beta, cfg.step,
-        cfg.stops, start, _offset(spec), cfg.lambda_tol))
+    [row] = _walk_stars(spec.variant, spec.p, (spec.star_param,), cfg,
+                        lambda beta, h, stops, seeds, offsets, tol: [walk_member(
+                            kernels.fill_blasius_family, beta, h, stops, seeds[0],
+                            offsets[0], tol)])
     if isinstance(row, NitmError):
         raise row
     return row
 
 
-# most members one batched walk of iter_solves holds at once, so members
-# that never agree cannot pile up buffers on a long sweep
+# most star values one walk takes, so a long sweep holds one batch of buffers
 _BATCH = 64
 
 
-def iter_solves(specs, config: NitmConfig | None = None):
-    """Yield the row solve_auxiliary gives each spec, a result or its error, in order.
+def _walk_stars(variant: str, p: float, stars, cfg: NitmConfig,
+                walk=None) -> list[NitmResult | NitmError]:
+    """The row of each checked star value of one variant and sign, in order.
 
-    Takes _BATCH specs at a time and yields their rows before the next
-    batch: the specs of one beta are walked together by the batched
-    kernel entry, with Topfer's agreement test inside it, and each row
-    takes the lambdas that test computed. An error keeps the message of
-    the single solve's.
+    One walk, the batched kernel entry unless walk is given, runs Topfer's
+    agreement test on every seed; a row takes the lambdas it computed and
+    its wall values in closed form, or its error (_failure).
     """
-    cfg = _config(config)
-    specs = iter(specs)
-    # zip stops at the range's end before it pulls one spec more
-    while batch := [spec for _, spec in zip(range(_BATCH), specs)]:
-        members: dict[float, list[int]] = {}
-        for i, spec in enumerate(batch):
-            members.setdefault(VARIANTS[spec.variant].beta, []).append(i)
-        rows: list = [None] * len(batch)
-        for beta, indices in members.items():
-            starts = [initial_state(batch[i]) for i in indices]
-            offsets = [_offset(batch[i]) for i in indices]
-            # looked up at each call, so a kernel patched onto the module is used
-            for i, start, member in zip(indices, starts, kernels.walk_blasius_family(
-                    beta, cfg.step, cfg.stops, starts, offsets, cfg.lambda_tol)):
-                rows[i] = _row(batch[i], cfg, start, *member)
-        yield from rows
+    rules = VARIANTS[variant]
+    seeds = [rules.seed(star, p) for star in stars]
+    # what the walk adds to fp before Topfer's square root: b* for the moving wall
+    offsets = stars if variant == "moving-wall" else [0.0] * len(stars)
+    # looked up at each call, so a kernel patched onto the module is used
+    members = (walk or kernels.walk_blasius_family)(
+        rules.beta, cfg.step, cfg.stops, seeds, offsets, cfg.lambda_tol)
+    k, step, schedule = rules.k, cfg.step, cfg.boundary_schedule
+    rows: list = []
+    # unpacked by name: a starred target would cost a row 0.25 us
+    for star, (f0, fp0, fpp0), (outcome, lambdas, fp_stop, bad, f, fp, fpp) in zip(
+            stars, seeds, members):
+        if outcome != ACCEPTED:
+            rows.append(_failure(variant, star, step, outcome, lambdas, fp_stop, bad))
+            continue
+        lam = lambdas[-1]
+        # positional, in field order: keywords would cost a row 0.5 us
+        rows.append(NitmResult(lam, lambdas, schedule[len(lambdas) - 1], fp_stop, star,
+                               None if k is None else map_parameter(star, lam, k),
+                               *physical_values(lam, f0, fp0, fpp0), (step, f, fp, fpp)))
+    return rows
+
+
+def _failure(variant: str, star: float | None, step: float, outcome: int,
+             lambdas: tuple[float, ...], fp_stop: float | None, bad: int) -> NitmError:
+    """The error of a member the walk retired unsolved, as a single solve words it."""
+    if outcome == BLOWUP:
+        return BlowupError(bad * step)
+    if outcome == BREAKDOWN:
+        try:    # the walk's lambda test again, for scaling's message
+            if variant == "moving-wall":
+                lambda_moving_wall(fp_stop, star)
+            else:
+                lambda_from_asymptote(fp_stop)
+        except ScalingBreakdownError as exc:
+            # without its traceback: that holds this frame, and via it the rows
+            return exc.with_traceback(None)
+    return NoConvergenceError(lambdas)
 
 
 def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | NitmError]:
-    """The rows of iter_solves, as a list."""
-    return list(iter_solves(specs, config))
+    """The row solve_auxiliary gives each spec, a result or its error, in order.
 
-
-def _row(spec: ProblemSpec, cfg: NitmConfig, start: State3, outcome: int,
-         lambdas: tuple[float, ...], fp_stop: float | None, bad: int,
-         *buffers) -> NitmResult | NitmError:
-    """The result, or the error, of one walked member.
-
-    lambdas are the walk's, whose operations are those of _lambda, and
-    fp_stop is fp at the last boundary walked. buffers are the member's
-    f, fp and fpp through the accepted boundary; the wall values come
-    from start in closed form.
+    The specs of one variant and sign are walked together, _BATCH at a time.
     """
-    if outcome == BLOWUP:
-        return BlowupError(bad * cfg.step)
-    if outcome == BREAKDOWN:
-        try:
-            _lambda(spec, fp_stop)      # the walk's test, for its error
-        except ScalingBreakdownError as exc:
-            # without its traceback: that holds this frame, and so the rows
-            return exc.with_traceback(None)
-    if outcome == NO_AGREEMENT:
-        return NoConvergenceError(lambdas)
-    lam = lambdas[-1]
-    k = VARIANTS[spec.variant].k
-    physical = None if k is None else map_parameter(spec.star_param, lam, k)
-    # positional, in field order: keywords would cost a sweep row 0.5 us
-    return NitmResult(lam, lambdas, cfg.boundary_schedule[len(lambdas) - 1],
-                      fp_stop, spec.star_param, physical,
-                      *physical_values(lam, *start), (cfg.step, *buffers))
+    cfg = _config(config)
+    groups: dict[tuple[str, float], list[tuple[int, float | None]]] = {}
+    for i, (variant, star, p) in enumerate(specs):
+        groups.setdefault((variant, p), []).append((i, star))
+    rows: list = [None] * sum(map(len, groups.values()))
+    for (variant, p), members in groups.items():
+        for first in range(0, len(members), _BATCH):
+            indices, stars = zip(*members[first:first + _BATCH])
+            for i, row in zip(indices, _walk_stars(variant, p, stars, cfg)):
+                rows[i] = row
+    return rows
 
 
 def solve_moving_wall(b_star: float, sign: float = 1.0,
@@ -323,19 +318,27 @@ def solve_variant(variant: str, star_value: float, sign: float = 1.0,
     return solve_auxiliary(ProblemSpec(variant, star_value, sign), config)
 
 
+def iter_sweep(variant: str, star_values, sign: float = 1.0,
+               config: NitmConfig | None = None):
+    """sweep's rows, walked _BATCH star values at a time as they are read;
+    every argument is checked on the call, by ProblemSpec's rules."""
+    _check_parametrized(variant)
+    stars = check_numbers("star_values", star_values, "star_param")
+    p = _check_sign(variant, sign)
+    _check_least(variant, stars)
+    cfg = _config(config)
+    return (row for first in range(0, len(stars), _BATCH)
+            for row in _walk_stars(variant, p, stars[first:first + _BATCH], cfg))
+
+
 def sweep(variant: str, star_values, sign: float = 1.0,
           config: NitmConfig | None = None) -> list[NitmResult | NitmError]:
-    """Solve one row per star value, preserving order.
+    """Solve one row per star value, preserving order: the rows of iter_sweep.
 
     A row that fails carries the error object in place of a result, so
     a sweep across a critical region still reports its solvable rows.
-    Every star value is checked before the first solve; the rows are
-    then solved together by solve_many.
     """
-    _check_parametrized(variant)
-    specs = [ProblemSpec(variant, value, sign)
-             for value in check_numbers("star_values", star_values, "star_param")]
-    return solve_many(specs, config)
+    return list(iter_sweep(variant, star_values, sign, config))
 
 
 # most points one scan of find_critical_b takes, checked before its
@@ -420,7 +423,7 @@ def find_critical_b(config: NitmConfig | None = None,
     """Most negative physical b reachable on the plus branch.
 
     Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,
-    3 to MAX_SCAN_POINTS of them, solved together by iter_solves, to
+    3 to MAX_SCAN_POINTS of them, solved together by iter_sweep, to
     bracket the minimum of b(b*) between the neighbours of the least
     scanned b, then refines it by _brent_minimum from that point.
     Returns the least b the minimiser solved and the b* attaining it.
@@ -440,20 +443,17 @@ def find_critical_b(config: NitmConfig | None = None,
                          f"got {scan_points}")
 
     log_lo, log_hi = math.log10(-scan_lo), math.log10(-scan_hi)
-
-    def scanned():     # rebuilt for an error: a solved row holds its b* as star_param
-        return (-10.0 ** (log_lo + (log_hi - log_lo) * i / (scan_points - 1))
-                for i in range(scan_points))
-
-    rows = iter_solves((ProblemSpec("moving-wall", x, 1.0) for x in scanned()), config)
+    scanned = [-10.0 ** (log_lo + (log_hi - log_lo) * i / (scan_points - 1))
+               for i in range(scan_points)]
+    rows = iter_sweep("moving-wall", scanned, 1.0, config)
     points = [(row.star_param, row.physical_param) for row in rows
               if not isinstance(row, NitmError)]
     if len(points) < 3:
         raise BracketingError("too few solvable points to bracket the minimum",
-                              scanned())
+                              scanned)
     i_min = min(range(len(points)), key=lambda i: points[i][1])
     if i_min == 0 or i_min == len(points) - 1:
-        raise BracketingError("minimum of b(b*) sits at the scan edge", scanned())
+        raise BracketingError("minimum of b(b*) sits at the scan edge", scanned)
 
     b_star, b_c = _brent_minimum(
         lambda x: solve_moving_wall(x, 1.0, config).physical_param,

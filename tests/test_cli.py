@@ -206,8 +206,7 @@ def test_a_long_sweep_holds_one_batch_of_solves(capsys, monkeypatch):
 
 def test_sweep_refuses_a_value_past_its_first_batch_before_any_solve(
         capsys, monkeypatch):
-    monkeypatch.setattr(nitm.solvers, "solve_many", _no_solve)
-    monkeypatch.setattr(nitm.solvers, "iter_solves", _no_solve)
+    monkeypatch.setattr(nitm.solvers, "_walk_stars", _no_solve)
     values = ",".join(["1"] * (nitm.solvers._BATCH + 1) + ["-1"])
     code, out, err = run(capsys, "sweep", "--problem", "slip", f"--values={values}")
     assert (code, out) == (1, "")
@@ -219,7 +218,7 @@ def test_sweep_refuses_a_value_past_its_first_batch_before_any_solve(
 def test_sweep_refuses_a_range_too_wide_for_a_float(capsys, monkeypatch, values):
     # hi - lo, or a step's product with it, overflows: once read as a NaN
     # or infinite star_param that named neither --values nor the cause
-    monkeypatch.setattr(nitm.solvers, "iter_solves", _no_solve)
+    monkeypatch.setattr(nitm.solvers, "iter_sweep", _no_solve)
     code, out, err = run(capsys, "sweep", "--problem", "slip", f"--values={values}")
     assert (code, out) == (1, "")
     assert err == (f"error: --values range {values!r} is too wide: "
@@ -657,9 +656,22 @@ def test_numerical_failure_exit_two(capsys):
 def test_info_reports_version_and_backend(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0
+    clone = nitm.kernels.WALK_CLONE or "none, as the pure backend has no walk clone"
     assert out.splitlines() == [f"nitm {nitm.__version__}",
                                 f"backend: {nitm.kernels.BACKEND}",
-                                f"reason: {nitm.kernels.BACKEND_REASON}"]
+                                f"reason: {nitm.kernels.BACKEND_REASON}",
+                                f"walk clone: {clone}"]
+
+
+@pytest.mark.parametrize("clone, line", [
+    ("avx2", "walk clone: avx2"),
+    ("single", "walk clone: single"),
+    (None, "walk clone: none, as the pure backend has no walk clone"),
+])
+def test_info_names_the_walk_clone(capsys, monkeypatch, clone, line):
+    monkeypatch.setattr(nitm.kernels, "WALK_CLONE", clone)
+    code, out, _ = run(capsys, "info")
+    assert code == 0 and out.splitlines()[-1] == line
 
 
 _PURE_REASON = "compiled kernel unavailable: cc exited with status 1"

@@ -253,6 +253,11 @@ _BOTH_WALKS = [pytest.param(_kernels_py, id="pure"),
                pytest.param(_kernels_c, id="compiled", marks=needs_compiled)]
 
 
+def _offset(spec):
+    """What the walk adds to fp before Topfer's square root: b* for the moving wall."""
+    return spec.star_param if spec.variant == "moving-wall" else 0.0
+
+
 def _scaling_lambda(spec, fp):
     if spec.variant == "moving-wall":
         return scaling.lambda_moving_wall(fp, spec.star_param)
@@ -268,7 +273,7 @@ def test_walk_lambdas_are_the_scaling_lambdas_bit_for_bit(module):
                  if solvers.VARIANTS[spec.variant].beta == beta]
         seeds = [solvers.initial_state(spec) for spec in specs]
         rows = module.walk_blasius_family(
-            beta, cfg.step, cfg.stops, seeds, [solvers._offset(s) for s in specs],
+            beta, cfg.step, cfg.stops, seeds, [_offset(s) for s in specs],
             cfg.lambda_tol)
         for spec, seed, (outcome, lambdas, fp_stop, *_) in zip(specs, seeds, rows):
             outcomes.add(outcome)
@@ -395,6 +400,39 @@ def test_loader_builds_once_into_the_cache(tmp_path):
 
 
 @needs_compiler
+def test_a_build_removes_the_stale_builds_of_its_abi(tmp_path):
+    package = _package_copy(tmp_path)
+    cache = package / "__pycache__"
+    cache.mkdir()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    stale = cache / f"_kernels.00000000{suffix}"
+    other_abi = cache / "_kernels.00000000.cpython-30-other.so"
+    stale.write_bytes(b"an earlier source's build")
+    other_abi.write_bytes(b"another interpreter's build")
+    backend, reason, _ = _import_backend(tmp_path)
+    assert backend == "compiled", reason
+    built = reason.removeprefix("_kernels.c built into the cache ")
+    assert sorted(cache.glob("_kernels.*")) == sorted([Path(built), other_abi])
+
+
+@needs_compiler
+def test_a_stale_build_that_cannot_go_does_not_fail_the_import(tmp_path):
+    package = _package_copy(tmp_path)
+    (package / "__pycache__").mkdir()
+    stale = package / "__pycache__" / (
+        "_kernels.00000000" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    stale.write_bytes(b"an earlier source's build")
+    out = _run_python(tmp_path, (
+        "import os\n"
+        "def refuse(path): raise PermissionError(13, 'Permission denied', path)\n"
+        "os.remove = refuse\n"
+        "import nitm.kernels as k; print(k.BACKEND); print(k.WALK_CLONE)"))
+    assert out[0] == "compiled"
+    assert out[1] in ("avx2", "default", "single")
+    assert stale.exists()
+
+
+@needs_compiler
 @needs_compiled
 def test_kernel_without_target_clones_is_compiled_and_walks_the_same_bits(tmp_path):
     # as a compiler or platform without target_clones builds it: one plain
@@ -406,11 +444,13 @@ def test_kernel_without_target_clones_is_compiled_and_walks_the_same_bits(tmp_pa
         source.replace("__has_attribute(target_clones)", "0"))
     backend, reason, _ = _import_backend(tmp_path)
     assert backend == "compiled", reason
+    assert _run_python(tmp_path, "import nitm.kernels as k; print(k.WALK_CLONE)") == [
+        "single"]
 
     cfg = solvers.DEFAULT_CONFIG
     specs = [spec for spec in _VARIANT_SPECS if spec.variant != "gasification"]
     args = (0.5, cfg.step, cfg.stops, [tuple(solvers.initial_state(s)) for s in specs],
-            [solvers._offset(s) for s in specs], cfg.lambda_tol)
+            [_offset(s) for s in specs], cfg.lambda_tol)
     # floats print by repr, which round-trips every bit
     rows = ast.literal_eval(_run_python(tmp_path, (
         "import nitm.kernels as k; print(repr([(*row[:4], *(None if b is None "
@@ -453,6 +493,15 @@ def test_loader_failure_falls_back_to_pure(tmp_path, breakage, named):
     assert named in reason
     if (package / "__pycache__").is_dir():
         assert not list((package / "__pycache__").glob("_kernels.*"))
+
+
+def test_walk_clone_is_named_by_the_backend():
+    if kernels.BACKEND == "pure":
+        assert kernels.WALK_CLONE is None
+    else:
+        assert kernels.WALK_CLONE in ("avx2", "default", "single")
+    if _kernels_c is not None:
+        assert _kernels_c.WALK_CLONE in ("avx2", "default", "single")
 
 
 def test_env_override_forces_pure_backend():

@@ -455,7 +455,7 @@ def test_critical_b_scan_points_are_refused_before_the_scan(monkeypatch):
         raise AssertionError("solved before scan_points was checked")
 
     monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
-    monkeypatch.setattr(solvers, "iter_solves", no_solve)
+    monkeypatch.setattr(solvers, "iter_sweep", no_solve)
     for points in (10**12, solvers.MAX_SCAN_POINTS + 1):
         with pytest.raises(ValueError, match="scan_points"):
             find_critical_b(scan_points=points)
@@ -480,15 +480,15 @@ def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
                                physical_param=((b_star + 1e12) / 1e11) ** 2 - 0.55)
 
     monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
-    monkeypatch.setattr(solvers, "iter_solves",
-                        lambda specs, config: (b_of(spec.star_param) for spec in specs))
+    monkeypatch.setattr(solvers, "iter_sweep",
+                        lambda variant, stars, sign, config: map(b_of, stars))
     crit = find_critical_b(scan_lo=-2e12, scan_hi=-1e11)
     assert crit.b_star == pytest.approx(-1e12, rel=1e-8)
     assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
 
 
 def _fake_moving_wall(monkeypatch, fails):
-    """Patch solve_moving_wall and the scan's iter_solves to b(b*) =
+    """Patch solve_moving_wall and the scan's iter_sweep to b(b*) =
     (b* + 1.2)^2 - 0.55, failing with BlowupError at each b* that fails(b*)
     is true for; returns the b* asked for, in order."""
     asked = []
@@ -507,8 +507,8 @@ def _fake_moving_wall(monkeypatch, fails):
         return res
 
     monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
-    monkeypatch.setattr(solvers, "iter_solves",
-                        lambda specs, config: (row(spec.star_param) for spec in specs))
+    monkeypatch.setattr(solvers, "iter_sweep",
+                        lambda variant, stars, sign, config: map(row, stars))
     return asked
 
 
@@ -537,21 +537,21 @@ def _record_critical_solves(monkeypatch):
     """(b*, b) of each solve find_critical_b makes, scan rows included, in order;
     a failed solve has no b and is left out."""
     solved = []
-    original, original_rows = solvers.solve_moving_wall, solvers.iter_solves
+    original, original_rows = solvers.solve_moving_wall, solvers.iter_sweep
 
     def recording(b_star, *args):
         res = original(b_star, *args)
         solved.append((b_star, res.physical_param))
         return res
 
-    def recording_rows(specs, config=None):
-        for row in original_rows(specs, config):
+    def recording_rows(variant, stars, sign, config=None):
+        for row in original_rows(variant, stars, sign, config):
             if not isinstance(row, NitmError):
                 solved.append((row.star_param, row.physical_param))
             yield row
 
     monkeypatch.setattr(solvers, "solve_moving_wall", recording)
-    monkeypatch.setattr(solvers, "iter_solves", recording_rows)
+    monkeypatch.setattr(solvers, "iter_sweep", recording_rows)
     return solved
 
 
@@ -576,7 +576,7 @@ def test_critical_b_scans_in_one_batched_walk(monkeypatch):
     find_critical_b()
     # each scan point's b* seeds f'*(0); Brent's steps are single solves
     assert len(seeds) == 1
-    b_stars = [start.fp for start in seeds[0]]
+    b_stars = [fp for _, fp, _ in seeds[0]]
     assert len(b_stars) == solvers.SCAN_POINTS and b_stars == sorted(b_stars)
     assert (b_stars[0], b_stars[-1]) == pytest.approx((solvers.SCAN_LO, solvers.SCAN_HI))
 
@@ -732,7 +732,7 @@ def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
         raise AssertionError("solve_moving_wall ran")
 
     monkeypatch.setattr(solvers, "solve_moving_wall", no_solve)
-    monkeypatch.setattr(solvers, "iter_solves", no_solve)
+    monkeypatch.setattr(solvers, "iter_sweep", no_solve)
     with pytest.raises(ValueError, match="scan range"):
         find_critical_b(scan_lo=-math.inf)
 
@@ -1071,3 +1071,89 @@ def test_solve_many_walks_at_most_one_batch_at_a_time(monkeypatch):
     rows = solve_many(specs, _COARSE)
     assert sizes == [(0.5, 64), (0.5, 64), (0.5, 22), (1.0, 1)]
     assert [row.star_param for row in rows] == [spec.star_param for spec in specs]
+
+
+# ---------------------------------------------------------------------------
+# sweeps from star values: one batched walk core, no ProblemSpec per row
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), size=st.sampled_from([1, 8, 63, 64, 65, 129]))
+def test_sweep_matches_single_solves_bit_for_bit(backend, data, size):
+    # sizes around _BATCH and the kernel's blocks of eight members
+    variant = data.draw(st.sampled_from(solvers.PARAMETRIZED))
+    sign = data.draw(st.sampled_from(solvers.VARIANTS[variant].signs))
+    values = data.draw(st.lists(st.floats(*_STARS[variant]), min_size=size,
+                                max_size=size))
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        singles = [_single(ProblemSpec(variant, value, sign), _COARSE)
+                   for value in values]
+        rows = sweep(variant, values, sign, _COARSE)
+    assert len(rows) == size
+    for row, single in zip(rows, singles):
+        _assert_same_row(row, single)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_solve_many_puts_interleaved_rows_back_at_their_index(backend):
+    # every variant and sign in turn, so that no two neighbours share a walk
+    branches = [(v, p) for v, rules in solvers.VARIANTS.items() for p in rules.signs]
+    specs = [ProblemSpec(v, None if v == "classic" else 0.02 * i + 1.0, p)
+             for i in range(130) for v, p in [branches[i % len(branches)]]]
+    walks = []
+    walk = kernels.walk_blasius_family if backend == "active" else (
+        _kernels_py.walk_blasius_family)
+
+    def recording_walk(beta, h, stops, seeds, offsets, lambda_tol):
+        walks.append(len(seeds))
+        return walk(beta, h, stops, seeds, offsets, lambda_tol)
+
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        singles = [_single(spec, _COARSE) for spec in specs]
+        with mock.patch.object(kernels, "walk_blasius_family", recording_walk):
+            rows = solve_many(specs, _COARSE)
+    # one walk per variant and sign, of its 18 or 19 specs
+    assert sorted(walks) == sorted([19] * 4 + [18] * 3)
+    assert {type(row) for row in rows} >= {NitmResult, BlowupError}
+    for spec, row, single in zip(specs, rows, singles):
+        _assert_same_row(row, single)
+        if isinstance(row, NitmResult):
+            assert row.star_param == spec.star_param
+
+
+@pytest.mark.parametrize("variant, value, sign", [
+    ("slip", True, 1.0),
+    ("moving-wall", math.nan, 1.0),
+    ("moving-wall", -math.inf, -1.0),
+    ("slip", 10**400, 1.0),
+    ("slip", -0.5, 1.0),
+    ("gasification", -1e-300, 1.0),
+    ("moving-wall", 1.0, 2.0),
+    ("gasification", 1.0, -1.0),
+    ("slip", 1.0, True),
+    ("slip", 1.0, math.nan),
+])
+def test_sweep_refuses_what_a_problem_spec_refuses_with_its_message(
+        monkeypatch, variant, value, sign):
+    with pytest.raises((TypeError, ValueError)) as single:
+        ProblemSpec(variant, value, sign)
+    # a good value first: the bad one is still refused before any solve
+    monkeypatch.setattr(solvers, "_walk_stars", None)
+    with pytest.raises(type(single.value)) as swept:
+        sweep(variant, [1.0, value], sign)
+    assert str(swept.value) == str(single.value)
+
+
+@pytest.mark.parametrize("variant", ["classic", "nope", ["moving-wall"]])
+def test_sweep_refuses_a_variant_without_star_values(variant):
+    with pytest.raises(UnsupportedVariantError) as err:
+        sweep(variant, [1.0])
+    assert str(err.value) == f"need one of {solvers.PARAMETRIZED}, got {variant!r}"
+
+
+def test_sweep_builds_no_problem_spec(monkeypatch):
+    expected = sweep("moving-wall", [-1.0, 0.5, 2.0], -1.0, _COARSE)
+    monkeypatch.setattr(solvers, "ProblemSpec", None)
+    for row, single in zip(sweep("moving-wall", [-1.0, 0.5, 2.0], -1.0, _COARSE),
+                           expected):
+        _assert_same_row(row, single)

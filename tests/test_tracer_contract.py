@@ -30,7 +30,8 @@ def test_traced_run_checks_out_and_unpatches(monkeypatch):
     assert traced.solve_checks() == ([], [])
     metrics = traced.metrics()
     assert metrics["ode.integrate.calls"] > 0
-    # sweep solves its rows through solvers.solve_many, not solve_auxiliary
+    # sweep walks its rows together, by solvers._walk_stars and the batched
+    # kernel entry, and never calls solve_auxiliary
     assert metrics["solvers.solve_auxiliary.calls"] == 1
     for module, attrs in zip(modules, before):
         for name, value in attrs.items():

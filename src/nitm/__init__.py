@@ -17,8 +17,8 @@ from .ode import GridConfig, SolutionTable, State3, integrate
 from .solvers import (DEFAULT_SCHEDULE, CriticalB, NitmConfig, NitmResult,
                       ProblemSpec, classic_problem, find_critical_b,
                       find_star_for_target, initial_state, solve_auxiliary,
-                      solve_gasification, solve_many, solve_moving_wall,
-                      solve_slip, solve_variant, sweep)
+                      solve_gasification, solve_moving_wall, solve_slip,
+                      solve_variant, sweep)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,8 @@ __all__ = [
     "ScalingBreakdownError", "SolutionTable", "State3", "UnsupportedVariantError",
     "classic_problem", "find_critical_b", "find_star_for_target", "initial_state",
     "integrate", "kernels", "ode", "scaling", "solve_auxiliary", "solve_gasification",
-    "solve_many", "solve_moving_wall", "solve_slip", "solve_variant", "solvers",
-    "sweep", *_LAZY, *(name for names in _LAZY.values() for name in names),
+    "solve_moving_wall", "solve_slip", "solve_variant", "solvers", "sweep",
+    *_LAZY, *(name for names in _LAZY.values() for name in names),
 ]
 
 

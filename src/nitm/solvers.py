@@ -213,10 +213,7 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     fill per boundary and never past the accepted one, and _walk_stars
     builds the row from that walk as it builds a batched row.
     """
-    # _config only for what is neither: a single solve makes no extra call
-    cfg = (DEFAULT_CONFIG if config is None
-           else config if type(config) is NitmConfig else _config(config))
-    [row] = _walk_stars(spec.variant, spec.p, (spec.star_param,), cfg,
+    [row] = _walk_stars(spec.variant, spec.p, (spec.star_param,), _config(config),
                         lambda beta, h, stops, seeds, offsets, tol: [walk_member(
                             kernels.fill_blasius_family, beta, h, stops, seeds[0],
                             offsets[0], tol)])
@@ -275,24 +272,6 @@ def _failure(variant: str, star: float | None, step: float, outcome: int,
             # without its traceback: that holds this frame, and via it the rows
             return exc.with_traceback(None)
     return NoConvergenceError(lambdas)
-
-
-def solve_many(specs, config: NitmConfig | None = None) -> list[NitmResult | NitmError]:
-    """The row solve_auxiliary gives each spec, a result or its error, in order.
-
-    The specs of one variant and sign are walked together, _BATCH at a time.
-    """
-    cfg = _config(config)
-    groups: dict[tuple[str, float], list[tuple[int, float | None]]] = {}
-    for i, (variant, star, p) in enumerate(specs):
-        groups.setdefault((variant, p), []).append((i, star))
-    rows: list = [None] * sum(map(len, groups.values()))
-    for (variant, p), members in groups.items():
-        for first in range(0, len(members), _BATCH):
-            indices, stars = zip(*members[first:first + _BATCH])
-            for i, row in zip(indices, _walk_stars(variant, p, stars, cfg)):
-                rows[i] = row
-    return rows
 
 
 def solve_moving_wall(b_star: float, sign: float = 1.0,

@@ -300,7 +300,7 @@ def test_a_batched_breakdown_keeps_the_single_solves_message():
     spec = solvers.ProblemSpec("moving-wall", 1.2, -1.0)
     with pytest.raises(ScalingBreakdownError) as single:
         solvers.solve_auxiliary(spec)
-    (row,) = solvers.solve_many([spec])
+    (row,) = solvers.sweep("moving-wall", [1.2], -1.0)
     assert type(row) is ScalingBreakdownError
     assert str(row) == str(single.value)
     assert str(row).startswith("fp_inf_star + b_star = ")

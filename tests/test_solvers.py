@@ -15,8 +15,7 @@ from nitm import (DEFAULT_SCHEDULE, GridConfig, NitmConfig, NitmResult, ProblemS
                   State3, _kernels_py, analysis, classic_problem,
                   find_critical_b, find_star_for_target, initial_state, integrate,
                   kernels, models, scaling, solve_auxiliary, solve_gasification,
-                  solve_many, solve_moving_wall, solve_slip, solve_variant, solvers,
-                  sweep)
+                  solve_moving_wall, solve_slip, solve_variant, solvers, sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
                          NoConvergenceError, ScalingBreakdownError,
                          UnsupportedVariantError)
@@ -674,7 +673,7 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
     (lambda: sweep("slip", [True]), "star_param"),
     (lambda: find_star_for_target("slip", True), "target"),
     (lambda: solve_auxiliary(classic_problem(), "x"), "config"),
-    (lambda: solve_many([classic_problem()], "x"), "config"),
+    (lambda: solvers.iter_sweep("slip", [1.0], 1.0, "x"), "config"),
     (lambda: sweep("slip", [1.0], config="x"), "config"),
     (lambda: find_star_for_target("slip", 1.5, config="x"), "config"),
     (lambda: find_critical_b(config="x"), "config"),
@@ -691,7 +690,7 @@ def test_drivers_refuse_bad_iteration_settings_before_solving(monkeypatch,
         "blasius-rhs-beta", "falkner-skan-p", "series-shear",
         "invariance-lam-test", "rescale-lam", "config-step-bool",
         "truncated-M-bool", "sweep-value-bool", "target-value-bool",
-        "solve-config", "solve-many-config", "sweep-config", "target-config",
+        "solve-config", "iter-sweep-config", "sweep-config", "target-config",
         "critical-b-config", "spec-variant-list", "classic-sign-bool", "spec-sign-text",
         "sweep-sign-bool", "target-sign-text"])
 def test_non_numbers_are_refused_by_name_before_solving(monkeypatch, call, name):
@@ -968,8 +967,10 @@ def test_lean_solve_wall_values_and_table_ownership(backend, spec, config):
             single = solve_auxiliary(spec, config)
         except NitmError:
             return
-        [batched] = solve_many([spec], config)
-    for res in (single, batched):
+        # the classic problem has no star value to sweep
+        rows = [single] if spec.star_param is None else [
+            single, *sweep(spec.variant, [spec.star_param], spec.p, config)]
+    for res in rows:
         table = res.table
         for wall, column in ((res.f0, table.f), (res.fp0, table.fp),
                              (res.fpp0, table.fpp)):
@@ -981,24 +982,15 @@ def test_lean_solve_wall_values_and_table_ownership(backend, spec, config):
 
 
 # ---------------------------------------------------------------------------
-# batched solves: solve_many row for row against solve_auxiliary
+# sweeps from star values: one batched walk core, no ProblemSpec per row
 
-# every variant and sign, over star ranges that reach blow-ups (slip -1)
+# every variant with star values, over ranges that reach blow-ups (slip -1)
 # and scaling breakdowns (moving wall -1 below about b* = 1.68)
 _STARS = {"moving-wall": (-1.5, 6.0), "slip": (0.0, 6.0), "gasification": (0.0, 4.0)}
 
 # steps 0.1 and a tolerance of 1e-4 on three boundaries: most rows agree,
 # the moving wall -1 near b* = 1.75 does not
 _COARSE = NitmConfig(step=0.1, boundary_schedule=(4.0, 6.0, 8.0), lambda_tol=1e-4)
-
-
-@st.composite
-def _any_specs(draw):
-    variant = draw(st.sampled_from(sorted(solvers.VARIANTS)))
-    sign = draw(st.sampled_from(solvers.VARIANTS[variant].signs))
-    star = (None if variant == "classic"
-            else draw(st.floats(*_STARS[variant])))
-    return ProblemSpec(variant, star, sign)
 
 
 def _single(spec, config):
@@ -1023,102 +1015,79 @@ def _assert_same_row(batched, single):
 
 
 @pytest.mark.parametrize("backend", ["active", "pure"])
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), size=st.sampled_from([1, 7, 8, 9, 17]),
-       config=st.sampled_from([NitmConfig(), NitmConfig(step=0.02), _fixed(6.0),
-                               _COARSE]))
-def test_solve_many_matches_solve_auxiliary_bit_for_bit(backend, data, size, config):
-    # sizes around the kernel's blocks of eight members
-    specs = data.draw(st.lists(_any_specs(), min_size=size, max_size=size))
-    with mock.patch.multiple(kernels, **_backend(backend)):
-        singles = [_single(spec, config) for spec in specs]
-        rows = solve_many(specs, config)
-    assert len(rows) == len(specs)
-    for row, single in zip(rows, singles):
-        _assert_same_row(row, single)
-
-
-@pytest.mark.parametrize("backend", ["active", "pure"])
-def test_solve_many_keeps_every_kind_of_failure_in_one_batch(backend):
-    specs = [ProblemSpec("slip", 1.0, -1.0),              # blows up
-             ProblemSpec("moving-wall", 1.2, -1.0),       # breaks down
-             ProblemSpec("moving-wall", 1.75, -1.0),      # never agrees
-             classic_problem(),
-             ProblemSpec("moving-wall", 2.0, -1.0),
-             ProblemSpec("slip", 0.5, 1.0),
-             ProblemSpec("gasification", 1.0, 1.0)]
-    with mock.patch.multiple(kernels, **_backend(backend)):
-        singles = [_single(spec, _COARSE) for spec in specs]
-        rows = solve_many(specs, _COARSE)
-    assert [type(row) for row in rows] == [
-        BlowupError, ScalingBreakdownError, NoConvergenceError,
-        NitmResult, NitmResult, NitmResult, NitmResult]
-    for row, single in zip(rows, singles):
-        _assert_same_row(row, single)
-
-
-def test_solve_many_walks_at_most_one_batch_at_a_time(monkeypatch):
-    sizes = []
-    walk = kernels.walk_blasius_family
-
-    def recording_walk(beta, h, stops, seeds, offsets, lambda_tol):
-        sizes.append((beta, len(seeds)))
-        return walk(beta, h, stops, seeds, offsets, lambda_tol)
-
-    monkeypatch.setattr(kernels, "walk_blasius_family", recording_walk)
-    specs = ([ProblemSpec("slip", 0.01 * i, 1.0) for i in range(150)]
-             + [ProblemSpec("gasification", 1.0, 1.0)])
-    rows = solve_many(specs, _COARSE)
-    assert sizes == [(0.5, 64), (0.5, 64), (0.5, 22), (1.0, 1)]
-    assert [row.star_param for row in rows] == [spec.star_param for spec in specs]
-
-
-# ---------------------------------------------------------------------------
-# sweeps from star values: one batched walk core, no ProblemSpec per row
-
-@pytest.mark.parametrize("backend", ["active", "pure"])
-@settings(max_examples=12, deadline=None)
-@given(data=st.data(), size=st.sampled_from([1, 8, 63, 64, 65, 129]))
-def test_sweep_matches_single_solves_bit_for_bit(backend, data, size):
-    # sizes around _BATCH and the kernel's blocks of eight members
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), config=st.sampled_from([NitmConfig(), NitmConfig(step=0.02),
+                                               _fixed(6.0), _COARSE]))
+def test_sweep_matches_single_solves_bit_for_bit(backend, data, config):
+    # sizes around _BATCH on the coarse step, around the kernel's blocks of
+    # eight members on the finer ones
+    size = data.draw(st.sampled_from([1, 8, 63, 64, 65, 129] if config is _COARSE
+                                     else [1, 7, 8, 9, 17]))
     variant = data.draw(st.sampled_from(solvers.PARAMETRIZED))
     sign = data.draw(st.sampled_from(solvers.VARIANTS[variant].signs))
     values = data.draw(st.lists(st.floats(*_STARS[variant]), min_size=size,
                                 max_size=size))
     with mock.patch.multiple(kernels, **_backend(backend)):
-        singles = [_single(ProblemSpec(variant, value, sign), _COARSE)
+        singles = [_single(ProblemSpec(variant, value, sign), config)
                    for value in values]
-        rows = sweep(variant, values, sign, _COARSE)
+        rows = sweep(variant, values, sign, config)
     assert len(rows) == size
     for row, single in zip(rows, singles):
         _assert_same_row(row, single)
 
 
 @pytest.mark.parametrize("backend", ["active", "pure"])
-def test_solve_many_puts_interleaved_rows_back_at_their_index(backend):
-    # every variant and sign in turn, so that no two neighbours share a walk
-    branches = [(v, p) for v, rules in solvers.VARIANTS.items() for p in rules.signs]
-    specs = [ProblemSpec(v, None if v == "classic" else 0.02 * i + 1.0, p)
-             for i in range(130) for v, p in [branches[i % len(branches)]]]
-    walks = []
-    walk = kernels.walk_blasius_family if backend == "active" else (
-        _kernels_py.walk_blasius_family)
+@pytest.mark.parametrize("variant, values, kinds", [
+    # slip -1 has no solvable row: it blows up, or breaks down at c* = 0
+    ("slip", [1.0, 0.0, 2.0], [BlowupError, ScalingBreakdownError, BlowupError]),
+    ("moving-wall", [1.2, 1.75, 2.0, 3.0],
+     [ScalingBreakdownError, NoConvergenceError, NitmResult, NitmResult]),
+], ids=["slip", "moving-wall"])
+def test_a_sweep_keeps_every_kind_of_failure_beside_its_solved_rows(
+        backend, variant, values, kinds):
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        singles = [_single(ProblemSpec(variant, value, -1.0), _COARSE)
+                   for value in values]
+        rows = sweep(variant, values, -1.0, _COARSE)
+    assert [type(row) for row in rows] == kinds
+    for row, single in zip(rows, singles):
+        _assert_same_row(row, single)
+
+
+def test_a_sweep_walks_at_most_one_batch_at_a_time(monkeypatch):
+    sizes = []
+    walk = kernels.walk_blasius_family
 
     def recording_walk(beta, h, stops, seeds, offsets, lambda_tol):
-        walks.append(len(seeds))
+        sizes.append(len(seeds))
         return walk(beta, h, stops, seeds, offsets, lambda_tol)
 
-    with mock.patch.multiple(kernels, **_backend(backend)):
-        singles = [_single(spec, _COARSE) for spec in specs]
-        with mock.patch.object(kernels, "walk_blasius_family", recording_walk):
-            rows = solve_many(specs, _COARSE)
-    # one walk per variant and sign, of its 18 or 19 specs
-    assert sorted(walks) == sorted([19] * 4 + [18] * 3)
-    assert {type(row) for row in rows} >= {NitmResult, BlowupError}
-    for spec, row, single in zip(specs, rows, singles):
-        _assert_same_row(row, single)
-        if isinstance(row, NitmResult):
-            assert row.star_param == spec.star_param
+    monkeypatch.setattr(kernels, "walk_blasius_family", recording_walk)
+    values = [0.01 * i for i in range(150)]
+    rows = sweep("slip", values, 1.0, _COARSE)
+    assert sizes == [64, 64, 22]
+    assert [row.star_param for row in rows] == values
+
+
+def test_iter_sweep_walks_the_next_batch_only_when_its_rows_are_read(monkeypatch):
+    sizes = []
+    walk = kernels.walk_blasius_family
+
+    def recording_walk(beta, h, stops, seeds, offsets, lambda_tol):
+        sizes.append(len(seeds))
+        return walk(beta, h, stops, seeds, offsets, lambda_tol)
+
+    monkeypatch.setattr(kernels, "walk_blasius_family", recording_walk)
+    values = [0.01 * i for i in range(150)]
+    rows = solvers.iter_sweep("slip", values, 1.0, _COARSE)
+    assert sizes == []
+    read = [next(rows) for _ in range(64)]
+    assert sizes == [64]
+    read.append(next(rows))
+    assert sizes == [64, 64]
+    read.extend(rows)
+    assert sizes == [64, 64, 22]
+    assert [row.star_param for row in read] == values
 
 
 @pytest.mark.parametrize("variant, value, sign", [

@@ -11,8 +11,7 @@ import importlib
 
 from . import kernels, ode, scaling, solvers
 from .errors import (BlowupError, BracketingError, NitmError,
-                     NoConvergenceError, ScalingBreakdownError,
-                     UnsupportedVariantError)
+                     NoConvergenceError, ScalingBreakdownError)
 from .ode import GridConfig, SolutionTable, State3, integrate
 from .solvers import (DEFAULT_SCHEDULE, CriticalB, NitmConfig, NitmResult,
                       ProblemSpec, classic_problem, find_critical_b,
@@ -35,9 +34,9 @@ _LAZY = {
 __all__ = [
     "BlowupError", "BracketingError", "CriticalB", "DEFAULT_SCHEDULE", "GridConfig",
     "NitmConfig", "NitmError", "NitmResult", "NoConvergenceError", "ProblemSpec",
-    "ScalingBreakdownError", "SolutionTable", "State3", "UnsupportedVariantError",
-    "classic_problem", "find_critical_b", "find_star_for_target", "initial_state",
-    "integrate", "kernels", "ode", "scaling", "solve_auxiliary", "solve_gasification",
+    "ScalingBreakdownError", "SolutionTable", "State3", "classic_problem",
+    "find_critical_b", "find_star_for_target", "initial_state", "integrate",
+    "kernels", "ode", "scaling", "solve_auxiliary", "solve_gasification",
     "solve_moving_wall", "solve_slip", "solve_variant", "solvers", "sweep",
     *_LAZY, *(name for names in _LAZY.values() for name in names),
 ]

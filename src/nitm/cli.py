@@ -16,7 +16,7 @@ import sys
 
 from . import __version__, kernels, solvers
 from .errors import (BlowupError, NitmError, NoConvergenceError, ScalingBreakdownError,
-                     check_finite)
+                     check_finite, check_positive)
 from .solvers import NitmConfig
 
 HEADERS = ("star_param", "fp_inf_star", "lambda", "physical_param",
@@ -299,15 +299,9 @@ def target(args):
     if given[0] != args.problem:
         raise ValueError(f"--{name} does not match --problem {args.problem}")
     target_value = _parse_float(getattr(args, name), f"--{name}")
-    bracket_pair = None
-    if args.bracket is not None:
-        parts = args.bracket.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--bracket must be lo,hi, got {args.bracket!r}")
-        bracket_pair = (_parse_float(parts[0], "--bracket"),
-                        _parse_float(parts[1], "--bracket"))
+    bracket = None if args.bracket is None else _parse_list(args.bracket, "--bracket")
     res = solvers.find_star_for_target(args.problem, target_value, args.sign,
-                                       _nitm_config(args), bracket=bracket_pair)
+                                       _nitm_config(args), bracket=bracket)
     _report(args, [_record(res)], result=res)
     return 0
 
@@ -315,8 +309,9 @@ def target(args):
 def series_check(args):
     """Compare the wall series against a fine star-IVP solve."""
     from . import analysis
-    eta_max, step = _parse_float(args.eta_max, "--eta-max"), args.step
-    if eta_max <= 0 or step <= 0 or eta_max < 10 * step:
+    eta_max = check_positive("--eta-max", _parse_float(args.eta_max, "--eta-max"))
+    step = check_positive("--step", args.step)
+    if eta_max < 10 * step:
         raise ValueError("need 0 < step << eta-max")
     deviation, order = analysis.series_deviation(eta_max, step)
     ok = order >= 13.0

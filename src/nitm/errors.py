@@ -92,7 +92,3 @@ class BracketingError(NitmError):
             listing = ", ".join(f"{x:.6g}" for x in self.scanned)
             message = f"{message} (scanned: {listing})"
         super().__init__(message)
-
-
-class UnsupportedVariantError(NitmError):
-    """The requested operation does not apply to this problem variant."""

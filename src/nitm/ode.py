@@ -136,12 +136,12 @@ class SolutionTable(Record):
 class StarTableRecord(Record):
     """Base of a record whose table is rescaled from star buffers on first read.
 
-    _star holds the star step and f, fp and fpp as buffers (array('d'))
-    until the first read, which rescales them by the record's _lam,
-    keeps the table in _table and drops them; later reads return the
-    same table. A subclass's table property passes its own module's
-    rescale, looked up at the read, so a wrapper patched onto that
-    module is used.
+    _star holds the star step and f, fp and fpp as buffers of doubles
+    (array('d'), or bytearray from the compiled batched walk) until the
+    first read, which rescales them by the record's _lam, keeps the
+    table in _table and drops them; later reads return the same table.
+    A subclass's table property passes its own module's rescale, looked
+    up at the read, so a wrapper patched onto that module is used.
     """
 
     __slots__ = ("_star", "_table")

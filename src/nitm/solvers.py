@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple
 from . import kernels
 from ._kernels_py import ACCEPTED, BLOWUP, BREAKDOWN, walk_member
 from .errors import (BlowupError, BracketingError, NitmError, NoConvergenceError,
-                     ScalingBreakdownError, UnsupportedVariantError, check_finite,
-                     check_numbers, check_positive, check_real)
+                     ScalingBreakdownError, check_finite, check_numbers,
+                     check_positive, check_real)
 from .ode import (DEFAULT_STEP, Checked, SolutionTable, StarTableRecord, State3,
                   node_index)
 from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
@@ -52,6 +52,19 @@ PARAMETRIZED = tuple(v for v, rules in VARIANTS.items() if rules.k is not None)
 DEFAULT_SCHEDULE = tuple(float(b) for b in range(4, 52, 2))
 
 
+def _rules(variant: str, star: bool) -> Variant:
+    """VARIANTS[variant], checked as every entry checks it: refused unless
+    a name there, and, given a star value (star), unless it takes one."""
+    try:
+        rules = VARIANTS[variant]
+    except (KeyError, TypeError):       # TypeError: unhashable
+        raise (ValueError if isinstance(variant, str) else TypeError)(
+            f"variant must be one of {tuple(VARIANTS)}, got {variant!r}") from None
+    if star and rules.k is None:
+        raise ValueError(f"variant {variant!r} takes no star_param")
+    return rules
+
+
 def _check_sign(variant: str, p: float) -> float:
     if type(p) is not float:
         p = check_real("sign", p)
@@ -75,16 +88,9 @@ class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
     __slots__ = ()
 
     def __new__(cls, variant: str, star_param: float | None, p: float):
-        try:
-            rules = VARIANTS[variant]
-        except (KeyError, TypeError):       # TypeError: unhashable
-            raise (ValueError if isinstance(variant, str) else TypeError)(
-                f"variant must be one of {tuple(VARIANTS)}, got {variant!r}") from None
+        rules = _rules(variant, star_param is not None)
         p = _check_sign(variant, p)
-        if rules.k is None:
-            if star_param is not None:
-                raise ValueError(f"variant {variant!r} takes no star_param")
-        else:
+        if rules.k is not None:
             star_param = check_finite("star_param", star_param)
             _check_least(variant, (star_param,))
         return tuple.__new__(cls, (variant, star_param, p))
@@ -101,11 +107,6 @@ def _check_least(variant: str, stars: tuple[float, ...]) -> None:
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
     return ProblemSpec("classic", None, p)
-
-
-def _check_parametrized(variant: str) -> None:
-    if variant not in PARAMETRIZED:
-        raise UnsupportedVariantError(f"need one of {PARAMETRIZED}, got {variant!r}")
 
 
 def initial_state(spec: ProblemSpec) -> State3:
@@ -293,7 +294,7 @@ def solve_gasification(s_star: float, config: NitmConfig | None = None) -> NitmR
 def solve_variant(variant: str, star_value: float, sign: float = 1.0,
                   config: NitmConfig | None = None) -> NitmResult:
     """Dispatch a single solve by variant name."""
-    _check_parametrized(variant)
+    _rules(variant, True)
     return solve_auxiliary(ProblemSpec(variant, star_value, sign), config)
 
 
@@ -301,7 +302,7 @@ def iter_sweep(variant: str, star_values, sign: float = 1.0,
                config: NitmConfig | None = None):
     """sweep's rows, walked _BATCH star values at a time as they are read;
     every argument is checked on the call, by ProblemSpec's rules."""
-    _check_parametrized(variant)
+    _rules(variant, True)
     stars = check_numbers("star_values", star_values, "star_param")
     p = _check_sign(variant, sign)
     _check_least(variant, stars)
@@ -407,9 +408,9 @@ def find_critical_b(config: NitmConfig | None = None,
     scanned b, then refines it by _brent_minimum from that point.
     Returns the least b the minimiser solved and the b* attaining it.
     """
-    check_real("scan_lo", scan_lo)
-    check_real("scan_hi", scan_hi)
-    if not (math.isfinite(scan_lo) and scan_lo < scan_hi < 0.0):
+    scan_lo = check_finite("scan_lo", scan_lo)
+    scan_hi = check_finite("scan_hi", scan_hi)
+    if not scan_lo < scan_hi < 0.0:
         raise ValueError(f"scan range must satisfy scan_lo < scan_hi < 0, "
                          f"got ({scan_lo}, {scan_hi})")
     try:
@@ -473,10 +474,8 @@ def _default_bracket(variant: str, target: float, sign: float) -> tuple[float, f
     try:
         return _TARGET_BRACKETS[(variant, sign)]
     except KeyError:
-        raise BracketingError(
-            f"no default bracket for variant {variant!r} with sign {sign:+g}; "
-            "pass bracket explicitly"
-        ) from None
+        raise ValueError(f"bracket has no default for variant {variant!r} with "
+                         f"sign {sign:+g}; pass bracket explicitly") from None
 
 
 def find_star_for_target(variant: str, target: float, sign: float = 1.0,
@@ -487,9 +486,10 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
     Safeguarded secant on the parameter map: every inner evaluation is
     a full non-iterative solve, the outer iteration only moves the star
     value. Stops when |physical_param - target| < _TARGET_TOL, and gives
-    up after _TARGET_MAX_ITER secant steps.
+    up after _TARGET_MAX_ITER secant steps. bracket is two increasing
+    star values; None takes the variant and sign's default, if it has one.
     """
-    _check_parametrized(variant)
+    _rules(variant, True)
     sign = _check_sign(variant, sign)
     target = check_finite("target", target)
     config = _config(config)
@@ -498,11 +498,9 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
         bracket = _default_bracket(variant, target, sign)
     else:
         bracket = check_numbers("bracket", bracket, "bracket end")
-        if len(bracket) != 2:
-            raise ValueError(f"bracket must be two numbers, got {bracket}")
+        if len(bracket) != 2 or not bracket[0] < bracket[1]:
+            raise ValueError(f"bracket must be two increasing numbers, got {bracket}")
     lo, hi = bracket
-    if not lo < hi:
-        raise BracketingError(f"empty bracket ({lo:.6g}, {hi:.6g})")
 
     def evaluate(x: float) -> tuple[NitmResult, float]:
         res = solve_variant(variant, x, sign, config)

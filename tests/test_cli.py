@@ -426,7 +426,12 @@ def test_config_file_rejects_a_line_without_equals(capsys, tmp_path):
     (("sweep", "--problem", "slip", "--values", ","), "--values needs at least one value"),
     (("series-check", "--eta-max", "2", "--step", "0.25"),
      "need 0 < step << eta-max"),
-], ids=["values-range", "boundaries-empty", "values-empty", "series-window"])
+    (("target", "--problem", "moving-wall", "--b", "0.2", "--bracket", "5,1"),
+     "bracket must be two increasing numbers, got (5.0, 1.0)"),
+    (("target", "--problem", "slip", "--sign", "-1", "--c", "1"),
+     "bracket has no default for variant 'slip' with sign -1; pass bracket explicitly"),
+], ids=["values-range", "boundaries-empty", "values-empty", "series-window",
+        "bracket-reversed", "bracket-no-default"])
 def test_malformed_values_are_refused_with_their_reason(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

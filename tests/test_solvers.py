@@ -17,8 +17,7 @@ from nitm import (DEFAULT_SCHEDULE, GridConfig, NitmConfig, NitmResult, ProblemS
                   kernels, models, scaling, solve_auxiliary, solve_gasification,
                   solve_moving_wall, solve_slip, solve_variant, solvers, sweep)
 from nitm.errors import (BlowupError, BracketingError, NitmError,
-                         NoConvergenceError, ScalingBreakdownError,
-                         UnsupportedVariantError)
+                         NoConvergenceError, ScalingBreakdownError)
 
 
 def _fixed(boundary, step=0.01):
@@ -374,7 +373,7 @@ def test_sweep_honours_sign_on_every_variant():
 
 
 def test_sweep_classic_is_rejected():
-    with pytest.raises(UnsupportedVariantError):
+    with pytest.raises(ValueError, match="^variant 'classic' takes no star_param$"):
         sweep("classic", [1.0])
 
 
@@ -732,8 +731,9 @@ def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_moving_wall", no_solve)
     monkeypatch.setattr(solvers, "iter_sweep", no_solve)
-    with pytest.raises(ValueError, match="scan range"):
-        find_critical_b(scan_lo=-math.inf)
+    for scan_lo in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^scan_lo must be finite, got {scan_lo}$"):
+            find_critical_b(scan_lo=scan_lo)
 
 
 def test_dual_solutions_share_one_physical_parameter():
@@ -783,7 +783,7 @@ def test_target_result_carries_the_star_value_it_solved(variant, target, sign,
 
 
 def test_target_rejects_classic():
-    with pytest.raises(UnsupportedVariantError):
+    with pytest.raises(ValueError, match="^variant 'classic' takes no star_param$"):
         find_star_for_target("classic", 1.0)
 
 
@@ -869,13 +869,15 @@ def test_target_bisects_when_two_iterates_share_g(monkeypatch):
 def test_target_slip_minus_has_no_default_bracket(monkeypatch):
     # -1 is a valid slip sign, so the missing bracket is what is refused
     monkeypatch.setattr(solvers, "solve_auxiliary", None)
-    with pytest.raises(BracketingError, match="no default bracket"):
+    with pytest.raises(ValueError, match="^bracket has no default"):
         find_star_for_target("slip", 1.0, sign=-1.0)
 
 
-def test_target_rejects_empty_bracket():
-    with pytest.raises(BracketingError):
-        find_star_for_target("slip", 1.0, bracket=(2.0, 1.0))
+def test_target_rejects_empty_bracket(monkeypatch):
+    monkeypatch.setattr(solvers, "solve_auxiliary", None)
+    for bracket in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="^bracket must be two increasing"):
+            find_star_for_target("slip", 1.0, bracket=bracket)
 
 
 @pytest.mark.parametrize("target, bracket, name", [
@@ -897,7 +899,7 @@ def test_target_rejects_non_finite_input_before_solving(monkeypatch, target,
 def test_solve_variant_dispatch():
     res = solve_variant("slip", 1.0)
     assert res.lam == solve_slip(1.0).lam
-    with pytest.raises(UnsupportedVariantError):
+    with pytest.raises(ValueError, match="^variant 'classic' takes no star_param$"):
         solve_variant("classic", 1.0)
 
 
@@ -1101,6 +1103,9 @@ def test_iter_sweep_walks_the_next_batch_only_when_its_rows_are_read(monkeypatch
     ("gasification", 1.0, -1.0),
     ("slip", 1.0, True),
     ("slip", 1.0, math.nan),
+    ("classic", 1.0, 1.0),
+    ("nope", 1.0, 1.0),
+    (["moving-wall"], 1.0, 1.0),
 ])
 def test_sweep_refuses_what_a_problem_spec_refuses_with_its_message(
         monkeypatch, variant, value, sign):
@@ -1108,16 +1113,16 @@ def test_sweep_refuses_what_a_problem_spec_refuses_with_its_message(
         ProblemSpec(variant, value, sign)
     # a good value first: the bad one is still refused before any solve
     monkeypatch.setattr(solvers, "_walk_stars", None)
-    with pytest.raises(type(single.value)) as swept:
-        sweep(variant, [1.0, value], sign)
-    assert str(swept.value) == str(single.value)
-
-
-@pytest.mark.parametrize("variant", ["classic", "nope", ["moving-wall"]])
-def test_sweep_refuses_a_variant_without_star_values(variant):
-    with pytest.raises(UnsupportedVariantError) as err:
-        sweep(variant, [1.0])
-    assert str(err.value) == f"need one of {solvers.PARAMETRIZED}, got {variant!r}"
+    entries = [lambda: solvers.iter_sweep(variant, [1.0, value], sign),
+               lambda: sweep(variant, [1.0, value], sign),
+               lambda: solve_variant(variant, value, sign)]
+    if type(value) is float and value == 1.0:
+        # the variant or the sign is refused, and a target search takes both
+        entries.append(lambda: find_star_for_target(variant, 1.0, sign))
+    for entry in entries:
+        with pytest.raises(type(single.value)) as refused:
+            entry()
+        assert str(refused.value) == str(single.value)
 
 
 def test_sweep_builds_no_problem_spec(monkeypatch):

@@ -5,9 +5,10 @@
  * order as the pure fill, and it must be compiled with -ffp-contract=off
  * and without -ffast-math (no fused multiply-add, no reassociation) so
  * that the two kernels agree bit for bit. fill_lanes is the only RK4
- * loop here: fill_blasius_family runs it with one lane, and the batched
- * walk with up to LANES members side by side. Every lane runs the same
- * operations, so vectorising across lanes changes no bit.
+ * loop here: fill_blasius_family runs it with one lane, storing every
+ * node, and the batched walk with up to LANES members side by side,
+ * stepping their state only and storing no node. Every lane runs the
+ * same operations, so vectorising across lanes changes no bit.
  *
  * The batched walk steps its blocks through walk_lanes, which on x86-64
  * Linux with glibc is built twice by target_clones: once for AVX2 and
@@ -58,14 +59,18 @@
 enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
 
 /* Advance n <= LANES members from node start through node stop in
- * lockstep. f[m], fp[m] and fpp[m] are member m's buffers; node start
- * must be filled. bad[m] becomes the first node at which member m's
- * state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as outside), and
- * that member's nodes from there on are not written; it stays -1
- * otherwise. */
+ * lockstep. state[m] holds member m's f, fp and fpp at node start on
+ * entry and at node stop on return. With store, f[m], fp[m] and fpp[m]
+ * are member m's buffers, and nodes start+1 .. stop are written to
+ * them; the walk's copies take store = 0, a constant, and no buffers,
+ * so they step lane state only. bad[m] becomes the first node at which
+ * member m's state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as
+ * outside); that member writes no node from there on and returns the
+ * zero state. It stays -1 otherwise. */
 static FILL_INLINE void
-fill_lanes(double beta, double h, int n, double **f, double **fp,
-           double **fpp, Py_ssize_t start, Py_ssize_t stop, Py_ssize_t *bad)
+fill_lanes(double beta, double h, int n, double (*state)[3], int store,
+           double **f, double **fp, double **fpp, Py_ssize_t start,
+           Py_ssize_t stop, Py_ssize_t *bad)
 {
     const double mb = -beta;
     const double h2 = 0.5 * h;
@@ -75,9 +80,9 @@ fill_lanes(double beta, double h, int n, double **f, double **fp,
     Py_ssize_t i;
 
     for (m = 0; m < n; m++) {
-        cf[m] = f[m][start];
-        cp[m] = fp[m][start];
-        cq[m] = fpp[m][start];
+        cf[m] = state[m][0];
+        cp[m] = state[m][1];
+        cq[m] = state[m][2];
         bad[m] = -1;
     }
     for (i = start; i < stop && live > 0; i++) {
@@ -121,20 +126,27 @@ fill_lanes(double beta, double h, int n, double **f, double **fp,
                 live--;
                 continue;
             }
-            f[m][i + 1] = cf[m];
-            fp[m][i + 1] = cp[m];
-            fpp[m][i + 1] = cq[m];
+            if (store) {
+                f[m][i + 1] = cf[m];
+                fp[m][i + 1] = cp[m];
+                fpp[m][i + 1] = cq[m];
+            }
         }
+    }
+    for (m = 0; m < n; m++) {
+        state[m][0] = cf[m];
+        state[m][1] = cp[m];
+        state[m][2] = cq[m];
     }
 }
 
-/* fill_lanes for a block of the batched walk, in the clones WALK_CLONES
- * names. */
+/* fill_lanes for a block of the batched walk, storing no node, in the
+ * clones WALK_CLONES names. */
 WALK_CLONES static void
-walk_lanes(double beta, double h, int n, double **f, double **fp,
-           double **fpp, Py_ssize_t start, Py_ssize_t stop, Py_ssize_t *bad)
+walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
+           Py_ssize_t stop, Py_ssize_t *bad)
 {
-    fill_lanes(beta, h, n, f, fp, fpp, start, stop, bad);
+    fill_lanes(beta, h, n, state, 0, NULL, NULL, NULL, start, stop, bad);
 }
 
 /* Acquire a writable, C-contiguous, one-dimensional float64 buffer. */
@@ -158,7 +170,7 @@ static PyObject *
 fill_blasius_family(PyObject *self, PyObject *args)
 {
     static const char *names[3] = {"f", "fp", "fpp"};
-    double beta, h, *f, *fp, *fpp;
+    double beta, h, *f, *fp, *fpp, state[1][3];
     PyObject *objs[3], *result = NULL;
     Py_buffer views[3];
     Py_ssize_t start, stop, bad;
@@ -180,7 +192,10 @@ fill_blasius_family(PyObject *self, PyObject *args)
     f = views[0].buf;
     fp = views[1].buf;
     fpp = views[2].buf;
-    fill_lanes(beta, h, 1, &f, &fp, &fpp, start, stop, &bad);
+    state[0][0] = f[start];
+    state[0][1] = fp[start];
+    state[0][2] = fpp[start];
+    fill_lanes(beta, h, 1, state, 1, &f, &fp, &fpp, start, stop, &bad);
     result = PyLong_FromSsize_t(bad);
 done:
     for (k = 0; k < acquired; k++)
@@ -190,15 +205,15 @@ done:
 
 /* One member of the batched walk. */
 typedef struct {
-    PyObject *buf[3];       /* f, fp, fpp as bytearrays; NULL once freed */
+    double state[3];        /* f, fp, fpp at the last stop walked */
     double offset;          /* lambda = sqrt(fp + offset) */
-    double fp_stop;         /* fp at the last stop walked */
     int outcome;
     Py_ssize_t walked, bad;
 } Member;
 
 /* The stop indices, checked: nonempty, positive, strictly increasing,
- * and small enough that stop + 1 doubles fit in a Py_ssize_t. */
+ * and small enough that stop + 1 doubles, a table's column through that
+ * stop, fit in a Py_ssize_t. */
 static Py_ssize_t *
 get_stops(PyObject *obj, Py_ssize_t *count)
 {
@@ -248,7 +263,7 @@ done:
     return stops;
 }
 
-/* Read the seeds and offsets into members whose buffers hold node 0. */
+/* Read the seeds and offsets into members whose state is node 0. */
 static Member *
 get_members(PyObject *seeds_obj, PyObject *offsets_obj, Py_ssize_t *count)
 {
@@ -277,13 +292,12 @@ get_members(PyObject *seeds_obj, PyObject *offsets_obj, Py_ssize_t *count)
     for (m = 0; m < n; m++) {
         Member *mem = &members[m];
         PyObject *seed = PySequence_Fast_GET_ITEM(seeds, m);
-        double state[3];
         int ok = (PyTuple_Check(seed) || PyList_Check(seed))
                  && PySequence_Fast_GET_SIZE(seed) == 3;
 
         for (k = 0; ok && k < 3; k++) {
-            state[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seed, k));
-            ok = isfinite(state[k]) && !PyErr_Occurred();
+            mem->state[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seed, k));
+            ok = isfinite(mem->state[k]) && !PyErr_Occurred();
         }
         if (!ok) {
             PyErr_Clear();
@@ -295,20 +309,10 @@ get_members(PyObject *seeds_obj, PyObject *offsets_obj, Py_ssize_t *count)
             PyErr_Format(PyExc_TypeError, "offsets[%zd] must be a float", m);
             goto fail;
         }
-        mem->bad = -1;
-        for (k = 0; k < 3; k++) {
-            mem->buf[k] = PyByteArray_FromStringAndSize(NULL, sizeof(double));
-            if (mem->buf[k] == NULL)
-                goto fail;
-            ((double *)PyByteArray_AS_STRING(mem->buf[k]))[0] = state[k];
-        }
     }
     *count = n;
     goto done;
 fail:
-    for (; m >= 0; m--)
-        for (k = 0; k < 3; k++)
-            Py_XDECREF(members[m].buf[k]);
     PyMem_Free(members);
     members = NULL;
 done:
@@ -317,17 +321,8 @@ done:
     return members;
 }
 
-static void
-retire(Member *mem, int outcome)
-{
-    mem->outcome = outcome;
-    Py_CLEAR(mem->buf[0]);
-    Py_CLEAR(mem->buf[1]);
-    Py_CLEAR(mem->buf[2]);
-}
-
 /* (outcome, lambda at each stop that passed Topfer's test, fp at the last
- * stop walked or None, blow-up node, f, fp, fpp) */
+ * stop walked or None, blow-up node) */
 static PyObject *
 member_row(Member *mem, const double *lams)
 {
@@ -349,14 +344,11 @@ member_row(Member *mem, const double *lams)
         Py_INCREF(Py_None);
         fp_stop = Py_None;
     }
-    else if ((fp_stop = PyFloat_FromDouble(mem->fp_stop)) == NULL) {
+    else if ((fp_stop = PyFloat_FromDouble(mem->state[1])) == NULL) {
         Py_DECREF(taken);
         return NULL;
     }
-    return Py_BuildValue("(iNNnOOO)", mem->outcome, taken, fp_stop, mem->bad,
-                         mem->buf[0] ? mem->buf[0] : Py_None,
-                         mem->buf[1] ? mem->buf[1] : Py_None,
-                         mem->buf[2] ? mem->buf[2] : Py_None);
+    return Py_BuildValue("(iNNn)", mem->outcome, taken, fp_stop, mem->bad);
 }
 
 static PyObject *
@@ -365,7 +357,7 @@ walk_blasius_family(PyObject *self, PyObject *args)
     double beta, h, tol;
     PyObject *stops_obj, *seeds_obj, *offsets_obj, *result = NULL;
     Py_ssize_t *stops = NULL, *live = NULL;
-    Py_ssize_t nstops = 0, n = 0, nlive, j, m, k, start = 0;
+    Py_ssize_t nstops = 0, n = 0, nlive, j, m, start = 0;
     Member *members = NULL;
     double *lams = NULL;
 
@@ -406,42 +398,34 @@ walk_blasius_family(PyObject *self, PyObject *args)
         const Py_ssize_t stop = stops[j];
         Py_ssize_t kept = 0, first;
 
-        /* grown stop by stop: a live member never holds a node past its
-         * current stop */
-        for (m = 0; m < nlive; m++)
-            for (k = 0; k < 3; k++)
-                if (PyByteArray_Resize(members[live[m]].buf[k],
-                                       (stop + 1) * (Py_ssize_t)sizeof(double)) < 0)
-                    goto done;
         for (first = 0; first < nlive; first += LANES) {
-            double *f[LANES], *fp[LANES], *fpp[LANES];
+            double state[LANES][3];
             Py_ssize_t bad[LANES];
             int lanes = (int)(nlive - first < LANES ? nlive - first : LANES), i;
 
+            for (i = 0; i < lanes; i++)
+                memcpy(state[i], members[live[first + i]].state, sizeof state[i]);
+            walk_lanes(beta, h, lanes, state, start, stop, bad);
             for (i = 0; i < lanes; i++) {
                 Member *mem = &members[live[first + i]];
-                f[i] = (double *)PyByteArray_AS_STRING(mem->buf[0]);
-                fp[i] = (double *)PyByteArray_AS_STRING(mem->buf[1]);
-                fpp[i] = (double *)PyByteArray_AS_STRING(mem->buf[2]);
+                /* a member that blew up keeps its last stop's state */
+                if ((mem->bad = bad[i]) < 0)
+                    memcpy(mem->state, state[i], sizeof state[i]);
             }
-            walk_lanes(beta, h, lanes, f, fp, fpp, start, stop, bad);
-            for (i = 0; i < lanes; i++)
-                members[live[first + i]].bad = bad[i];
         }
         for (m = 0; m < nlive; m++) {
             Member *mem = &members[live[m]];
             double *lam = lams + live[m] * nstops, base;
 
             if (mem->bad >= 0) {
-                retire(mem, BLOWUP);
+                mem->outcome = BLOWUP;
                 continue;
             }
-            mem->fp_stop = ((double *)PyByteArray_AS_STRING(mem->buf[1]))[stop];
             mem->walked = j + 1;
             /* the tests of lambda_from_asymptote and lambda_moving_wall */
-            base = mem->fp_stop + mem->offset;
+            base = mem->state[1] + mem->offset;
             if (!(base > 0.0) || !isfinite(base)) {
-                retire(mem, BREAKDOWN);
+                mem->outcome = BREAKDOWN;
                 continue;
             }
             lam[j] = sqrt(base);
@@ -450,7 +434,7 @@ walk_blasius_family(PyObject *self, PyObject *args)
                 continue;
             }
             if (j == nstops - 1) {
-                retire(mem, NO_AGREEMENT);
+                mem->outcome = NO_AGREEMENT;
                 continue;
             }
             live[kept++] = live[m];
@@ -471,10 +455,6 @@ walk_blasius_family(PyObject *self, PyObject *args)
         PyList_SET_ITEM(result, m, row);
     }
 done:
-    if (members != NULL)
-        for (m = 0; m < n; m++)
-            for (k = 0; k < 3; k++)
-                Py_XDECREF(members[m].buf[k]);
     PyMem_Free(members);
     PyMem_Free(live);
     PyMem_Free(lams);
@@ -492,8 +472,9 @@ static PyMethodDef methods[] = {
      "walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol)\n--\n\n"
      "Walk each seed through the stop indices in lockstep, retiring it at\n"
      "lambda agreement, a blow-up, a scaling breakdown or the schedule's\n"
-     "end. Returns one (outcome, lambdas, fp_stop, bad, f, fp, fpp) per\n"
-     "seed; see nitm._kernels_py.walk_blasius_family."},
+     "end. Steps lane state only and keeps no node. Returns one\n"
+     "(outcome, lambdas, fp_stop, bad) per seed; see\n"
+     "nitm._kernels_py.walk_blasius_family."},
     {NULL, NULL, 0, NULL}
 };
 

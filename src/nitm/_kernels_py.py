@@ -5,7 +5,8 @@ operation-for-operation identical (same evaluation order, no fused
 multiply-add on the compiled side) so that trajectories do not depend
 on which backend was imported. walk_member, the per-member walk of the
 pure walk_blasius_family, also runs every single solve on either
-backend, with that backend's fill.
+backend, with that backend's fill; only a single solve keeps its
+buffers.
 """
 
 import math
@@ -77,30 +78,30 @@ def walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol):
     successive lambdas within lambda_tol, or its first stop when there
     is only one (ACCEPTED), and the last stop (NO_AGREEMENT).
 
-    Returns one (outcome, lambdas, fp_stop, bad, f, fp, fpp) per member:
-    lambdas holds the lambda of each stop that passed that test, so a
-    breakdown's last stop has none; fp_stop is fp at the last stop
+    Returns one (outcome, lambdas, fp_stop, bad) per member and keeps no
+    node: lambdas holds the lambda of each stop that passed that test,
+    so a breakdown's last stop has none; fp_stop is fp at the last stop
     walked (None if the member blew up before its first stop); bad is
-    the blow-up node (-1 if none). f, fp and fpp hold nodes 0 through
-    the accepted stop and no more; they are None for a member that
-    failed. The compiled twin checks its arguments and runs up to eight
-    members side by side; this one walks the members in turn, as the
-    bits do not depend on the order.
+    the blow-up node (-1 if none). The compiled twin checks its
+    arguments and steps the state of up to eight members side by side;
+    this one walks the members in turn, as the bits do not depend on
+    the order, and drops each one's buffers as soon as it has them.
     """
     return [walk_member(fill_blasius_family, beta, h, stops, seed, offset,
-                        lambda_tol)
+                        lambda_tol)[:4]
             for seed, offset in zip(seeds, offsets)]
 
 
 def walk_member(fill, beta, h, stops, seed, offset, lambda_tol):
-    """One member's row of walk_blasius_family, with fill doing the steps.
+    """One member's row of walk_blasius_family, then its f, fp and fpp,
+    with fill doing the steps.
 
     Each lambda is sqrt(fp[stop] + offset), the operations of
     scaling.lambda_moving_wall (offset b*) and of lambda_from_asymptote
     (offset 0, as fp + 0.0 is fp wherever the test passes), so the
-    caller takes them as they are. f, fp and fpp are
-    array('d') buffers grown to stop + 1 nodes at each stop, so they
-    never hold a node past the last stop walked.
+    caller takes them as they are. f, fp and fpp are array('d') buffers
+    grown to stop + 1 nodes at each stop, so they never hold a node past
+    the accepted stop; they are None for a member that failed.
     """
     f, fp, fpp = (array("d", (x,)) for x in seed)
     lambdas = []

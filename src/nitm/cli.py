@@ -261,8 +261,9 @@ def sweep(args):
     stars = _parse_values(args.values)
     # every value is checked on this call, before the first solve
     rows = solvers.iter_sweep(args.problem, stars, args.sign, _nitm_config(args))
-    # a record per row as it is solved, as a sweep never reads the walk buffers;
-    # strict, so the rows run out and drop their last batch before the report
+    # a record per row as it is solved, from its scalars: a row's table is
+    # filled only when read, and a sweep reads none; strict, so the rows
+    # run out and drop their last batch before the report
     records = [{"star_param": star, "error": _reason(row)}
                if isinstance(row, NitmError) else _record(row)
                for star, row in zip(stars, rows, strict=True)]

@@ -134,14 +134,16 @@ class SolutionTable(Record):
 
 
 class StarTableRecord(Record):
-    """Base of a record whose table is rescaled from star buffers on first read.
+    """Base of a record whose table is rescaled from star values on first read.
 
-    _star holds the star step and f, fp and fpp as buffers of doubles
-    (array('d'), or bytearray from the compiled batched walk) until the
-    first read, which rescales them by the record's _lam, keeps the
-    table in _table and drops them; later reads return the same table.
-    A subclass's table property passes its own module's rescale, looked
-    up at the read, so a wrapper patched onto that module is used.
+    _star holds the star step, then f, fp and fpp as array('d') buffers,
+    or a batched row's beta, seed and accepted stop: its walk kept no
+    node, so the read fills nodes 0 .. stop from the seed with integrate,
+    the walk's operations, so the walk's bits. The read rescales them by
+    _lam, keeps the table in _table and drops _star; later reads return
+    the same table. A subclass's table property passes its own module's
+    rescale, looked up at the read as integrate is, so a wrapper patched
+    onto that module, or onto integrate here, is used.
     """
 
     __slots__ = ("_star", "_table")
@@ -152,9 +154,14 @@ class StarTableRecord(Record):
             return self._table
         import numpy as np
 
-        step, f, fp, fpp = star
-        table = rescale(step, np.frombuffer(f), np.frombuffer(fp),
-                        np.frombuffer(fpp), self._lam)
+        step, *columns = star
+        if type(columns[0]) is float:       # beta, not a buffer
+            beta, seed, stop = columns
+            filled = integrate(beta, seed, GridConfig.of_nodes(stop + 1, step))
+            columns = filled.f, filled.fp, filled.fpp
+        else:
+            columns = map(np.frombuffer, columns)
+        table = rescale(step, *columns, self._lam)
         # the table before _star goes: a concurrent first read finds one of them
         self._table = table
         self._star = None

@@ -92,17 +92,16 @@ class ProblemSpec(Checked, NamedTuple("ProblemSpec", [
         p = _check_sign(variant, p)
         if rules.k is not None:
             star_param = check_finite("star_param", star_param)
-            _check_least(variant, (star_param,))
+            _check_least(variant, (star_param,), "star_param")
         return tuple.__new__(cls, (variant, star_param, p))
 
 
-def _check_least(variant: str, stars: tuple[float, ...]) -> None:
-    """Refuse the first star value below the variant's least_star."""
+def _check_least(variant: str, stars: tuple[float, ...], name: str) -> None:
+    """Refuse the first star value below the variant's least_star, by name."""
     least = VARIANTS[variant].least_star
     if min(stars) < least:
         bad = next(star for star in stars if star < least)
-        raise ValueError(f"star_param of {variant} must be at least {least:g}, "
-                         f"got {bad}")
+        raise ValueError(f"{name} of {variant} must be at least {least:g}, got {bad}")
 
 
 def classic_problem(p: float = 1.0) -> ProblemSpec:
@@ -174,9 +173,9 @@ class NitmResult(StarTableRecord):
 
     lambdas holds the lambda recovered at each boundary walked, in
     schedule order; its last entry is lam. star_param is the star value
-    solved, None for the classic problem. _star holds the star step and
-    the walk's f, fp and fpp through the accepted boundary until table
-    is first read; that read rescales them and drops them.
+    solved, None for the classic problem. Until table is first read,
+    _star holds the star step and a single solve's f, fp and fpp, or a
+    batched row's beta, seed and accepted stop (StarTableRecord).
     """
 
     _fields = ("lam", "lambdas", "eta_inf_star", "fp_inf_star", "star_param",
@@ -212,18 +211,25 @@ def solve_auxiliary(spec: ProblemSpec, config: NitmConfig | None = None) -> Nitm
     larger boundary of the first pair whose lambda values agree within
     lambda_tol. walk_member walks the schedule with the active fill, one
     fill per boundary and never past the accepted one, and _walk_stars
-    builds the row from that walk as it builds a batched row.
+    builds the row from that walk as it builds a batched row, but with
+    the walk's f, fp and fpp, so its table needs no second fill.
     """
-    [row] = _walk_stars(spec.variant, spec.p, (spec.star_param,), _config(config),
-                        lambda beta, h, stops, seeds, offsets, tol: [walk_member(
-                            kernels.fill_blasius_family, beta, h, stops, seeds[0],
-                            offsets[0], tol)])
+    star = []
+
+    def walk(beta, h, stops, seeds, offsets, tol):
+        *row, f, fp, fpp = walk_member(kernels.fill_blasius_family, beta, h, stops,
+                                       seeds[0], offsets[0], tol)
+        star.extend((h, f, fp, fpp))
+        return [row]
+
+    [row] = _walk_stars(spec.variant, spec.p, (spec.star_param,), _config(config), walk)
     if isinstance(row, NitmError):
         raise row
+    row._star = tuple(star)
     return row
 
 
-# most star values one walk takes, so a long sweep holds one batch of buffers
+# most star values one walk takes; iter_sweep walks a batch as its rows are read
 _BATCH = 64
 
 
@@ -242,19 +248,20 @@ def _walk_stars(variant: str, p: float, stars, cfg: NitmConfig,
     # looked up at each call, so a kernel patched onto the module is used
     members = (walk or kernels.walk_blasius_family)(
         rules.beta, cfg.step, cfg.stops, seeds, offsets, cfg.lambda_tol)
-    k, step, schedule = rules.k, cfg.step, cfg.boundary_schedule
+    k, beta, step = rules.k, rules.beta, cfg.step
+    schedule, stops = cfg.boundary_schedule, cfg.stops
     rows: list = []
     # unpacked by name: a starred target would cost a row 0.25 us
-    for star, (f0, fp0, fpp0), (outcome, lambdas, fp_stop, bad, f, fp, fpp) in zip(
-            stars, seeds, members):
+    for star, seed, (outcome, lambdas, fp_stop, bad) in zip(stars, seeds, members):
         if outcome != ACCEPTED:
             rows.append(_failure(variant, star, step, outcome, lambdas, fp_stop, bad))
             continue
-        lam = lambdas[-1]
+        lam, last = lambdas[-1], len(lambdas) - 1
         # positional, in field order: keywords would cost a row 0.5 us
-        rows.append(NitmResult(lam, lambdas, schedule[len(lambdas) - 1], fp_stop, star,
+        rows.append(NitmResult(lam, lambdas, schedule[last], fp_stop, star,
                                None if k is None else map_parameter(star, lam, k),
-                               *physical_values(lam, f0, fp0, fpp0), (step, f, fp, fpp)))
+                               *physical_values(lam, *seed),
+                               (step, beta, seed, stops[last])))
     return rows
 
 
@@ -305,7 +312,7 @@ def iter_sweep(variant: str, star_values, sign: float = 1.0,
     _rules(variant, True)
     stars = check_numbers("star_values", star_values, "star_param")
     p = _check_sign(variant, sign)
-    _check_least(variant, stars)
+    _check_least(variant, stars, "star_param")
     cfg = _config(config)
     return (row for first in range(0, len(stars), _BATCH)
             for row in _walk_stars(variant, p, stars[first:first + _BATCH], cfg))
@@ -500,6 +507,7 @@ def find_star_for_target(variant: str, target: float, sign: float = 1.0,
         bracket = check_numbers("bracket", bracket, "bracket end")
         if len(bracket) != 2 or not bracket[0] < bracket[1]:
             raise ValueError(f"bracket must be two increasing numbers, got {bracket}")
+        _check_least(variant, bracket, "bracket")
     lo, hi = bracket
 
     def evaluate(x: float) -> tuple[NitmResult, float]:

@@ -430,8 +430,10 @@ def test_config_file_rejects_a_line_without_equals(capsys, tmp_path):
      "bracket must be two increasing numbers, got (5.0, 1.0)"),
     (("target", "--problem", "slip", "--sign", "-1", "--c", "1"),
      "bracket has no default for variant 'slip' with sign -1; pass bracket explicitly"),
+    (("target", "--problem", "slip", "--c", "1", "--bracket=-1,2"),
+     "bracket of slip must be at least 0, got -1.0"),
 ], ids=["values-range", "boundaries-empty", "values-empty", "series-window",
-        "bracket-reversed", "bracket-no-default"])
+        "bracket-reversed", "bracket-no-default", "bracket-below-least"])
 def test_malformed_values_are_refused_with_their_reason(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

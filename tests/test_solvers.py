@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -190,18 +191,49 @@ def test_walk_buffers_hold_no_node_past_the_accepted_boundary(monkeypatch):
     assert res.table.grid.nodes == accepted + 1
     assert np.array_equal(res.table.fp, np.frombuffer(buffers[1]) * res.lam ** -2.0)
 
-    # a sweep's rows come from the batched walk: each keeps its member's
-    # buffers, which hold its accepted boundary's nodes and no more
-    rows = sweep("moving-wall", [-1.0, 0.0, 0.5, 2.0, 6.0], 1.0, NitmConfig(step=step))
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_batched_rows_retain_no_nodes(backend):
+    # a sweep's rows come from the batched walk, which keeps no node: 64
+    # rows at this step held 15-17 MB when the walk kept each row's nodes
+    values = [-1.0 + 6.0 * i / 63 for i in range(64)]
+    config = NitmConfig(step=1.0 / 1500)
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        sweep("moving-wall", values[:1], 1.0, config)      # lazy imports first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = sweep("moving-wall", values, 1.0, config)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert all(isinstance(row, NitmResult) for row in rows)
     assert len({row.eta_inf_star for row in rows}) > 1
-    for row in rows:
-        accepted = round(row.eta_inf_star / step)
-        assert row.eta_inf_star < DEFAULT_SCHEDULE[-1]
-        _, *buffers = row._star
-        assert [np.frombuffer(b).size for b in buffers] == [accepted + 1] * 3
-        assert row.table.grid.nodes == accepted + 1
-        assert np.array_equal(row.table.fp,
-                              np.frombuffer(buffers[1]) * row.lam ** -2.0)
+    assert retained < 1_000_000
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_a_batched_row_fills_its_table_once_on_first_read(backend):
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        (row,) = sweep("moving-wall", [0.5], 1.0)
+        single = solve_moving_wall(0.5, 1.0)
+        fills = []
+        fill = kernels.fill_blasius_family
+
+        def counting_fill(beta, f, fp, fpp, h, start, stop):
+            fills.append((beta, h, start, stop))
+            return fill(beta, f, fp, fpp, h, start, stop)
+
+        # the fill is looked up through the module attribute at the read
+        with mock.patch.object(kernels, "fill_blasius_family", counting_fill):
+            table = row.table
+            assert fills == [(0.5, 0.01, 0, round(row.eta_inf_star / 0.01))]
+            assert row.table is table
+            assert len(fills) == 1
+    assert table.grid == single.table.grid
+    for column in ("f", "fp", "fpp"):
+        assert (getattr(table, column).tobytes()
+                == getattr(single.table, column).tobytes())
 
 
 def test_classic_no_convergence_with_tight_tolerance():
@@ -878,6 +910,19 @@ def test_target_rejects_empty_bracket(monkeypatch):
     for bracket in ((2.0, 1.0), (1.0, 1.0)):
         with pytest.raises(ValueError, match="^bracket must be two increasing"):
             find_star_for_target("slip", 1.0, bracket=bracket)
+
+
+@pytest.mark.parametrize("variant, bracket", [
+    ("slip", (-1.0, 2.0)),
+    ("gasification", (-0.5, 1.0)),
+])
+def test_target_refuses_a_bracket_below_the_least_star_value_by_name(
+        monkeypatch, variant, bracket):
+    # once refused by the first solve, under the name star_param
+    monkeypatch.setattr(solvers, "solve_auxiliary", None)
+    with pytest.raises(ValueError, match=(rf"^bracket of {variant} must be at least 0, "
+                                          rf"got {bracket[0]}$")):
+        find_star_for_target(variant, 1.0, bracket=bracket)
 
 
 @pytest.mark.parametrize("target, bracket, name", [

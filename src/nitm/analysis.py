@@ -8,6 +8,7 @@ routes independent of the lambda-agreement machinery.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -28,7 +29,9 @@ _C14 = 27897.0 / (16.0 * math.factorial(14))
 
 # truncated_solution's physical grid has this many steps per unit of M;
 # its passes stop once T^2 fp*(T) is within _TRUNCATION_TOL of M^2,
-# relatively, and fail after _TRUNCATION_MAX_ITER of them
+# relatively, and fail after _TRUNCATION_MAX_ITER of them. Its first
+# pass, at the star step 0.8 M / n, is read from _FIRST_PASSES: on the
+# 1/1000 grid of M that step is one of three doubles
 NODES_PER_UNIT = 1000
 _TRUNCATION_TOL = 1e-12
 _TRUNCATION_MAX_ITER = 60
@@ -38,6 +41,15 @@ _TRUNCATION_MAX_ITER = 60
 # (seen over 3000 random M in [0.008, 0.5]), so a root whose pass lands
 # inside _TRUNCATION_TOL as it is keeps its bits.
 _CROSSING_GATE = 1.05e-12
+# The beta = 1 trajectory from (0, 0, 1), keyed by its exact step: f, fp
+# and fpp as array('d') through the largest node asked for so far. It
+# holds at most _STORE_STEPS steps, the least recently read going first,
+# of at most _STORE_NODES nodes each: 9 arrays of 2^16 doubles, 4.7 MB.
+# _STORE_LOCK makes each lookup, growth and eviction one step for threads.
+_STORE_STEPS = 3
+_STORE_NODES = 1 << 16
+_FIRST_PASSES: dict[float, tuple[array, array, array]] = {}
+_STORE_LOCK = threading.Lock()
 
 
 class BlasiusSeries(NamedTuple):
@@ -103,6 +115,8 @@ class TruncatedSolution(StarTableRecord):
     truncated_solution builds it with the star step and its last pass's
     f, fp and fpp buffers in _star, so table is rescaled from them on
     first read and kept; a table given to the constructor is kept as is.
+    The buffers are the solution's own: none is an array of the store
+    of first passes, so writing them leaves other solutions alone.
     """
 
     _fields = ("t_star", "lam", "table")
@@ -133,21 +147,21 @@ class RubelCheck(NamedTuple):
     empirical_max_error: float
 
 
-def _crossing(step: float, f, fp, fpp, target: float) -> float:
+def _crossing(step: float, f, fp, fpp, last: int, target: float) -> float:
     """eta* at which the cubic Hermite fit of g = eta*^2 fp* reaches target.
 
-    f, fp and fpp hold the star trajectory on the nodes i * step. The
-    fit spans the two nodes whose g values bracket target, found by
-    bisection since g increases along the trajectory; its end slopes
-    are g' = 2 eta* fp* + eta*^2 fpp*. The root is three Newton steps on
-    the cubic from the chord's root, whose error, a thousandth of a step
-    or so, squares at each. The cubic itself misses the trajectory by
-    up to a few 1e-9 of target on the coarsest grids: one RK4 step of
-    the beta = 1 ODE from the node below the root gives g there, and
-    past _CROSSING_GATE the root takes one Newton step on g. That step
-    is written over the node above the root, which the next pass refills.
+    f, fp and fpp hold the star trajectory on the nodes i * step through
+    node last, and are only read. The fit spans the two nodes whose g
+    values bracket target, found by bisection since g increases along
+    the trajectory; its end slopes are g' = 2 eta* fp* + eta*^2 fpp*.
+    The root is three Newton steps on the cubic from the chord's root,
+    whose error, a thousandth of a step or so, squares at each. The
+    cubic itself misses the trajectory by up to a few 1e-9 of target on
+    the coarsest grids: one RK4 step of the beta = 1 ODE from the node
+    below the root, into a two-node scratch, gives g there, and past
+    _CROSSING_GATE the root takes one Newton step on g.
     """
-    lo, hi = 0, len(fp) - 1
+    lo, hi = 0, last
     while hi - lo > 1:
         mid = (lo + hi) // 2
         eta = mid * step
@@ -167,11 +181,13 @@ def _crossing(step: float, f, fp, fpp, target: float) -> float:
         s -= (g0 - target + s * (d0 + s * (c2 + s * c3))) / (
             d0 + s * (2.0 * c2 + 3.0 * s * c3))
     t = a + s * step
+    scratch = [array("d", (column[lo], 0.0)) for column in (f, fp, fpp)]
     # looked up at each call, so a kernel patched onto the module is used
-    kernels.fill_blasius_family(1.0, f, fp, fpp, t - a, lo, hi)
-    miss = t * t * fp[hi] - target
+    kernels.fill_blasius_family(1.0, *scratch, t - a, 0, 1)
+    sfp, sfpp = scratch[1][1], scratch[2][1]
+    miss = t * t * sfp - target
     if abs(miss) > _CROSSING_GATE * target:
-        t = _newton(t, miss, fp[hi], fpp[hi])
+        t = _newton(t, miss, sfp, sfpp)
     return t
 
 
@@ -180,21 +196,62 @@ def _newton(t: float, miss: float, fp: float, fpp: float) -> float:
     return t - miss / (t * (2.0 * fp + t * fpp))
 
 
+def _first_pass(step: float, n: int) -> tuple[array, array, array] | None:
+    """The stored trajectory at step, through node n or past it.
+
+    None if n + 1 nodes exceed _STORE_NODES; the store is then left as
+    it was. A trajectory short of node n grows by filling its new nodes
+    from its old last node, into fresh arrays that replace it only after
+    the fill: a reader never sees a half-written trajectory, and a pass
+    that blows up raises BlowupError and stores nothing. The fill is
+    sequential, so node i has the same bits however the trajectory grew.
+    """
+    if n >= _STORE_NODES:
+        return None
+    with _STORE_LOCK:
+        stored = _FIRST_PASSES.get(step)
+        if stored is None:
+            stored = (array("d", (0.0,)), array("d", (0.0,)), array("d", (1.0,)))
+        last = len(stored[0]) - 1
+        if last < n:
+            zeros = array("d", (0.0,)) * (n - last)
+            grown = tuple(column + zeros for column in stored)
+            # looked up at each call, so a kernel patched onto the module is used
+            bad = kernels.fill_blasius_family(1.0, *grown, step, last, n)
+            if bad >= 0:
+                raise BlowupError(bad * step)
+            stored = grown
+        # the step read last moves to the end, and the first is dropped
+        # past the bound
+        _FIRST_PASSES.pop(step, None)
+        _FIRST_PASSES[step] = stored
+        if len(_FIRST_PASSES) > _STORE_STEPS:
+            del _FIRST_PASSES[next(iter(_FIRST_PASSES))]
+    return stored
+
+
 def truncated_solution(M: float) -> TruncatedSolution:
     """Truncated-boundary solution by the non-iterative method.
 
     The star boundary T solves g(T) = M^2 with g(eta*) = eta*^2 fp*(eta*),
-    an event on the star trajectory, since g increases along it. Each
-    pass fills the same three array('d') buffers of n + 1 nodes,
-    n = M*NODES_PER_UNIT, with the star IVP on the grid of n steps to a
-    candidate t, starting at t = 0.8 M. Short of M^2, t grows by
-    sqrt(M^2/g(t)), which overshoots T because fp* increases; past it,
-    the next t is where the Hermite fit of g between the bracketing
-    nodes reaches M^2, and a pass there that still misses takes one
-    Newton step on g. Two passes do for M >= 2.7, where T < 0.8 M, and
-    three below.
+    an event on the star trajectory, since g increases along it. The
+    grid has n = M*NODES_PER_UNIT steps, and the first pass runs the
+    star IVP to t = 0.8 M on it. Its step is one of few doubles, so it
+    is read from the stored trajectory at that step (_FIRST_PASSES),
+    which grows to node n, into fresh arrays, if it is shorter and is
+    otherwise only read; for n of _STORE_NODES or more, the pass
+    integrates as the later ones do. Each later pass fills the
+    solution's own three array('d') buffers of n + 1 nodes to a
+    candidate t. Short of M^2, t grows by sqrt(M^2/g(t)), which
+    overshoots T because fp* increases; past it, the next t is where
+    the Hermite fit of g between the bracketing nodes reaches M^2, and
+    a pass there that still misses takes one Newton step on g. With the
+    first pass stored, one integration does for M >= 2.7, where
+    T < 0.8 M, and at most two below.
     lambda = M/T then rescales the last pass's buffers, on the first
-    read of table, so the physical boundary lands on M with fp(M) = 1.
+    read of table, so the physical boundary lands on M with fp(M) = 1;
+    if the first pass met the gate, its nodes are copied into the
+    buffers, so that no solution shares the store's arrays.
     The physical grid step is M/n, so solutions for M and 2M share
     their nodes on [0, M]. The nodes are allocated once, so M is
     refused before anything runs if n would reach MAX_NODES.
@@ -211,28 +268,36 @@ def truncated_solution(M: float) -> TruncatedSolution:
     fpp[0] = 1.0
 
     t = 0.8 * M
+    trajectory = _first_pass(t / n, n)
     crossed = False
     for _ in range(_TRUNCATION_MAX_ITER):
         step = t / n
-        # looked up at each call, so a kernel patched onto the module is used
-        bad = kernels.fill_blasius_family(1.0, f, fp, fpp, step, 0, n)
-        if bad >= 0:
-            raise BlowupError(bad * step)
-        g = t * t * fp[n]
+        if trajectory is None:
+            # looked up at each call, so a kernel patched onto the module is used
+            bad = kernels.fill_blasius_family(1.0, f, fp, fpp, step, 0, n)
+            if bad >= 0:
+                raise BlowupError(bad * step)
+            trajectory = f, fp, fpp
+        g = t * t * trajectory[1][n]
         if abs(g - target) <= _TRUNCATION_TOL * target:
             break
         if crossed:
             # a Hermite root left in _CROSSING_GATE that still misses: one
             # Newton step on g from the end node
-            t = _newton(t, g - target, fp[n], fpp[n])
+            t = _newton(t, g - target, trajectory[1][n], trajectory[2][n])
             crossed = False
         elif g < target:
             t = t * math.sqrt(target / g)
         else:
-            t, crossed = _crossing(step, f, fp, fpp, target), True
+            t, crossed = _crossing(step, *trajectory, n, target), True
+        trajectory = None
     else:
         raise ValueError(f"truncated boundary for M = {M} not matched in "
                          f"{_TRUNCATION_MAX_ITER} passes")
+    if trajectory[0] is not f:
+        # the first pass met the gate: the solution keeps copies of its nodes
+        for column, stored in zip((f, fp, fpp), trajectory):
+            column[1:] = stored[1:n + 1]
 
     # physical step lam * (t/n) equals M/n up to rounding, and fp(M) =
     # fp*(t)/lam^2 = 1 by the choice of t
@@ -269,8 +334,10 @@ def rubel_check(M: float) -> RubelCheck:
     its table would scale it. So both equal, bit for bit, rubel_bound
     of the M table and the max over the tables' shared rows. The max
     is a Python loop, about 0.1 us a node (M = 1000 takes about as long
-    as importing numpy). M is refused before anything runs if the 2M
-    solution would reach MAX_NODES.
+    as importing numpy). The two solutions' first passes share their
+    step, so the 2M solution's extends the stored trajectory that the M
+    solution's left, from node n to node 2n. M is refused before
+    anything runs if the 2M solution would reach MAX_NODES.
     """
     M = check_positive("M", M)
     if 2.0 * M * NODES_PER_UNIT >= MAX_NODES:

@@ -1,6 +1,9 @@
 """Wall series, series-deviation check, and the truncation error bound."""
 
 import math
+import sys
+import threading
+from array import array
 
 import numpy as np
 import pytest
@@ -158,6 +161,8 @@ def test_truncated_solution_takes_at_most_three_passes_for_small_m(monkeypatch):
     calls = _count_integrations(monkeypatch)
     passes = {}
     for M in _SMALL_M:
+        # each M from an empty store, so that its first pass is counted
+        analysis._FIRST_PASSES.clear()
         calls.clear()
         truncated_solution(M)
         passes[M] = len(calls)
@@ -170,6 +175,8 @@ def test_a_hermite_root_left_uncorrected_ends_in_one_newton_pass(monkeypatch):
     monkeypatch.setattr(analysis, "_CROSSING_GATE", math.inf)
     calls = _count_integrations(monkeypatch)
     for M in _SMALL_M:
+        # each M from an empty store, so that its first pass is counted
+        analysis._FIRST_PASSES.clear()
         calls.clear()
         sol = truncated_solution(M)
         assert len(calls) <= 4
@@ -257,6 +264,249 @@ def test_truncated_solution_gives_up_after_its_pass_limit(monkeypatch):
                                          "matched in 60 passes"):
         truncated_solution(4.0)
     assert len(passes) == analysis._TRUNCATION_MAX_ITER == 60
+
+
+def _use_backend(monkeypatch, backend):
+    if backend == "pure":
+        monkeypatch.setattr(kernels, "fill_blasius_family",
+                            _kernels_py.fill_blasius_family)
+
+
+def _recording_fills(monkeypatch):
+    """Every kernel fill, as (f, start, stop), through the fill in use."""
+    calls = []
+    original = kernels.fill_blasius_family
+
+    def recording(beta, f, fp, fpp, step, start, stop):
+        calls.append((f, start, stop))
+        return original(beta, f, fp, fpp, step, start, stop)
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", recording)
+    return calls
+
+
+def _store_bytes():
+    return {step: [column.tobytes() for column in columns]
+            for step, columns in analysis._FIRST_PASSES.items()}
+
+
+def _solution_bits(sol):
+    """t_star, lam and the table of a TruncatedSolution, as hex and bytes."""
+    table = sol.table
+    return (sol.t_star.hex(), sol.lam.hex(),
+            [column.tobytes() for column in (table.f, table.fp, table.fpp)])
+
+
+def _check_bits(check):
+    """Every field of a RubelCheck, the solutions' tables included."""
+    return (_solution_bits(check.solution), _solution_bits(check.solution_2M),
+            [x.hex() for x in check.bound], check.empirical_max_error.hex())
+
+
+_STORE_M = sorted({*_T_STAR_BITS, *_SECANT_T_STAR, 2.699, 4.0, 8.0, 16.0})
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_cold_and_warm_stores_give_the_same_bits(monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    # the reference never reads the store: every pass fills the buffers
+    monkeypatch.setattr(analysis, "_STORE_NODES", 0)
+    want = {M: _check_bits(analysis.rubel_check(M)) for M in _STORE_M}
+    assert analysis._FIRST_PASSES == {}
+    monkeypatch.setattr(analysis, "_STORE_NODES", 1 << 16)
+    for M, bits in _T_STAR_BITS.items():
+        assert want[M][0][0] == bits
+    # each M from an empty store
+    for M in _STORE_M:
+        analysis._FIRST_PASSES.clear()
+        assert _check_bits(analysis.rubel_check(M)) == want[M], M
+        analysis._FIRST_PASSES.clear()
+        assert _solution_bits(truncated_solution(M)) == want[M][0], M
+    # the store filled in increasing, then in decreasing order of M
+    for order in (_STORE_M, _STORE_M[::-1]):
+        analysis._FIRST_PASSES.clear()
+        for M in order:
+            assert _solution_bits(truncated_solution(M)) == want[M][0], M
+            assert _check_bits(analysis.rubel_check(M)) == want[M], M
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@pytest.mark.parametrize("M", [2.7, 3.0, 4.0, 8.0, 16.0])
+def test_a_warm_first_pass_leaves_one_integration(monkeypatch, backend, M):
+    _use_backend(monkeypatch, backend)
+    truncated_solution(M)
+    calls = _recording_fills(monkeypatch)
+    sol = truncated_solution(M)
+    n = round(M * analysis.NODES_PER_UNIT)
+    # the Hermite root's one-step check, into a scratch, then one pass
+    # into the solution's own buffers
+    assert [(start, stop) for _, start, stop in calls] == [(0, 1), (0, n)]
+    assert calls[1][0] is sol._star[1]
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@pytest.mark.parametrize("M", [1.0, 3.0, 4.0, 8.0])
+def test_the_2m_first_pass_extends_the_stored_m_pass(monkeypatch, backend, M):
+    _use_backend(monkeypatch, backend)
+    truncated_solution(M)
+    step = 0.8 * M / round(M * analysis.NODES_PER_UNIT)
+    assert step == 0.8 * (2.0 * M) / round(2.0 * M * analysis.NODES_PER_UNIT)
+    calls = _recording_fills(monkeypatch)
+    truncated_solution(2.0 * M)
+    n = round(M * analysis.NODES_PER_UNIT)
+    stored = analysis._FIRST_PASSES[step]
+    grows = [(start, stop) for f, start, stop in calls if f is stored[0]]
+    assert grows == [(n, 2 * n)]
+    assert len(stored[0]) == 2 * n + 1
+    # the other fills, the passes and one-step checks, write no stored array
+    assert not any(f is columns[0] for f, _, _ in calls
+                   for columns in analysis._FIRST_PASSES.values()
+                   if columns is not stored)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_m_past_the_store_bound_leaves_it_as_it_was(monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    M = 66.0
+    assert round(M * analysis.NODES_PER_UNIT) >= analysis._STORE_NODES
+    truncated_solution(4.0)
+    before = _store_bytes()
+    ids = {step: [id(c) for c in cols] for step, cols in analysis._FIRST_PASSES.items()}
+    sol = truncated_solution(M)
+    assert _store_bytes() == before
+    assert {step: [id(c) for c in cols]
+            for step, cols in analysis._FIRST_PASSES.items()} == ids
+    # the same bits as a first pass read from a store that admits it
+    monkeypatch.setattr(analysis, "_STORE_NODES", 1 << 17)
+    analysis._FIRST_PASSES.clear()
+    stored = truncated_solution(M)
+    assert stored.t_star.hex() == sol.t_star.hex()
+    assert stored.table.f.tobytes() == sol.table.f.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_a_first_pass_that_blows_up_stores_nothing(monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    original = kernels.fill_blasius_family
+
+    def blowup_past_node_1500(beta, f, fp, fpp, step, start, stop):
+        bad = original(beta, f, fp, fpp, step, start, stop)
+        return 1500 if start < 1500 <= stop else bad
+
+    monkeypatch.setattr(kernels, "fill_blasius_family", blowup_past_node_1500)
+    with pytest.raises(BlowupError):
+        truncated_solution(2.0)
+    assert analysis._FIRST_PASSES == {}
+    # a stored pass that blows up as it grows, from node 1000, is kept as it was
+    truncated_solution(1.0)
+    assert [len(cols[0]) for cols in analysis._FIRST_PASSES.values()] == [1001]
+    assert 1.6 / 2000 in analysis._FIRST_PASSES
+    before = _store_bytes()
+    with pytest.raises(BlowupError) as err:
+        truncated_solution(2.0)
+    assert err.value.eta == 1500 * (1.6 / 2000)
+    assert _store_bytes() == before
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_a_first_pass_that_meets_the_gate_is_copied_out_of_the_store(
+        monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    # a gate this wide is met by the first pass, at t = 0.8 M
+    monkeypatch.setattr(analysis, "_TRUNCATION_TOL", 1.0)
+    truncated_solution(8.0)
+    sol = truncated_solution(4.0)
+    assert sol.t_star == 0.8 * 4.0
+    (stored,) = analysis._FIRST_PASSES.values()
+    assert len(stored[0]) == 8001
+    before = [c.tobytes() for c in stored]
+    step, *columns = sol._star
+    assert step == 3.2 / 4000
+    for column, stored_column in zip(columns, stored):
+        assert column is not stored_column
+        assert column.tobytes() == stored_column[:4001].tobytes()
+    # reading and writing the solution's nodes leaves the store alone
+    sol.table
+    columns[1][5] = 0.0
+    assert [c.tobytes() for c in stored] == before
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+@pytest.mark.parametrize("M", [0.045, 0.2, 1.0, 4.0])
+def test_crossing_leaves_its_input_arrays_as_they_were(monkeypatch, backend, M):
+    _use_backend(monkeypatch, backend)
+    n = round(M * analysis.NODES_PER_UNIT)
+    step = 0.8 * M / n
+    columns = analysis._first_pass(step, n)
+    # the stored pass runs to 0.8 M; M^2 is crossed below its end for M >= 2.7,
+    # and a target inside its range stands in for M^2 below that
+    target = min(M * M, 0.5 * (0.8 * M) ** 2 * columns[1][n])
+    before = [c.tobytes() for c in columns]
+    t = analysis._crossing(step, *columns, n, target)
+    assert 0.0 < t < 0.8 * M
+    assert [c.tobytes() for c in columns] == before
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_the_store_stays_within_its_bounds_over_off_grid_m(monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    steps = set()
+    for k in range(50):
+        M = 1.0 + k / 7.0 + 1e-4
+        n = round(M * analysis.NODES_PER_UNIT)
+        steps.add(0.8 * M / n)
+        truncated_solution(M)
+        assert len(analysis._FIRST_PASSES) <= analysis._STORE_STEPS
+        assert all(len(c) <= analysis._STORE_NODES
+                   for cols in analysis._FIRST_PASSES.values() for c in cols)
+    assert len(steps) > analysis._STORE_STEPS
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_threads_reading_and_growing_the_store_get_the_bits_of_one(
+        monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    # grid and off-grid M: six steps, so the store grows and evicts while
+    # other threads read it
+    ms = [0.3, 1.0, 2.0, 2.699, 3.0, 1.0001, 2.5003, 0.7007]
+    assert len({0.8 * M / round(M * analysis.NODES_PER_UNIT) for M in ms}) == 6
+    want = {}
+    for M in ms:
+        analysis._FIRST_PASSES.clear()
+        want[M] = truncated_solution(M).t_star.hex()
+    analysis._FIRST_PASSES.clear()
+    got, errors = [], []
+
+    def work(first):
+        try:
+            for k in range(2 * len(ms)):
+                M = ms[(first + k) % len(ms)]
+                got.append((M, truncated_solution(M).t_star.hex()))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 6 * 2 * len(ms)
+    assert all(bits == want[M] for M, bits in got)
+    assert len(analysis._FIRST_PASSES) <= analysis._STORE_STEPS
+    # each stored trajectory holds the nodes of one fill from the seed
+    for step, columns in analysis._FIRST_PASSES.items():
+        fresh = [array("d", (0.0,)) * len(columns[0]) for _ in range(3)]
+        fresh[2][0] = 1.0
+        assert kernels.fill_blasius_family(1.0, *fresh, step, 0,
+                                           len(columns[0]) - 1) == -1
+        assert [c.tobytes() for c in fresh] == [c.tobytes() for c in columns]
 
 
 @pytest.mark.parametrize("M", [6e4, 5e4])

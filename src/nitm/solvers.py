@@ -334,74 +334,17 @@ MAX_SCAN_POINTS = 10**6
 # find_critical_b's default scan, which critical-b's help quotes
 SCAN_LO, SCAN_HI, SCAN_POINTS = -5.0, -1e-3, 10
 
-# find_critical_b's minimiser stops once its b* bracket is this narrow,
-# plus Brent's relative term _SQRT_EPS |b*|, which keeps every step wider
-# than the rounding of b*, so a bracket a few ulps wide still ends it
+# find_critical_b's Newton loop stops once its b* bracket is 4 tol wide,
+# tol = _CRITICAL_B_TOL / 3 plus Brent's relative term _SQRT_EPS |b*|; tol
+# also floors the stencil's half-width, which keeps its three star values
+# apart after rounding, so a bracket a few ulps wide still ends the loop
 _CRITICAL_B_TOL = 1e-6
 _SQRT_EPS = math.sqrt(2.0 ** -52)
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class CriticalB(NamedTuple):
     b_c: float
     b_star: float
-
-
-def _brent_minimum(func: Callable[[float], float], lo: float, hi: float,
-                   x: float, fx: float) -> tuple[float, float]:
-    """Brent's bounded minimiser of func on (lo, hi), from x with fx = func(x).
-
-    Each step fits a parabola through the three best points so far and
-    falls back to a golden-section step when the parabola's minimum is
-    unsafe; no step is shorter than tol = _SQRT_EPS |x| + _CRITICAL_B_TOL / 3.
-    It stops as SciPy's bounded method does, once the bracket around the
-    best point x is about 4 tol wide. Returns x and func(x).
-    """
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        tol = _SQRT_EPS * abs(x) + _CRITICAL_B_TOL / 3.0
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
-            return x, fx
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            # the parabola's step must be in the bracket and shorter than
-            # half the step before last
-            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
-                golden = False
-                d = p / q
-                if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
-                    d = tol if x < mid else -tol
-        if golden:
-            e = lo - x if x >= mid else hi - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = func(u)
-        if fu <= fx:
-            if u >= x:
-                lo = x
-            else:
-                hi = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 def find_critical_b(config: NitmConfig | None = None,
@@ -412,8 +355,13 @@ def find_critical_b(config: NitmConfig | None = None,
     Scans b* over [scan_lo, scan_hi] at scan_points log-spaced points,
     3 to MAX_SCAN_POINTS of them, solved together by iter_sweep, to
     bracket the minimum of b(b*) between the neighbours of the least
-    scanned b, then refines it by _brent_minimum from that point.
-    Returns the least b the minimiser solved and the b* attaining it.
+    scanned b. From that point a Newton loop on the slope of b(b*)
+    refines it. Each iterate is one walk of the stencil x - d, x, x + d:
+    its rows shrink the bracket, and their central differences give the
+    next x. The loop bisects instead when the curvature is not positive,
+    when the step leaves the bracket, or when the rows were accepted at
+    different boundaries, where b(b*) may jump. Returns the least b of
+    every row solved, the scan's included, and the b* attaining it.
     """
     scan_lo = check_finite("scan_lo", scan_lo)
     scan_hi = check_finite("scan_hi", scan_hi)
@@ -442,10 +390,38 @@ def find_critical_b(config: NitmConfig | None = None,
     if i_min == 0 or i_min == len(points) - 1:
         raise BracketingError("minimum of b(b*) sits at the scan edge", scanned)
 
-    b_star, b_c = _brent_minimum(
-        lambda x: solve_moving_wall(x, 1.0, config).physical_param,
-        points[i_min - 1][0], points[i_min + 1][0], *points[i_min])
-    return CriticalB(b_c=b_c, b_star=b_star)
+    lo, hi = points[i_min - 1][0], points[i_min + 1][0]
+    b_star, b_c = points[i_min]
+    x = b_star
+    # the first stencil spans a ten-thousandth of the bracket, so its
+    # differences are those of b(b*) near x, not across the bracket
+    d = 1e-4 * (hi - lo)
+    while True:
+        tol = _SQRT_EPS * abs(x) + _CRITICAL_B_TOL / 3.0
+        if hi - lo <= 4.0 * tol:
+            return CriticalB(b_c=b_c, b_star=b_star)
+        d = max(d, tol)
+        stencil = list(iter_sweep("moving-wall", (x - d, x, x + d), 1.0, config))
+        for row in stencil:
+            if isinstance(row, NitmError):
+                raise row
+            if row.physical_param < b_c:
+                b_star, b_c = row.star_param, row.physical_param
+        minus, mid, plus = (row.physical_param for row in stencil)
+        if plus < mid:
+            lo = x
+        elif minus < mid:
+            hi = x
+        else:
+            lo, hi = max(lo, x - d), min(hi, x + d)
+        step_to = 0.5 * (lo + hi)
+        curvature = plus - 2.0 * mid + minus
+        if curvature > 0.0 and len({row.eta_inf_star for row in stencil}) == 1:
+            newton = x - d * (plus - minus) / (2.0 * curvature)
+            if lo < newton < hi:
+                step_to = newton
+        d = min(d, abs(step_to - x) / 4.0)
+        x = step_to
 
 
 # Default search ranges are limited to star values whose auxiliary IVP

@@ -498,18 +498,17 @@ def test_critical_b_takes_a_numpy_integer_scan_count():
 
 def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
     # one ulp of b* = -1e12 is about 1.2e-4, wider than the fixed 1e-6
-    # tolerance: Brent's relative term must keep the minimiser's steps
-    # wider than that, so that it stops
+    # tolerance: Brent's relative term must keep the stencil wider than
+    # that, so that the Newton loop stops
     calls = []
 
-    def b_of(b_star, sign=1.0, config=None):
+    def b_of(b_star):
         calls.append(b_star)
         if len(calls) >= 2000:
-            raise AssertionError("the minimiser did not stop")
-        return SimpleNamespace(star_param=b_star,
+            raise AssertionError("the Newton loop did not stop")
+        return SimpleNamespace(star_param=b_star, eta_inf_star=10.0,
                                physical_param=((b_star + 1e12) / 1e11) ** 2 - 0.55)
 
-    monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
     monkeypatch.setattr(solvers, "iter_sweep",
                         lambda variant, stars, sign, config: map(b_of, stars))
     crit = find_critical_b(scan_lo=-2e12, scan_hi=-1e11)
@@ -517,26 +516,20 @@ def test_critical_b_stops_when_the_bracket_stops_shrinking(monkeypatch):
     assert crit.b_c == pytest.approx(-0.55, abs=1e-12)
 
 
-def _fake_moving_wall(monkeypatch, fails):
-    """Patch solve_moving_wall and the scan's iter_sweep to b(b*) =
-    (b* + 1.2)^2 - 0.55, failing with BlowupError at each b* that fails(b*)
-    is true for; returns the b* asked for, in order."""
+def _fake_moving_wall(monkeypatch, fails, boundary=lambda b_star: 10.0):
+    """Patch iter_sweep, which the scan and every stencil read, to b(b*) =
+    (b* + 1.2)^2 - 0.55, accepted at eta* = boundary(b*), and a BlowupError
+    row at each b* that fails(b*) is true for; returns the b* asked for, in
+    order."""
     asked = []
 
     def row(b_star):
         asked.append(b_star)
         if fails(b_star):
             return BlowupError(1.0)
-        return SimpleNamespace(star_param=b_star,
+        return SimpleNamespace(star_param=b_star, eta_inf_star=boundary(b_star),
                                physical_param=(b_star + 1.2) ** 2 - 0.55)
 
-    def b_of(b_star, sign, config):
-        res = row(b_star)
-        if isinstance(res, NitmError):
-            raise res
-        return res
-
-    monkeypatch.setattr(solvers, "solve_moving_wall", b_of)
     monkeypatch.setattr(solvers, "iter_sweep",
                         lambda variant, stars, sign, config: map(row, stars))
     return asked
@@ -544,7 +537,7 @@ def _fake_moving_wall(monkeypatch, fails):
 
 def test_critical_b_skips_a_scan_point_whose_solve_fails(monkeypatch):
     # the scan's second point, b* = -1.94, is the left neighbour of the
-    # least scanned b; without it the minimiser starts from (-5, -0.29)
+    # least scanned b; without it the Newton loop starts from (-5, -0.29)
     # and still finds the minimum
     asked = _fake_moving_wall(monkeypatch, lambda b_star: -2.0 < b_star < -1.9)
     crit = find_critical_b()
@@ -553,48 +546,81 @@ def test_critical_b_skips_a_scan_point_whose_solve_fails(monkeypatch):
     assert crit.b_c == pytest.approx(-0.55, abs=1e-9)
 
 
+def test_critical_b_bisects_a_stencil_that_straddles_a_boundary_change(monkeypatch):
+    # the first stencil, around the least scanned b* = -0.753, has its left
+    # row accepted at eta* = 8 and the others at 10; b(b*) may jump there,
+    # so its Newton step, here straight to the minimum, is not taken
+    asked = _fake_moving_wall(monkeypatch, lambda b_star: False,
+                              lambda b_star: 8.0 if b_star < -0.7534 else 10.0)
+    crit = find_critical_b()
+    first, second = (asked[solvers.SCAN_POINTS + i:solvers.SCAN_POINTS + i + 3]
+                     for i in (0, 3))
+    assert first[0] < -0.7534 < first[1] == asked[2]
+    # the right row is higher, so the bracket became (-1.94, -0.753): the
+    # next stencil sits at its midpoint
+    assert second[1] == 0.5 * (asked[1] + asked[2])
+    assert crit.b_star == pytest.approx(-1.2, abs=1e-5)
+
+
+def test_critical_b_raises_the_error_of_a_stencil_row(monkeypatch):
+    # every scan point solves, and every star value after them fails
+    scan = iter(range(solvers.SCAN_POINTS))
+    asked = _fake_moving_wall(monkeypatch, lambda b_star: next(scan, None) is None)
+    with pytest.raises(BlowupError):
+        find_critical_b()
+    # the first stencil, around the least scanned b* = -0.753
+    assert len(asked) == solvers.SCAN_POINTS + 3
+    assert asked[-2] == pytest.approx(-0.753315095147334)
+
+
 def test_critical_b_needs_three_solvable_scan_points(monkeypatch):
     asked = _fake_moving_wall(monkeypatch, lambda b_star: b_star > -1.0)
     with pytest.raises(BracketingError, match="too few solvable points") as err:
         find_critical_b()
-    # every scan point was tried, and none of the minimiser's
+    # every scan point was tried, and no stencil was walked
     assert len(asked) == solvers.SCAN_POINTS
     assert list(err.value.scanned) == asked
     assert sum(b <= -1.0 for b in asked) == 2
 
 
-def _record_critical_solves(monkeypatch):
-    """(b*, b) of each solve find_critical_b makes, scan rows included, in order;
-    a failed solve has no b and is left out."""
-    solved = []
-    original, original_rows = solvers.solve_moving_wall, solvers.iter_sweep
+def _record_critical_walks(monkeypatch):
+    """The (b*, b) rows of each iter_sweep call find_critical_b makes, in
+    order: each is one walk, since neither the scan nor a stencil holds
+    more than solvers._BATCH star values. A failed row has no b and is
+    left out."""
+    walks = []
+    original = solvers.iter_sweep
 
-    def recording(b_star, *args):
-        res = original(b_star, *args)
-        solved.append((b_star, res.physical_param))
-        return res
-
-    def recording_rows(variant, stars, sign, config=None):
-        for row in original_rows(variant, stars, sign, config):
+    def recording(variant, stars, sign, config=None):
+        walks.append([])
+        for row in original(variant, stars, sign, config):
             if not isinstance(row, NitmError):
-                solved.append((row.star_param, row.physical_param))
+                walks[-1].append((row.star_param, row.physical_param))
             yield row
 
-    monkeypatch.setattr(solvers, "solve_moving_wall", recording)
-    monkeypatch.setattr(solvers, "iter_sweep", recording_rows)
-    return solved
+    monkeypatch.setattr(solvers, "iter_sweep", recording)
+    return walks
 
 
-def test_critical_b_takes_at_most_25_solves(monkeypatch):
-    solved = _record_critical_solves(monkeypatch)
+# most walks one find_critical_b call makes, the scan's included, over the
+# default call and the 21 scans below
+_CRITICAL_B_WALKS = 8
+
+
+def test_critical_b_takes_at_most_8_walks(monkeypatch):
+    walks = _record_critical_walks(monkeypatch)
     crit = find_critical_b()
-    assert len(solved) <= 25
+    assert len(walks) <= _CRITICAL_B_WALKS
+    solved = [row for walk in walks for row in walk]
     # the least b solved, not one more solve at the returned b*
     assert min(b for _, b in solved) == crit.b_c
     assert (crit.b_star, crit.b_c) in solved
 
 
-def test_critical_b_scans_in_one_batched_walk(monkeypatch):
+def test_critical_b_walks_the_scan_and_then_only_stencils(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_auxiliary ran")
+
     seeds = []
     walk = kernels.walk_blasius_family
 
@@ -602,16 +628,18 @@ def test_critical_b_scans_in_one_batched_walk(monkeypatch):
         seeds.append(list(starts))
         return walk(beta, h, stops, starts, offsets, lambda_tol)
 
+    monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
     monkeypatch.setattr(kernels, "walk_blasius_family", recording_walk)
     find_critical_b()
-    # each scan point's b* seeds f'*(0); Brent's steps are single solves
-    assert len(seeds) == 1
-    b_stars = [fp for _, fp, _ in seeds[0]]
-    assert len(b_stars) == solvers.SCAN_POINTS and b_stars == sorted(b_stars)
-    assert (b_stars[0], b_stars[-1]) == pytest.approx((solvers.SCAN_LO, solvers.SCAN_HI))
+    # each star value's b* seeds f'*(0): first the scan, then the stencils
+    b_stars = [[fp for _, fp, _ in walk_seeds] for walk_seeds in seeds]
+    scan, stencils = b_stars[0], b_stars[1:]
+    assert len(scan) == solvers.SCAN_POINTS and scan == sorted(scan)
+    assert (scan[0], scan[-1]) == pytest.approx((solvers.SCAN_LO, solvers.SCAN_HI))
+    assert stencils and all(len(stencil) == 3 for stencil in stencils)
 
 
-# b_c of the golden section this scan and minimiser replaced: the default
+# b_c of the golden section the scan and its refinement replaced: the default
 # call, then 20 scan ranges drawn as the layered benchmark's _critical_scan
 # draws them, from random.Random(13)
 _GOLDEN_SECTION_B_C = (
@@ -630,29 +658,29 @@ def test_critical_b_matches_the_golden_section(monkeypatch):
     scans = [{}] + [{"scan_lo": rng.uniform(-6.0, -4.0),
                      "scan_hi": -10.0 ** rng.uniform(-3.5, -2.5)}
                     for _ in range(20)]
-    solved = _record_critical_solves(monkeypatch)
+    walks = _record_critical_walks(monkeypatch)
     for scan, want in zip(scans, _GOLDEN_SECTION_B_C, strict=True):
-        solved.clear()
-        assert find_critical_b(**scan).b_c == pytest.approx(want, rel=0.0,
-                                                             abs=1e-12)
-        assert len(solved) <= 25
+        walks.clear()
+        crit = find_critical_b(**scan)
+        assert crit.b_c == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert len(walks) <= _CRITICAL_B_WALKS
+        assert min(b for walk in walks for _, b in walk) == crit.b_c
 
 
-def test_brent_minimum_agrees_with_scipy_bounded():
+def test_critical_b_agrees_with_scipy_bounded():
     optimize = pytest.importorskip("scipy.optimize")
 
     def b_of(b_star):
         return solve_moving_wall(b_star, 1.0).physical_param
 
-    # the least b of the default scan, at its second point, and the
-    # first and third points around it
-    lo, x, hi = -5.0, -1.9407667236782142, -0.753315095147334
-    b_star, b_c = solvers._brent_minimum(b_of, lo, hi, x, b_of(x))
+    # the default scan's first and third points, around its least b
+    lo, hi = -5.0, -0.753315095147334
+    crit = find_critical_b()
     ref = optimize.minimize_scalar(b_of, bounds=(lo, hi), method="bounded",
                                    options={"xatol": solvers._CRITICAL_B_TOL})
-    assert lo < b_star < hi
-    assert b_star == pytest.approx(ref.x, rel=0.0, abs=solvers._CRITICAL_B_TOL)
-    assert b_c == pytest.approx(ref.fun, rel=0.0, abs=1e-12)
+    assert lo < crit.b_star < hi
+    assert crit.b_star == pytest.approx(ref.x, rel=0.0, abs=solvers._CRITICAL_B_TOL)
+    assert crit.b_c == pytest.approx(ref.fun, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -759,9 +787,9 @@ def test_a_sign_is_stored_as_a_float(sign):
 
 def test_critical_b_rejects_infinite_scan_end_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("solve_moving_wall ran")
+        raise AssertionError("solve_auxiliary ran")
 
-    monkeypatch.setattr(solvers, "solve_moving_wall", no_solve)
+    monkeypatch.setattr(solvers, "solve_auxiliary", no_solve)
     monkeypatch.setattr(solvers, "iter_sweep", no_solve)
     for scan_lo in (-math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^scan_lo must be finite, got {scan_lo}$"):

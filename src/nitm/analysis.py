@@ -88,16 +88,23 @@ def series_eval(series: BlasiusSeries, eta: float | np.ndarray) -> float | np.nd
     return eta * eta * (c2 + e3 * (c5 + e3 * (c8 + e3 * c11)))
 
 
-def _fit_order(etas: np.ndarray, errs: np.ndarray,
-               window: tuple[float, float]) -> float:
-    """Least-squares slope of log errs versus log etas over the window."""
+def _fit_order(etas: np.ndarray, errs: np.ndarray, start: float) -> float:
+    """Least-squares slope of log errs versus log etas from start on.
+
+    The window is the slice of nodes from the first at or past start
+    through the last node, less those whose error is at or below
+    ROUNDOFF_FLOOR. The slope is the closed form sum(dx (y - mean y)) /
+    sum(dx^2) with x = log eta, y = log err and dx = x - mean x.
+    """
     import numpy as np
 
-    mask = (etas >= window[0]) & (etas <= window[1]) & (errs > ROUNDOFF_FLOOR)
-    if mask.sum() < 2:
+    lo = int(np.searchsorted(etas, start))
+    usable = errs[lo:] > ROUNDOFF_FLOOR
+    if np.count_nonzero(usable) < 2:
         raise ValueError("window leaves too few usable nodes for the fit")
-    slope = np.polyfit(np.log(etas[mask]), np.log(errs[mask]), 1)[0]
-    return float(slope)
+    x, y = np.log(etas[lo:][usable]), np.log(errs[lo:][usable])
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
 class RubelBound(NamedTuple):
@@ -385,4 +392,4 @@ def series_deviation(eta_max: float = SERIES_ETA_MAX,
     star = integrate(0.5, (0.0, 0.0, 1.0), grid)
     etas = star.etas()
     errs = np.abs(star.f - series_eval(series_coefficients(1.0), etas))
-    return float(errs.max()), _fit_order(etas, errs, (0.6 * eta_max, eta_max))
+    return float(errs.max()), _fit_order(etas, errs, 0.6 * eta_max)

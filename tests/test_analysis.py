@@ -105,6 +105,59 @@ def test_series_against_fine_integration():
     assert 13.0 <= order <= 15.0
 
 
+def _series_errors(eta_max, step):
+    """series_deviation's nodes and per-node errors, computed here."""
+    star = integrate(0.5, (0.0, 0.0, 1.0), GridConfig(eta_max, step))
+    etas = star.etas()
+    return etas, np.abs(star.f - series_eval(series_coefficients(1.0), etas))
+
+
+def _polyfit_order(etas, errs, start):
+    usable = (etas >= start) & (errs > analysis.ROUNDOFF_FLOOR)
+    return np.polyfit(np.log(etas[usable]), np.log(errs[usable]), 1)[0]
+
+
+def _series_grids(draws):
+    # the benchmark's fine workload: window end in [0.4, 0.6], 2500-6000 nodes
+    rng = np.random.default_rng(2020)
+    grids = [(0.5, 1e-4), (1.5, 1e-3)]
+    for _ in range(draws):
+        eta_max = rng.uniform(0.4, 0.6)
+        grids.append((eta_max, eta_max / round(rng.uniform(2500, 6000))))
+    return grids
+
+
+@pytest.mark.parametrize("eta_max, step", _series_grids(40))
+def test_series_order_closed_form_matches_polyfit(eta_max, step):
+    etas, errs = _series_errors(eta_max, step)
+    deviation, order = series_deviation(eta_max, step)
+    assert deviation == errs.max()
+    assert order == pytest.approx(_polyfit_order(etas, errs, 0.6 * eta_max),
+                                  rel=1e-12)
+
+
+def test_series_deviation_needs_no_polyfit(monkeypatch):
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", no_polyfit)
+    deviation, order = series_deviation()
+    assert deviation < 5e-12 and 13.0 <= order <= 15.0
+
+
+def test_series_deviation_fits_through_the_last_node():
+    # (nodes - 1) * step rounds past eta_max on this grid; the last node
+    # is the boundary all the same, and the fit keeps it
+    eta_max, step = 0.4250258030570981, 0.000124750749356354
+    etas, errs = _series_errors(eta_max, step)
+    assert etas[-1] > eta_max
+    _, order = series_deviation(eta_max, step)
+    start = 0.6 * eta_max
+    assert order == pytest.approx(_polyfit_order(etas, errs, start), rel=1e-12)
+    # without the last node the order is 13.92065, not 13.92082
+    assert abs(order - _polyfit_order(etas[:-1], errs[:-1], start)) > 1e-4
+
+
 def test_truncated_solution_at_four():
     sol = truncated_solution(4.0)
     assert sol.t_star == pytest.approx(3.1125348476653962, rel=1e-10)

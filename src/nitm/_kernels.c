@@ -1,26 +1,28 @@
 /* Compiled integration kernel for the Blasius family.
  *
- * Twin of nitm._kernels_py; see that module for the contract. The RK4
- * step in fill_lanes is the same sequence of operations in the same
- * order as the pure fill, and it must be compiled with -ffp-contract=off
- * and without -ffast-math (no fused multiply-add, no reassociation) so
- * that the two kernels agree bit for bit. fill_lanes is the only RK4
- * loop here: fill_blasius_family runs it with one lane, storing every
- * node, and the batched walk with up to LANES members side by side,
- * stepping their state only and storing no node. Every lane runs the
- * same operations, so vectorising across lanes changes no bit.
+ * Twin of nitm._kernels_py; see that module for the contract. rk4_step
+ * is the same sequence of operations in the same order as the pure
+ * fill's step, and it must be compiled with -ffp-contract=off and
+ * without -ffast-math (no fused multiply-add, no reassociation) so that
+ * the two kernels agree bit for bit. It is the only RK4 step here.
+ * fill_lanes steps up to LANES members side by side and tests each node
+ * for a blow-up: fill_blasius_family runs it with one lane, storing
+ * every node. The batched walk steps its blocks through walk_lanes,
+ * which stores no node and tests a block once, at its end, running the
+ * block again through fill_lanes only when a member blew up. Every lane
+ * runs the same operations, so vectorising across lanes changes no bit.
  *
- * The batched walk steps its blocks through walk_lanes, which on x86-64
- * Linux with glibc is built twice by target_clones: once for AVX2 and
- * once as the default, and the dynamic linker picks one for the CPU
- * when the module loads. Both clones
- * keep the bits: -ffp-contract=off forbids fused multiply-add (and the
- * avx2 target does not enable FMA), and a lane of a 256-bit add,
- * multiply or compare rounds as the scalar IEEE operation does. An AVX2
- * host never runs the default clone, which is the code built without
- * the attribute. Elsewhere walk_lanes is one plain function. The
- * single-lane fill is not cloned, so it keeps its own inlined
- * one-lane copy of fill_lanes.
+ * On x86-64 Linux with glibc, target_clones builds walk_lanes three
+ * times: for AVX-512F, for AVX2 and as the default, and the dynamic
+ * linker picks one for the CPU when the module loads. Every clone
+ * keeps the bits: -ffp-contract=off forbids fused multiply-add (and
+ * neither the avx512f nor the avx2 target enables FMA), and a lane of a
+ * 512- or 256-bit add, multiply, compare or max rounds as the scalar
+ * IEEE operation does. A host runs only the clone for its widest
+ * target; the default clone is the code built without the attribute.
+ * Elsewhere walk_lanes is one plain function. fill_lanes is not cloned:
+ * the single-lane fill and a block that walks again both run its one
+ * build.
  *
  * Built by setup.py as the extension nitm._kernels, or on first import
  * by nitm.kernels into the package's __pycache__.
@@ -34,26 +36,70 @@
 #define BLOWUP_LIMIT 1e12
 
 /* members advanced side by side in the batched walk */
-#define LANES 8
+#define LANES 16
 
-/* an AVX2 and a default build of walk_lanes, where the compiler and the
- * C library can pick one at load time (ifunc); each clone inlines its
- * own copy of fill_lanes, built for its target */
+/* rk4_step is inlined wherever it is called, each walk clone's copy
+ * built for that clone's target */
+#if defined(__GNUC__)
+#define STEP_INLINE inline __attribute__((always_inline))
+#else
+#define STEP_INLINE inline
+#endif
+
+/* an AVX-512F, an AVX2 and a default build of walk_lanes, where the
+ * compiler and the C library can pick one at load time (ifunc); each
+ * clone inlines its own copy of rk4_step, built for its target, and
+ * calls the one fill_lanes, which is not cloned, when a block blew up */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) \
     && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define WALK_CLONES __attribute__((target_clones("avx2", "default")))
-#define FILL_INLINE inline __attribute__((always_inline))
-/* the clone the loader picks, by the CPU test its resolver makes */
+#define WALK_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+/* the clone the loader picks, by the CPU tests its resolver makes */
 #define WALK_CLONE (__builtin_cpu_init(), \
-                    __builtin_cpu_supports("avx2") ? "avx2" : "default")
+                    __builtin_cpu_supports("avx512f") ? "avx512f" \
+                    : __builtin_cpu_supports("avx2") ? "avx2" : "default")
 #endif
 #endif
 #ifndef WALK_CLONES
 #define WALK_CLONES
-#define FILL_INLINE
 #define WALK_CLONE "single"
 #endif
+
+/* One RK4 step of f''' = -beta*f*f'' of size h, from the state *f, *fp,
+ * *fpp to the next node's, in place, with mb = -beta, h2 = h/2 and
+ * h6 = h/6: the operations of the pure fill's step, in its order. */
+static STEP_INLINE void
+rk4_step(double mb, double h, double h2, double h6, double *f, double *fp,
+         double *fpp)
+{
+    const double cf = *f, cp = *fp, cq = *fpp;
+    double k1f, k1p, k1q, k2f, k2p, k2q, k3f, k3p, k3q, k4f, k4p, k4q;
+    double tf, tp, tq;
+    k1f = cp;
+    k1p = cq;
+    k1q = mb * cf * cq;
+    tf = cf + h2 * k1f;
+    tp = cp + h2 * k1p;
+    tq = cq + h2 * k1q;
+    k2f = tp;
+    k2p = tq;
+    k2q = mb * tf * tq;
+    tf = cf + h2 * k2f;
+    tp = cp + h2 * k2p;
+    tq = cq + h2 * k2q;
+    k3f = tp;
+    k3p = tq;
+    k3q = mb * tf * tq;
+    tf = cf + h * k3f;
+    tp = cp + h * k3p;
+    tq = cq + h * k3q;
+    k4f = tp;
+    k4p = tq;
+    k4q = mb * tf * tq;
+    *f = cf + h6 * (k1f + 2.0 * (k2f + k3f) + k4f);
+    *fp = cp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p);
+    *fpp = cq + h6 * (k1q + 2.0 * (k2q + k3q) + k4q);
+}
 
 /* outcomes of a member of the batched walk, as in nitm._kernels_py */
 enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
@@ -62,12 +108,12 @@ enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
  * lockstep. state[m] holds member m's f, fp and fpp at node start on
  * entry and at node stop on return. With store, f[m], fp[m] and fpp[m]
  * are member m's buffers, and nodes start+1 .. stop are written to
- * them; the walk's copies take store = 0, a constant, and no buffers,
- * so they step lane state only. bad[m] becomes the first node at which
+ * them; walk_lanes runs a block again with store = 0 and no buffers,
+ * stepping lane state only. bad[m] becomes the first node at which
  * member m's state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as
  * outside); that member writes no node from there on and returns the
  * zero state. It stays -1 otherwise. */
-static FILL_INLINE void
+static void
 fill_lanes(double beta, double h, int n, double (*state)[3], int store,
            double **f, double **fp, double **fpp, Py_ssize_t start,
            Py_ssize_t stop, Py_ssize_t *bad)
@@ -86,34 +132,8 @@ fill_lanes(double beta, double h, int n, double (*state)[3], int store,
         bad[m] = -1;
     }
     for (i = start; i < stop && live > 0; i++) {
-        for (m = 0; m < n; m++) {
-            double k1f, k1p, k1q, k2f, k2p, k2q, k3f, k3p, k3q, k4f, k4p, k4q;
-            double tf, tp, tq;
-            k1f = cp[m];
-            k1p = cq[m];
-            k1q = mb * cf[m] * cq[m];
-            tf = cf[m] + h2 * k1f;
-            tp = cp[m] + h2 * k1p;
-            tq = cq[m] + h2 * k1q;
-            k2f = tp;
-            k2p = tq;
-            k2q = mb * tf * tq;
-            tf = cf[m] + h2 * k2f;
-            tp = cp[m] + h2 * k2p;
-            tq = cq[m] + h2 * k2q;
-            k3f = tp;
-            k3p = tq;
-            k3q = mb * tf * tq;
-            tf = cf[m] + h * k3f;
-            tp = cp[m] + h * k3p;
-            tq = cq[m] + h * k3q;
-            k4f = tp;
-            k4p = tq;
-            k4q = mb * tf * tq;
-            cf[m] = cf[m] + h6 * (k1f + 2.0 * (k2f + k3f) + k4f);
-            cp[m] = cp[m] + h6 * (k1p + 2.0 * (k2p + k3p) + k4p);
-            cq[m] = cq[m] + h6 * (k1q + 2.0 * (k2q + k3q) + k4q);
-        }
+        for (m = 0; m < n; m++)
+            rk4_step(mb, h, h2, h6, &cf[m], &cp[m], &cq[m]);
         for (m = 0; m < n; m++) {
             if (bad[m] >= 0)
                 continue;
@@ -140,13 +160,64 @@ fill_lanes(double beta, double h, int n, double (*state)[3], int store,
     }
 }
 
-/* fill_lanes for a block of the batched walk, storing no node, in the
- * clones WALK_CLONES names. */
+/* fill_lanes for a block of the batched walk with store = 0, in the
+ * clones WALK_CLONES names, testing for a blow-up once per block: the
+ * lanes step from start to stop untested, each keeping the running
+ * maximum of |f|, |fp| and |fpp| over its nodes, and the block is
+ * tested at its end. Where a lane left [-BLOWUP_LIMIT, BLOWUP_LIMIT],
+ * fill_lanes runs the block again from its start state, which is still
+ * in state, and finds the node and zeroes the lane as a test per node
+ * does. One test per block is exact:
+ *  - a finite value past the limit at any node raises the running
+ *    maximum past the limit, and so does an infinity;
+ *  - a NaN raises no maximum, but each of a step's three new values
+ *    depends arithmetically on all three old ones, so a NaN spreads to
+ *    the whole lane at the next step and stays there; the end test
+ *    also tests the end state, and so finds it.
+ * A block that passes the test gets the states fill_lanes would give
+ * it, as every lane ran the same steps, and bad[m] = -1. */
 WALK_CLONES static void
 walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
            Py_ssize_t stop, Py_ssize_t *bad)
 {
-    fill_lanes(beta, h, n, state, 0, NULL, NULL, NULL, start, stop, bad);
+    const double mb = -beta;
+    const double h2 = 0.5 * h;
+    const double h6 = h / 6.0;
+    double cf[LANES], cp[LANES], cq[LANES], top[LANES];
+    int out = 0, m;
+    Py_ssize_t i;
+
+    for (m = 0; m < n; m++) {
+        cf[m] = state[m][0];
+        cp[m] = state[m][1];
+        cq[m] = state[m][2];
+        top[m] = 0.0;
+    }
+    for (i = start; i < stop; i++)
+        for (m = 0; m < n; m++) {
+            double a, b, c;
+            rk4_step(mb, h, h2, h6, &cf[m], &cp[m], &cq[m]);
+            a = fabs(cf[m]);
+            b = fabs(cp[m]);
+            c = fabs(cq[m]);
+            /* a comparison false for a NaN keeps the maximum */
+            top[m] = a > top[m] ? a : top[m];
+            top[m] = b > top[m] ? b : top[m];
+            top[m] = c > top[m] ? c : top[m];
+        }
+    for (m = 0; m < n; m++)
+        out |= !(top[m] <= BLOWUP_LIMIT) || isnan(cf[m]) || isnan(cp[m])
+               || isnan(cq[m]);
+    if (out) {
+        fill_lanes(beta, h, n, state, 0, NULL, NULL, NULL, start, stop, bad);
+        return;
+    }
+    for (m = 0; m < n; m++) {
+        state[m][0] = cf[m];
+        state[m][1] = cp[m];
+        state[m][2] = cq[m];
+        bad[m] = -1;
+    }
 }
 
 /* Acquire a writable, C-contiguous, one-dimensional float64 buffer. */
@@ -487,8 +558,8 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* WALK_CLONE names the walk_lanes that runs: "avx2", "default", or
- * "single" where it is one plain function */
+/* WALK_CLONE names the walk_lanes that runs: "avx512f", "avx2",
+ * "default", or "single" where it is one plain function */
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {

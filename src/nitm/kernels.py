@@ -109,7 +109,7 @@ else:
         BACKEND = "compiled"
 fill_blasius_family = _backend.fill_blasius_family
 walk_blasius_family = _backend.walk_blasius_family
-# the build of the batched walk's block stepper that runs: "avx2" or
-# "default" (the clone the loader picked) or "single" (built without
-# clones); None for the pure backend, which has none
+# the build of the batched walk's block stepper that runs: "avx512f",
+# "avx2" or "default" (the clone the loader picked) or "single" (built
+# without clones); None for the pure backend, which has none
 WALK_CLONE = getattr(_backend, "WALK_CLONE", None)

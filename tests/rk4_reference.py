@@ -9,8 +9,8 @@ from nitm.errors import BlowupError
 Rhs = Callable[[float, State3], tuple]
 
 
-def rk4_step(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
-    """One classical four-stage RK4 update of size h.
+def rk4_update(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
+    """One classical four-stage RK4 update of size h, with no blow-up test.
 
     The textbook reference for the kernels: it mirrors their arithmetic
     exactly, so stepping it over a grid agrees bit for bit with the
@@ -37,6 +37,14 @@ def rk4_step(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
     nf = cf + h6 * (k1f + 2.0 * (k2f + k3f) + k4f)
     np_ = cp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
     nq = cq + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
+    return State3(nf, np_, nq)
+
+
+def rk4_step(rhs: Rhs, eta: float, state: State3, h: float) -> State3:
+    """rk4_update, raising BlowupError where the new state left
+    [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as outside), as the
+    kernels' blow-up test does."""
+    nf, np_, nq = rk4_update(rhs, eta, state, h)
     if not (abs(nf) <= BLOWUP_LIMIT and abs(np_) <= BLOWUP_LIMIT
             and abs(nq) <= BLOWUP_LIMIT):
         raise BlowupError(eta + h)

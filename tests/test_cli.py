@@ -671,6 +671,7 @@ def test_info_reports_version_and_backend(capsys):
 
 
 @pytest.mark.parametrize("clone, line", [
+    ("avx512f", "walk clone: avx512f"),
     ("avx2", "walk clone: avx2"),
     ("single", "walk clone: single"),
     (None, "walk clone: none, as the pure backend has no walk clone"),

@@ -5,6 +5,7 @@ import ast
 import importlib.machinery
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ import nitm
 from nitm import BlasiusFamilyRhs, State3, kernels, scaling, solvers
 from nitm import _kernels_py
 from nitm.errors import ScalingBreakdownError
-from rk4_reference import rk4_step
+from rk4_reference import rk4_step, rk4_update
 
 # the compiled kernel, installed or built into the cache, also when
 # NITM_PURE makes the pure one active: the parity tests run either way
@@ -213,11 +214,11 @@ _SEEDS = st.tuples(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0),
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0.5, 1.0]), st.sampled_from([0.01, 0.05, 0.2]),
        st.lists(st.integers(1, 60), min_size=1, max_size=5),
-       st.lists(st.tuples(_SEEDS, st.floats(-3.0, 3.0)), max_size=19),
+       st.lists(st.tuples(_SEEDS, st.floats(-3.0, 3.0)), max_size=40),
        st.sampled_from([1e-3, 1e-6, 1e-12]))
 def test_compiled_and_pure_walks_are_bit_identical(beta, h, gaps, members, tol):
     # random seeds and offsets reach every outcome: agreement, blow-up,
-    # breakdown and no agreement, in blocks of up to 19 members
+    # breakdown and no agreement, in up to three blocks of up to 16 lanes
     stops = [sum(gaps[:j + 1]) for j in range(len(gaps))]
     seeds = [seed for seed, _ in members]
     offsets = [offset for _, offset in members]
@@ -231,6 +232,71 @@ def test_compiled_and_pure_walks_are_bit_identical(beta, h, gaps, members, tol):
         assert walked <= len(stops)
         assert (fp_stop is None) == (walked == 0)
         assert (bad >= 0) == (outcome == _kernels_py.BLOWUP)
+
+
+def _state_at(beta, h, seed, node):
+    """The state at node, stepped by the reference RK4 with no blow-up test."""
+    state = State3(*seed)
+    for i in range(node):
+        state = rk4_update(BlasiusFamilyRhs(beta), i * h, state, h)
+    return state
+
+
+# 21 members walked on the default schedule: on the first interval a
+# full block of 16 lanes and a block of the other 5. Each block holds
+# - a member that passes 1e12 while finite, between node 0 and the first stop;
+# - one that turns non-finite at node 1: all NaN from (1e100, 0, 1e300),
+#   so that no node's maximum passes the limit, and an infinity from
+#   (0, 0, 1e150);
+# - with a large offset that keeps fp + offset positive, one that passes
+#   1e12 on the second or the third interval.
+# The first block also holds (2e12, -5e11, 0): f falls by 5e9 a node while
+# fp and fpp stay put, so it is past the limit on nodes 1 to 199 and
+# back inside it by the first stop, where only the running maximum has
+# seen it. The others are moving-wall seeds, which go on and are accepted.
+_FALLBACK_MEMBERS = (
+    [((0.0, b, 1.0), b) for b in np.linspace(-1.5, 1.9, 12).tolist()]
+    + [((0.0, 0.0, -1.0), 0.0), ((1e100, 0.0, 1e300), 0.0),
+       ((0.0, 0.0, -0.3), 1000.0), ((2e12, -5e11, 0.0), 1e12)]
+    + [((0.0, b, 1.0), b) for b in (0.25, 1.1)]
+    + [((0.0, 0.0, -3.0), 0.0), ((0.0, 0.0, 1e150), 0.0),
+       ((0.0, 0.0, -0.2), 1000.0)])
+
+
+def _fallback_walk_args():
+    cfg = solvers.DEFAULT_CONFIG
+    return (0.5, cfg.step, cfg.stops, [seed for seed, _ in _FALLBACK_MEMBERS],
+            [offset for _, offset in _FALLBACK_MEMBERS], cfg.lambda_tol)
+
+
+@needs_compiled
+def test_a_block_that_blew_up_walks_again_and_keeps_every_bit():
+    # a block tests for blow-ups once, at its end, and walks again with a
+    # test per node when a lane left the limit: the rows must be the pure
+    # walk's, and each must be the member's row when walked alone, so
+    # that a member that goes on never sees its block's blow-up and a
+    # blow-up is found when it is the only one in its block
+    args = _fallback_walk_args()
+    beta, h, stops, seeds, offsets, tol = args
+    rows = _walk_rows(_kernels_c, *args)
+    assert rows == _walk_rows(_kernels_py, *args)
+    for m, seed in enumerate(seeds):
+        assert rows[m] == _walk_rows(_kernels_c, beta, h, stops, [seed],
+                                     [offsets[m]], tol)[0]
+    bad = {m: row[3] for m, row in enumerate(rows)
+           if row[0] == _kernels_py.BLOWUP}
+    assert sorted(bad) == [12, 13, 14, 15, 18, 19, 20]
+    assert {row[0] for row in rows} == {_kernels_py.ACCEPTED, _kernels_py.BLOWUP}
+    state = {m: _state_at(beta, h, seeds[m], bad[m]) for m in bad}
+    for m in (12, 14, 15, 18, 20):
+        assert all(map(math.isfinite, state[m]))
+        assert max(map(abs, state[m])) > _kernels_py.BLOWUP_LIMIT
+    assert bad[13] == bad[15] == bad[19] == 1
+    assert all(map(math.isnan, state[13])) and math.isinf(state[19].fpp)
+    # between stops: the first interval, the second and the third
+    assert 1 < bad[12] < stops[0] and 1 < bad[18] < stops[0]
+    assert stops[0] < bad[14] < stops[1] < bad[20] < stops[2]
+    assert abs(_state_at(beta, h, seeds[15], stops[0]).f) <= _kernels_py.BLOWUP_LIMIT
 
 
 # a seed of every variant, reaching every outcome on the default schedule:
@@ -425,34 +491,47 @@ def test_a_stale_build_that_cannot_go_does_not_fail_the_import(tmp_path):
         "os.remove = refuse\n"
         "import nitm.kernels as k; print(k.BACKEND); print(k.WALK_CLONE)"))
     assert out[0] == "compiled"
-    assert out[1] in ("avx2", "default", "single")
+    assert out[1] in ("avx512f", "avx2", "default", "single")
     assert stale.exists()
 
 
 @needs_compiler
 @needs_compiled
-def test_kernel_without_target_clones_is_compiled_and_walks_the_same_bits(tmp_path):
+@pytest.mark.parametrize("flag", [None, "-mavx2", "-mavx512f"])
+def test_kernel_without_target_clones_is_compiled_and_walks_the_same_bits(tmp_path, flag):
     # as a compiler or platform without target_clones builds it: one plain
-    # walk_lanes, never the pure fallback
+    # walk_lanes, never the pure fallback. Built with -mavx2 or -mavx512f,
+    # it runs the code of the clone this CPU does not pick, where the CPU
+    # has the instructions: the clone that runs says which it has
+    if flag is not None and _kernels_c.WALK_CLONE not in {
+            "-mavx2": ("avx512f", "avx2"), "-mavx512f": ("avx512f",)}[flag]:
+        pytest.skip(f"the {_kernels_c.WALK_CLONE} walk clone runs here, "
+                    f"so the CPU may lack {flag}")
     package = _package_copy(tmp_path)
     source = (package / "_kernels.c").read_text()
     assert source.count("__has_attribute(target_clones)") == 1
     (package / "_kernels.c").write_text(
         source.replace("__has_attribute(target_clones)", "0"))
+    if flag is not None:
+        loader, count = re.subn(r"(?m)^CFLAGS = .*$",
+                                lambda line: f"{line[0]}\nCFLAGS += ({flag!r},)",
+                                (package / "kernels.py").read_text())
+        assert count == 1
+        (package / "kernels.py").write_text(loader)
     backend, reason, _ = _import_backend(tmp_path)
     assert backend == "compiled", reason
-    assert _run_python(tmp_path, "import nitm.kernels as k; print(k.WALK_CLONE)") == [
-        "single"]
+    assert _run_python(tmp_path, "import nitm.kernels as k; print(k.WALK_CLONE); "
+                       "print(k.CFLAGS[-1])") == ["single", flag or "-ffp-contract=off"]
 
     cfg = solvers.DEFAULT_CONFIG
     specs = [spec for spec in _VARIANT_SPECS if spec.variant != "gasification"]
-    args = (0.5, cfg.step, cfg.stops, [tuple(solvers.initial_state(s)) for s in specs],
-            [_offset(s) for s in specs], cfg.lambda_tol)
-    # floats print by repr, which round-trips every bit
-    rows = ast.literal_eval(_run_python(tmp_path, (
-        f"import nitm.kernels as k; print(repr(k.walk_blasius_family(*{args!r})))"
-    ))[-1])
-    assert _hex_rows(rows) == _walk_rows(_kernels_c, *args)
+    for args in [(0.5, cfg.step, cfg.stops, [tuple(solvers.initial_state(s)) for s in specs],
+                  [_offset(s) for s in specs], cfg.lambda_tol), _fallback_walk_args()]:
+        # floats print by repr, which round-trips every bit
+        rows = ast.literal_eval(_run_python(tmp_path, (
+            f"import nitm.kernels as k; print(repr(k.walk_blasius_family(*{args!r})))"
+        ))[-1])
+        assert _hex_rows(rows) == _walk_rows(_kernels_py, *args)
 
 
 def _break_source(package, tmp_path):
@@ -492,9 +571,9 @@ def test_walk_clone_is_named_by_the_backend():
     if kernels.BACKEND == "pure":
         assert kernels.WALK_CLONE is None
     else:
-        assert kernels.WALK_CLONE in ("avx2", "default", "single")
+        assert kernels.WALK_CLONE in ("avx512f", "avx2", "default", "single")
     if _kernels_c is not None:
-        assert _kernels_c.WALK_CLONE in ("avx2", "default", "single")
+        assert _kernels_c.WALK_CLONE in ("avx512f", "avx2", "default", "single")
 
 
 def test_env_override_forces_pure_backend():

@@ -12,17 +12,17 @@
  * block again through fill_lanes only when a member blew up. Every lane
  * runs the same operations, so vectorising across lanes changes no bit.
  *
- * On x86-64 Linux with glibc, target_clones builds walk_lanes three
- * times: for AVX-512F, for AVX2 and as the default, and the dynamic
- * linker picks one for the CPU when the module loads. Every clone
- * keeps the bits: -ffp-contract=off forbids fused multiply-add (and
- * neither the avx512f nor the avx2 target enables FMA), and a lane of a
- * 512- or 256-bit add, multiply, compare or max rounds as the scalar
- * IEEE operation does. A host runs only the clone for its widest
- * target; the default clone is the code built without the attribute.
- * Elsewhere walk_lanes is one plain function. fill_lanes is not cloned:
- * the single-lane fill and a block that walks again both run its one
- * build.
+ * On x86-64 Linux with glibc, target_clones builds walk_lanes once for
+ * each target of WALK_TARGETS (AVX-512F and AVX2) and once as the
+ * default, and the dynamic linker picks one for the CPU when the module
+ * loads. Every clone keeps the bits: -ffp-contract=off forbids fused
+ * multiply-add (and neither the avx512f nor the avx2 target enables
+ * FMA), and a lane of a 512- or 256-bit add, multiply, compare or max
+ * rounds as the scalar IEEE operation does. A host runs only the clone
+ * for its widest target; the default clone is the code built without
+ * the attribute. Elsewhere walk_lanes is one plain function. fill_lanes
+ * is not cloned: the single-lane fill and a block that walks again both
+ * run its one build.
  *
  * Built by setup.py as the extension nitm._kernels, or on first import
  * by nitm.kernels into the package's __pycache__.
@@ -35,8 +35,9 @@
 
 #define BLOWUP_LIMIT 1e12
 
-/* members advanced side by side in the batched walk */
-#define LANES 16
+/* members advanced side by side in the batched walk: a whole number of
+ * vectors of every clone */
+#define LANES 32
 
 /* rk4_step is inlined wherever it is called, each walk clone's copy
  * built for that clone's target */
@@ -46,24 +47,39 @@
 #define STEP_INLINE inline
 #endif
 
-/* an AVX-512F, an AVX2 and a default build of walk_lanes, where the
- * compiler and the C library can pick one at load time (ifunc); each
- * clone inlines its own copy of rk4_step, built for its target, and
- * calls the one fill_lanes, which is not cloned, when a block blew up */
+/* X(target, width) for each target walk_lanes is cloned for, with the
+ * doubles its vectors hold, in the order of GCC's resolver: the widest
+ * first. The default clone follows them. */
+#define WALK_TARGETS(X) X("avx512f", 8) X("avx2", 4)
+
+/* a clone of walk_lanes for each of WALK_TARGETS and a default one,
+ * where the compiler and the C library can pick one at load time
+ * (ifunc); each clone inlines its own copy of rk4_step, built for its
+ * target, and calls the one fill_lanes, which is not cloned, when a
+ * block blew up. WALK_CLONE and WALK_WIDTH are the name and the vector
+ * width of the clone the loader picks, by the CPU tests its resolver
+ * makes: the first target the CPU supports, else the default. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) \
     && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define WALK_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-/* the clone the loader picks, by the CPU tests its resolver makes */
-#define WALK_CLONE (__builtin_cpu_init(), \
-                    __builtin_cpu_supports("avx512f") ? "avx512f" \
-                    : __builtin_cpu_supports("avx2") ? "avx2" : "default")
+#define TARGET_NAME(target, width) target,
+#define PICK_NAME(target, width) __builtin_cpu_supports(target) ? target :
+#define PICK_WIDTH(target, width) __builtin_cpu_supports(target) ? width :
+#define WALK_CLONES \
+    __attribute__((target_clones(WALK_TARGETS(TARGET_NAME) "default")))
+#define WALK_CLONE (__builtin_cpu_init(), WALK_TARGETS(PICK_NAME) "default")
+#define WALK_WIDTH (__builtin_cpu_init(), WALK_TARGETS(PICK_WIDTH) 1)
 #endif
 #endif
 #ifndef WALK_CLONES
 #define WALK_CLONES
 #define WALK_CLONE "single"
+#define WALK_WIDTH 1
 #endif
+
+/* the vector width of the walk_lanes that runs, set when the module
+ * loads: walk_lanes pads a block to a whole number of its vectors */
+static int walk_width = 1;
 
 /* One RK4 step of f''' = -beta*f*f'' of size h, from the state *f, *fp,
  * *fpp to the next node's, in place, with mb = -beta, h2 = h/2 and
@@ -175,7 +191,13 @@ fill_lanes(double beta, double h, int n, double (*state)[3], int store,
  *    the whole lane at the next step and stays there; the end test
  *    also tests the end state, and so finds it.
  * A block that passes the test gets the states fill_lanes would give
- * it, as every lane ran the same steps, and bad[m] = -1. */
+ * it, as every lane ran the same steps, and bad[m] = -1.
+ *
+ * A block of more lanes than one vector holds steps a whole number of
+ * vectors of the clone that runs (walk_width doubles), so that no lane
+ * is left to a narrower vector or to scalar code. The pad lanes hold
+ * the zero state, which every step keeps at zero, and are left out of
+ * the test, of state and of the rerun. */
 WALK_CLONES static void
 walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
            Py_ssize_t stop, Py_ssize_t *bad)
@@ -183,18 +205,24 @@ walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
     const double mb = -beta;
     const double h2 = 0.5 * h;
     const double h6 = h / 6.0;
+    const int w = walk_width;
+    const int lanes = n > w ? (n + w - 1) / w * w : n;
     double cf[LANES], cp[LANES], cq[LANES], top[LANES];
     int out = 0, m;
     Py_ssize_t i;
 
-    for (m = 0; m < n; m++) {
-        cf[m] = state[m][0];
-        cp[m] = state[m][1];
-        cq[m] = state[m][2];
+    for (m = 0; m < lanes; m++) {
+        if (m < n) {
+            cf[m] = state[m][0];
+            cp[m] = state[m][1];
+            cq[m] = state[m][2];
+        }
+        else
+            cf[m] = cp[m] = cq[m] = 0.0;
         top[m] = 0.0;
     }
     for (i = start; i < stop; i++)
-        for (m = 0; m < n; m++) {
+        for (m = 0; m < lanes; m++) {
             double a, b, c;
             rk4_step(mb, h, h2, h6, &cf[m], &cp[m], &cq[m]);
             a = fabs(cf[m]);
@@ -564,6 +592,8 @@ PyMODINIT_FUNC
 PyInit__kernels(void)
 {
     PyObject *m = PyModule_Create(&module);
+
+    walk_width = WALK_WIDTH;
 
     if (m != NULL && PyModule_AddStringConstant(m, "WALK_CLONE", WALK_CLONE) < 0)
         Py_CLEAR(m);

@@ -4,8 +4,9 @@ Every solver variant rests on one stretching group, Topfer's f* =
 lambda f, eta* = lambda^-1 eta, so fp* = lambda^2 fp and fpp* =
 lambda^3 fpp. It leaves f''' + beta f f'' = 0 invariant, and it is the
 generator (-1, 1) that models.blasius_exponent_system() finds. This
-module recovers lambda from a computed asymptote, rescales star
-solutions to physical ones, and maps invariant physical parameters.
+module recovers lambda from a computed asymptote and rescales star
+solutions to physical ones; a physical parameter is star * lambda^-k,
+with the exponent k of its variant (solvers.VARIANTS).
 Wall shear is a derived output (fpp0 = p * lambda^-3), not a second
 group parameter. Which scalings leave an equation invariant is found in
 models, which no solve imports.
@@ -62,8 +63,3 @@ def rescale(step_star: float, f, fp, fpp, lam: float) -> SolutionTable:
     if not (grid.step > 0.0 and math.isfinite(grid.eta_max)):
         raise ValueError(f"lambda = {lam} takes the grid out of float range")
     return SolutionTable(grid, *physical_values(lam, f, fp, fpp))
-
-
-def map_parameter(star_value: float, lam: float, k: float) -> float:
-    """Physical parameter from its star value: star_value * lambda^(-k)."""
-    return star_value * lam ** -k

@@ -18,8 +18,8 @@ from .errors import (BlowupError, BracketingError, NitmError, NoConvergenceError
                      check_positive, check_real)
 from .ode import (DEFAULT_STEP, Checked, SolutionTable, StarTableRecord, State3,
                   node_index)
-from .scaling import (lambda_from_asymptote, lambda_moving_wall, map_parameter,
-                      physical_values, rescale)
+from .scaling import (lambda_from_asymptote, lambda_moving_wall, physical_values,
+                      rescale)
 
 
 class Variant(NamedTuple):
@@ -239,7 +239,10 @@ def _walk_stars(variant: str, p: float, stars, cfg: NitmConfig,
 
     One walk, the batched kernel entry unless walk is given, runs Topfer's
     agreement test on every seed; a row takes the lambdas it computed and
-    its wall values in closed form, or its error (_failure).
+    its wall values in closed form, or its error (_failure). The closed
+    forms are written out here with the operations of physical_values
+    (wall values) and star * lambda^-k (the physical parameter), which
+    a call per row would cost more than.
     """
     rules = VARIANTS[variant]
     seeds = [rules.seed(star, p) for star in stars]
@@ -257,10 +260,11 @@ def _walk_stars(variant: str, p: float, stars, cfg: NitmConfig,
             rows.append(_failure(variant, star, step, outcome, lambdas, fp_stop, bad))
             continue
         lam, last = lambdas[-1], len(lambdas) - 1
+        f0, fp0, fpp0 = seed
         # positional, in field order: keywords would cost a row 0.5 us
         rows.append(NitmResult(lam, lambdas, schedule[last], fp_stop, star,
-                               None if k is None else map_parameter(star, lam, k),
-                               *physical_values(lam, *seed),
+                               None if k is None else star * lam ** -k,
+                               f0 * lam ** -1.0, fp0 * lam ** -2.0, fpp0 * lam ** -3.0,
                                (step, beta, seed, stops[last])))
     return rows
 

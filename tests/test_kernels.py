@@ -214,11 +214,11 @@ _SEEDS = st.tuples(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0),
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0.5, 1.0]), st.sampled_from([0.01, 0.05, 0.2]),
        st.lists(st.integers(1, 60), min_size=1, max_size=5),
-       st.lists(st.tuples(_SEEDS, st.floats(-3.0, 3.0)), max_size=40),
+       st.lists(st.tuples(_SEEDS, st.floats(-3.0, 3.0)), max_size=70),
        st.sampled_from([1e-3, 1e-6, 1e-12]))
 def test_compiled_and_pure_walks_are_bit_identical(beta, h, gaps, members, tol):
     # random seeds and offsets reach every outcome: agreement, blow-up,
-    # breakdown and no agreement, in up to three blocks of up to 16 lanes
+    # breakdown and no agreement, in up to three blocks of up to LANES
     stops = [sum(gaps[:j + 1]) for j in range(len(gaps))]
     seeds = [seed for seed, _ in members]
     offsets = [offset for _, offset in members]
@@ -242,8 +242,15 @@ def _state_at(beta, h, seed, node):
     return state
 
 
-# 21 members walked on the default schedule: on the first interval a
-# full block of 16 lanes and a block of the other 5. Each block holds
+# members the compiled walk steps side by side in a block
+LANES = int(re.search(r"(?m)^#define LANES (\d+)$", (
+    Path(nitm.__file__).parent / "_kernels.c").read_text())[1])
+
+
+# 45 members walked on the default schedule: on the first interval a
+# full block of LANES = 32 lanes and a block of the other 13, which is a
+# whole number of neither clone's vectors (8 or 4 doubles), so that block
+# steps pad lanes. Each block holds
 # - a member that passes 1e12 while finite, between node 0 and the first stop;
 # - one that turns non-finite at node 1: all NaN from (1e100, 0, 1e300),
 #   so that no node's maximum passes the limit, and an infinity from
@@ -255,10 +262,10 @@ def _state_at(beta, h, seed, node):
 # back inside it by the first stop, where only the running maximum has
 # seen it. The others are moving-wall seeds, which go on and are accepted.
 _FALLBACK_MEMBERS = (
-    [((0.0, b, 1.0), b) for b in np.linspace(-1.5, 1.9, 12).tolist()]
+    [((0.0, b, 1.0), b) for b in np.linspace(-1.5, 1.9, 28).tolist()]
     + [((0.0, 0.0, -1.0), 0.0), ((1e100, 0.0, 1e300), 0.0),
        ((0.0, 0.0, -0.3), 1000.0), ((2e12, -5e11, 0.0), 1e12)]
-    + [((0.0, b, 1.0), b) for b in (0.25, 1.1)]
+    + [((0.0, b, 1.0), b) for b in np.linspace(0.1, 1.8, 10).tolist()]
     + [((0.0, 0.0, -3.0), 0.0), ((0.0, 0.0, 1e150), 0.0),
        ((0.0, 0.0, -0.2), 1000.0)])
 
@@ -278,6 +285,7 @@ def test_a_block_that_blew_up_walks_again_and_keeps_every_bit():
     # blow-up is found when it is the only one in its block
     args = _fallback_walk_args()
     beta, h, stops, seeds, offsets, tol = args
+    assert len(seeds) == LANES + 13
     rows = _walk_rows(_kernels_c, *args)
     assert rows == _walk_rows(_kernels_py, *args)
     for m, seed in enumerate(seeds):
@@ -285,18 +293,58 @@ def test_a_block_that_blew_up_walks_again_and_keeps_every_bit():
                                      [offsets[m]], tol)[0]
     bad = {m: row[3] for m, row in enumerate(rows)
            if row[0] == _kernels_py.BLOWUP}
-    assert sorted(bad) == [12, 13, 14, 15, 18, 19, 20]
+    assert sorted(bad) == [28, 29, 30, 31, 42, 43, 44]
     assert {row[0] for row in rows} == {_kernels_py.ACCEPTED, _kernels_py.BLOWUP}
     state = {m: _state_at(beta, h, seeds[m], bad[m]) for m in bad}
-    for m in (12, 14, 15, 18, 20):
+    for m in (28, 30, 31, 42, 44):
         assert all(map(math.isfinite, state[m]))
         assert max(map(abs, state[m])) > _kernels_py.BLOWUP_LIMIT
-    assert bad[13] == bad[15] == bad[19] == 1
-    assert all(map(math.isnan, state[13])) and math.isinf(state[19].fpp)
+    assert bad[29] == bad[31] == bad[43] == 1
+    assert all(map(math.isnan, state[29])) and math.isinf(state[43].fpp)
     # between stops: the first interval, the second and the third
-    assert 1 < bad[12] < stops[0] and 1 < bad[18] < stops[0]
-    assert stops[0] < bad[14] < stops[1] < bad[20] < stops[2]
-    assert abs(_state_at(beta, h, seeds[15], stops[0]).f) <= _kernels_py.BLOWUP_LIMIT
+    assert 1 < bad[28] < stops[0] and 1 < bad[42] < stops[0]
+    assert stops[0] < bad[30] < stops[1] < bad[44] < stops[2]
+    assert abs(_state_at(beta, h, seeds[31], stops[0]).f) <= _kernels_py.BLOWUP_LIMIT
+
+
+def _pad_members():
+    """2 LANES + 1 members on a short schedule: moving-wall seeds, with a
+    blow-up (from (0, 0, -3)) at every seventh and a breakdown (the
+    moving wall at b* = 1.2, sign -1) at every eleventh."""
+    members = []
+    for m in range(2 * LANES + 1):
+        if m % 7 == 6:
+            members.append(((0.0, 0.0, -3.0), 0.0))
+        elif m % 11 == 5:
+            members.append(((0.0, 1.2, -1.0), 1.2))
+        else:
+            b = -1.5 + 3.4 * (0.37 * m % 1.0)
+            members.append(((0.0, b, 1.0), b))
+    return members
+
+
+def _pad_walk_args(count):
+    members = _pad_members()[:count]
+    return (0.5, 0.05, [80, 120, 160], [seed for seed, _ in members],
+            [offset for _, offset in members], 1e-4)
+
+
+@needs_compiled
+def test_every_member_count_walks_the_pure_bits():
+    # 1 to 2 LANES + 1 members: every count of a block's pad lanes on
+    # every clone, with and without a blow-up in the block. Row m must be
+    # the pure walk's and member m's row when walked alone, whatever the
+    # count of members beside it
+    pure = _walk_rows(_kernels_py, *_pad_walk_args(2 * LANES + 1))
+    assert {row[0] for row in pure} == {
+        _kernels_py.ACCEPTED, _kernels_py.BLOWUP, _kernels_py.BREAKDOWN}
+    alone = []
+    for m in range(2 * LANES + 1):
+        beta, h, stops, seeds, offsets, tol = _pad_walk_args(m + 1)
+        alone += _walk_rows(_kernels_c, beta, h, stops, seeds[m:], offsets[m:], tol)
+    assert alone == pure
+    for count in range(1, 2 * LANES + 2):
+        assert _walk_rows(_kernels_c, *_pad_walk_args(count)) == pure[:count]
 
 
 # a seed of every variant, reaching every outcome on the default schedule:
@@ -495,6 +543,24 @@ def test_a_stale_build_that_cannot_go_does_not_fail_the_import(tmp_path):
     assert stale.exists()
 
 
+def _assert_copy_walks_the_pure_bits(root):
+    """The walks of the nitm under root give the pure twin's rows: the
+    variant seeds, the blow-up layout and every member count."""
+    cfg = solvers.DEFAULT_CONFIG
+    specs = [spec for spec in _VARIANT_SPECS if spec.variant != "gasification"]
+    walks = [(0.5, cfg.step, cfg.stops, [tuple(solvers.initial_state(s)) for s in specs],
+              [_offset(s) for s in specs], cfg.lambda_tol), _fallback_walk_args(),
+             *(_pad_walk_args(count) for count in range(1, 2 * LANES + 2))]
+    # floats print by repr, which round-trips every bit
+    rows = ast.literal_eval(_run_python(root, (
+        f"import nitm.kernels as k; print(repr([k.walk_blasius_family(*args) "
+        f"for args in {walks!r}]))"))[-1])
+    pure = _walk_rows(_kernels_py, *_pad_walk_args(2 * LANES + 1))
+    expected = [_walk_rows(_kernels_py, *walks[0]), _walk_rows(_kernels_py, *walks[1]),
+                *(pure[:count] for count in range(1, 2 * LANES + 2))]
+    assert [_hex_rows(r) for r in rows] == expected
+
+
 @needs_compiler
 @needs_compiled
 @pytest.mark.parametrize("flag", [None, "-mavx2", "-mavx512f"])
@@ -522,16 +588,27 @@ def test_kernel_without_target_clones_is_compiled_and_walks_the_same_bits(tmp_pa
     assert backend == "compiled", reason
     assert _run_python(tmp_path, "import nitm.kernels as k; print(k.WALK_CLONE); "
                        "print(k.CFLAGS[-1])") == ["single", flag or "-ffp-contract=off"]
+    _assert_copy_walks_the_pure_bits(tmp_path)
 
-    cfg = solvers.DEFAULT_CONFIG
-    specs = [spec for spec in _VARIANT_SPECS if spec.variant != "gasification"]
-    for args in [(0.5, cfg.step, cfg.stops, [tuple(solvers.initial_state(s)) for s in specs],
-                  [_offset(s) for s in specs], cfg.lambda_tol), _fallback_walk_args()]:
-        # floats print by repr, which round-trips every bit
-        rows = ast.literal_eval(_run_python(tmp_path, (
-            f"import nitm.kernels as k; print(repr(k.walk_blasius_family(*{args!r})))"
-        ))[-1])
-        assert _hex_rows(rows) == _walk_rows(_kernels_py, *args)
+
+@needs_compiler
+@needs_compiled
+def test_a_clone_list_without_avx512f_runs_and_names_its_avx2_clone(tmp_path):
+    # the clones, the name WALK_CLONE reports and the width a block is
+    # padded to all come from the one list WALK_TARGETS: without its
+    # avx512f entry, an AVX-512 CPU runs the avx2 clone and says so
+    if _kernels_c.WALK_CLONE not in ("avx512f", "avx2"):
+        pytest.skip(f"the {_kernels_c.WALK_CLONE} walk clone runs here, "
+                    "so the CPU may lack AVX2")
+    package = _package_copy(tmp_path)
+    source, count = re.subn(r'(?m)^(#define WALK_TARGETS\(X\)) X\("avx512f", 8\)',
+                            r"\1", (package / "_kernels.c").read_text())
+    assert count == 1
+    (package / "_kernels.c").write_text(source)
+    backend, reason, _ = _import_backend(tmp_path)
+    assert backend == "compiled", reason
+    assert _run_python(tmp_path, "import nitm.kernels as k; print(k.WALK_CLONE)") == ["avx2"]
+    _assert_copy_walks_the_pure_bits(tmp_path)
 
 
 def _break_source(package, tmp_path):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nitm import (BlasiusFamilyRhs, FalknerSkanRhs, GridConfig, State3,
+from nitm import (BlasiusFamilyRhs, FalknerSkanRhs, GridConfig, NitmResult, State3,
                   blasius_exponent_system, falkner_skan_exponent_system,
-                  integrate, numeric_invariance_check, solve_invariance_exponents)
+                  integrate, numeric_invariance_check, solve_invariance_exponents,
+                  sweep)
 from nitm.errors import ScalingBreakdownError
 from nitm.models import ExponentSystem
 from nitm.ode import SolutionTable
-from nitm.scaling import lambda_from_asymptote, lambda_moving_wall, map_parameter, rescale
+from nitm.scaling import lambda_from_asymptote, lambda_moving_wall, rescale
+from nitm.solvers import VARIANTS
 
 lam_values = st.floats(min_value=0.5, max_value=2.0)
 
@@ -92,12 +94,21 @@ def test_group_round_trip(lam):
         assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
-@settings(max_examples=40)
-@given(st.floats(min_value=-5.0, max_value=5.0), lam_values,
-       st.sampled_from([2.0, -1.0, -2.0]))
-def test_parameter_map_round_trip(star_value, lam, k):
-    mapped = map_parameter(star_value, lam, k)
-    back = map_parameter(mapped, 1.0 / lam, k)
+# star values each variant solves on its plus branch
+_SOLVED_STARS = {"moving-wall": (-1.2, 5.0), "slip": (0.0, 5.0), "gasification": (0.0, 3.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SOLVED_STARS)).flatmap(
+    lambda variant: st.tuples(st.just(variant), st.floats(*_SOLVED_STARS[variant]))))
+def test_parameter_map_round_trip(case):
+    # a sweep row's physical parameter is star * lam^-k; mapping it back
+    # with 1 / lam gives the star value again
+    variant, star_value = case
+    (row,) = sweep(variant, [star_value])
+    assert isinstance(row, NitmResult)
+    k = VARIANTS[variant].k
+    back = row.physical_param * (1.0 / row.lam) ** -k
     assert back == pytest.approx(star_value, rel=1e-13, abs=1e-15)
 
 

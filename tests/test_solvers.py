@@ -1094,10 +1094,10 @@ def _assert_same_row(batched, single):
 @given(data=st.data(), config=st.sampled_from([NitmConfig(), NitmConfig(step=0.02),
                                                _fixed(6.0), _COARSE]))
 def test_sweep_matches_single_solves_bit_for_bit(backend, data, config):
-    # sizes around _BATCH on the coarse step, around the kernel's blocks of
-    # eight members on the finer ones
+    # sizes around _BATCH on the coarse step, around the kernel's vectors
+    # of four and eight members and its blocks of 32 on the finer ones
     size = data.draw(st.sampled_from([1, 8, 63, 64, 65, 129] if config is _COARSE
-                                     else [1, 7, 8, 9, 17]))
+                                     else [1, 5, 7, 8, 9, 17, 33]))
     variant = data.draw(st.sampled_from(solvers.PARAMETRIZED))
     sign = data.draw(st.sampled_from(solvers.VARIANTS[variant].signs))
     values = data.draw(st.lists(st.floats(*_STARS[variant]), min_size=size,
@@ -1127,6 +1127,35 @@ def test_a_sweep_keeps_every_kind_of_failure_beside_its_solved_rows(
     assert [type(row) for row in rows] == kinds
     for row, single in zip(rows, singles):
         _assert_same_row(row, single)
+
+
+@pytest.mark.parametrize("backend", ["active", "pure"])
+def test_rows_take_the_wall_values_and_parameter_map_bit_for_bit(backend):
+    # _walk_stars writes out physical_values and star * lam^-k for each
+    # row; on every variant they must give those functions' bits
+    solved = set()
+    with mock.patch.multiple(kernels, **_backend(backend)):
+        for variant, rules in solvers.VARIANTS.items():
+            for sign in rules.signs:
+                if rules.k is None:
+                    values = [None]
+                    rows = [_single(classic_problem(sign), None)]
+                else:
+                    values = np.linspace(*_STARS[variant], 9).tolist()
+                    rows = sweep(variant, values, sign)
+                for star, row in zip(values, rows):
+                    if isinstance(row, NitmError):
+                        continue
+                    solved.add(variant)
+                    wall = scaling.physical_values(row.lam, *rules.seed(star, sign))
+                    assert [x.hex() for x in (row.f0, row.fp0, row.fpp0)] == [
+                        x.hex() for x in wall]
+                    if rules.k is None:
+                        assert row.physical_param is None
+                    else:
+                        assert row.physical_param.hex() == (
+                            star * row.lam ** -rules.k).hex()
+    assert solved == set(solvers.VARIANTS)
 
 
 def test_a_sweep_walks_at_most_one_batch_at_a_time(monkeypatch):

@@ -5,12 +5,12 @@
  * fill's step, and it must be compiled with -ffp-contract=off and
  * without -ffast-math (no fused multiply-add, no reassociation) so that
  * the two kernels agree bit for bit. It is the only RK4 step here.
- * fill_lanes steps up to LANES members side by side and tests each node
- * for a blow-up: fill_blasius_family runs it with one lane, storing
- * every node. The batched walk steps its blocks through walk_lanes,
- * which stores no node and tests a block once, at its end, running the
- * block again through fill_lanes only when a member blew up. Every lane
- * runs the same operations, so vectorising across lanes changes no bit.
+ * fill steps one member and tests each node for a blow-up:
+ * fill_blasius_family runs it, storing every node. The batched walk
+ * steps its blocks through walk_lanes, which stores no node and tests
+ * each lane once, at the block's end; a lane that left the bound steps
+ * again alone through fill, which finds the node. Every lane runs the
+ * same operations, so vectorising across lanes changes no bit.
  *
  * On x86-64 Linux with glibc, target_clones builds walk_lanes once for
  * each target of WALK_TARGETS (AVX-512F and AVX2) and once as the
@@ -20,9 +20,7 @@
  * FMA), and a lane of a 512- or 256-bit add, multiply, compare or max
  * rounds as the scalar IEEE operation does. A host runs only the clone
  * for its widest target; the default clone is the code built without
- * the attribute. Elsewhere walk_lanes is one plain function. fill_lanes
- * is not cloned: the single-lane fill and a block that walks again both
- * run its one build.
+ * the attribute. Elsewhere walk_lanes is one plain function.
  *
  * Built by setup.py as the extension nitm._kernels, or on first import
  * by nitm.kernels into the package's __pycache__.
@@ -55,8 +53,7 @@
 /* a clone of walk_lanes for each of WALK_TARGETS and a default one,
  * where the compiler and the C library can pick one at load time
  * (ifunc); each clone inlines its own copy of rk4_step, built for its
- * target, and calls the one fill_lanes, which is not cloned, when a
- * block blew up. WALK_CLONE and WALK_WIDTH are the name and the vector
+ * target. WALK_CLONE and WALK_WIDTH are the name and the vector
  * width of the clone the loader picks, by the CPU tests its resolver
  * makes: the first target the CPU supports, else the default. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) \
@@ -120,84 +117,62 @@ rk4_step(double mb, double h, double h2, double h6, double *f, double *fp,
 /* outcomes of a member of the batched walk, as in nitm._kernels_py */
 enum { ACCEPTED, BLOWUP, BREAKDOWN, NO_AGREEMENT };
 
-/* Advance n <= LANES members from node start through node stop in
- * lockstep. state[m] holds member m's f, fp and fpp at node start on
- * entry and at node stop on return. With store, f[m], fp[m] and fpp[m]
- * are member m's buffers, and nodes start+1 .. stop are written to
- * them; walk_lanes runs a block again with store = 0 and no buffers,
- * stepping lane state only. bad[m] becomes the first node at which
- * member m's state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN counts as
- * outside); that member writes no node from there on and returns the
- * zero state. It stays -1 otherwise. */
-static void
-fill_lanes(double beta, double h, int n, double (*state)[3], int store,
-           double **f, double **fp, double **fpp, Py_ssize_t start,
-           Py_ssize_t stop, Py_ssize_t *bad)
+/* Advance one member from node start through node stop: the pure
+ * fill, step for step. state holds its f, fp and fpp at node start on
+ * entry and, if it returns -1, at node stop on return. Where f is not
+ * NULL, nodes start+1 .. stop are written to f, fp and fpp. Returns the
+ * first node at which the state left [-BLOWUP_LIMIT, BLOWUP_LIMIT] (NaN
+ * counts as outside), which is not written and ends the fill, or -1. */
+static Py_ssize_t
+fill(double beta, double h, double state[3], double *f, double *fp,
+     double *fpp, Py_ssize_t start, Py_ssize_t stop)
 {
     const double mb = -beta;
     const double h2 = 0.5 * h;
     const double h6 = h / 6.0;
-    double cf[LANES], cp[LANES], cq[LANES];
-    int live = n, m;
+    double cf = state[0], cp = state[1], cq = state[2];
     Py_ssize_t i;
 
-    for (m = 0; m < n; m++) {
-        cf[m] = state[m][0];
-        cp[m] = state[m][1];
-        cq[m] = state[m][2];
-        bad[m] = -1;
-    }
-    for (i = start; i < stop && live > 0; i++) {
-        for (m = 0; m < n; m++)
-            rk4_step(mb, h, h2, h6, &cf[m], &cp[m], &cq[m]);
-        for (m = 0; m < n; m++) {
-            if (bad[m] >= 0)
-                continue;
-            if (!(fabs(cf[m]) <= BLOWUP_LIMIT && fabs(cp[m]) <= BLOWUP_LIMIT
-                  && fabs(cq[m]) <= BLOWUP_LIMIT)) {
-                bad[m] = i + 1;
-                /* it steps on until the block ends, from the zero
-                 * state, which every step keeps at zero */
-                cf[m] = cp[m] = cq[m] = 0.0;
-                live--;
-                continue;
-            }
-            if (store) {
-                f[m][i + 1] = cf[m];
-                fp[m][i + 1] = cp[m];
-                fpp[m][i + 1] = cq[m];
-            }
+    for (i = start; i < stop; i++) {
+        rk4_step(mb, h, h2, h6, &cf, &cp, &cq);
+        if (!(fabs(cf) <= BLOWUP_LIMIT && fabs(cp) <= BLOWUP_LIMIT
+              && fabs(cq) <= BLOWUP_LIMIT))
+            return i + 1;
+        if (f != NULL) {
+            f[i + 1] = cf;
+            fp[i + 1] = cp;
+            fpp[i + 1] = cq;
         }
     }
-    for (m = 0; m < n; m++) {
-        state[m][0] = cf[m];
-        state[m][1] = cp[m];
-        state[m][2] = cq[m];
-    }
+    state[0] = cf;
+    state[1] = cp;
+    state[2] = cq;
+    return -1;
 }
 
-/* fill_lanes for a block of the batched walk with store = 0, in the
- * clones WALK_CLONES names, testing for a blow-up once per block: the
- * lanes step from start to stop untested, each keeping the running
- * maximum of |f|, |fp| and |fpp| over its nodes, and the block is
- * tested at its end. Where a lane left [-BLOWUP_LIMIT, BLOWUP_LIMIT],
- * fill_lanes runs the block again from its start state, which is still
- * in state, and finds the node and zeroes the lane as a test per node
- * does. One test per block is exact:
+/* Advance n <= LANES members of the batched walk from node start
+ * through node stop side by side, in the clones WALK_CLONES names,
+ * testing each for a blow-up once, at the block's end. state[m] holds
+ * member m's f, fp and fpp at node start on entry. The lanes step from
+ * start to stop untested, each keeping the running maximum of |f|, |fp|
+ * and |fpp| over its nodes. A lane that left [-BLOWUP_LIMIT,
+ * BLOWUP_LIMIT] steps again alone through fill from its start state,
+ * still in state[m], which finds the node as a test per node does, and
+ * bad[m] becomes that node. One test per lane is exact:
  *  - a finite value past the limit at any node raises the running
  *    maximum past the limit, and so does an infinity;
  *  - a NaN raises no maximum, but each of a step's three new values
  *    depends arithmetically on all three old ones, so a NaN spreads to
  *    the whole lane at the next step and stays there; the end test
  *    also tests the end state, and so finds it.
- * A block that passes the test gets the states fill_lanes would give
- * it, as every lane ran the same steps, and bad[m] = -1.
+ * Every other lane gets the state at node stop that fill would give it,
+ * as it ran the same steps, and bad[m] = -1.
  *
  * A block of more lanes than one vector holds steps a whole number of
  * vectors of the clone that runs (walk_width doubles), so that no lane
  * is left to a narrower vector or to scalar code. The pad lanes hold
  * the zero state, which every step keeps at zero, and are left out of
- * the test, of state and of the rerun. */
+ * the test and of state. */
 WALK_CLONES static void
 walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
            Py_ssize_t stop, Py_ssize_t *bad)
@@ -208,7 +183,7 @@ walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
     const int w = walk_width;
     const int lanes = n > w ? (n + w - 1) / w * w : n;
     double cf[LANES], cp[LANES], cq[LANES], top[LANES];
-    int out = 0, m;
+    int m;
     Py_ssize_t i;
 
     for (m = 0; m < lanes; m++) {
@@ -233,14 +208,12 @@ walk_lanes(double beta, double h, int n, double (*state)[3], Py_ssize_t start,
             top[m] = b > top[m] ? b : top[m];
             top[m] = c > top[m] ? c : top[m];
         }
-    for (m = 0; m < n; m++)
-        out |= !(top[m] <= BLOWUP_LIMIT) || isnan(cf[m]) || isnan(cp[m])
-               || isnan(cq[m]);
-    if (out) {
-        fill_lanes(beta, h, n, state, 0, NULL, NULL, NULL, start, stop, bad);
-        return;
-    }
     for (m = 0; m < n; m++) {
+        if (!(top[m] <= BLOWUP_LIMIT) || isnan(cf[m]) || isnan(cp[m])
+                || isnan(cq[m])) {
+            bad[m] = fill(beta, h, state[m], NULL, NULL, NULL, start, stop);
+            continue;
+        }
         state[m][0] = cf[m];
         state[m][1] = cp[m];
         state[m][2] = cq[m];
@@ -269,10 +242,10 @@ static PyObject *
 fill_blasius_family(PyObject *self, PyObject *args)
 {
     static const char *names[3] = {"f", "fp", "fpp"};
-    double beta, h, *f, *fp, *fpp, state[1][3];
+    double beta, h, *f, *fp, *fpp, state[3];
     PyObject *objs[3], *result = NULL;
     Py_buffer views[3];
-    Py_ssize_t start, stop, bad;
+    Py_ssize_t start, stop;
     int k, acquired;
 
     if (!PyArg_ParseTuple(args, "dOOOdnn:fill_blasius_family", &beta,
@@ -291,11 +264,10 @@ fill_blasius_family(PyObject *self, PyObject *args)
     f = views[0].buf;
     fp = views[1].buf;
     fpp = views[2].buf;
-    state[0][0] = f[start];
-    state[0][1] = fp[start];
-    state[0][2] = fpp[start];
-    fill_lanes(beta, h, 1, state, 1, &f, &fp, &fpp, start, stop, &bad);
-    result = PyLong_FromSsize_t(bad);
+    state[0] = f[start];
+    state[1] = fp[start];
+    state[2] = fpp[start];
+    result = PyLong_FromSsize_t(fill(beta, h, state, f, fp, fpp, start, stop));
 done:
     for (k = 0; k < acquired; k++)
         PyBuffer_Release(&views[k]);

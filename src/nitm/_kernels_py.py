@@ -84,10 +84,10 @@ def walk_blasius_family(beta, h, stops, seeds, offsets, lambda_tol):
     walked (None if the member blew up before its first stop); bad is
     the blow-up node (-1 if none). The compiled twin checks its
     arguments and steps the state of up to 32 members side by side, in
-    whole vectors, testing them for a blow-up once per block and walking
-    a block that blew up again node by node; this one walks the members
-    in turn, as the bits do not depend on the order, and drops each
-    one's buffers as soon as it has them.
+    whole vectors, testing each for a blow-up once per block and
+    stepping a member that blew up again alone, node by node; this one
+    walks the members in turn, as the bits do not depend on the order,
+    and drops each one's buffers as soon as it has them.
     """
     return [walk_member(fill_blasius_family, beta, h, stops, seed, offset,
                         lambda_tol)[:4]

@@ -259,9 +259,11 @@ def truncated_solution(M: float) -> TruncatedSolution:
     read of table, so the physical boundary lands on M with fp(M) = 1;
     if the first pass met the gate, its nodes are copied into the
     buffers, so that no solution shares the store's arrays.
-    The physical grid step is M/n, so solutions for M and 2M share
-    their nodes on [0, M]. The nodes are allocated once, so M is
-    refused before anything runs if n would reach MAX_NODES.
+    The physical grid step is M/n, so the 2M solution's nodes fall on
+    the M solution's on [0, M] only where its n is twice this one's, as
+    for every M on the 1/NODES_PER_UNIT grid. The nodes are allocated
+    once, so M is refused before anything runs if n would reach
+    MAX_NODES.
     """
     M = check_positive("M", M)
     if M * NODES_PER_UNIT >= MAX_NODES:
@@ -344,12 +346,17 @@ def rubel_check(M: float) -> RubelCheck:
     as importing numpy). The two solutions' first passes share their
     step, so the 2M solution's extends the stored trajectory that the M
     solution's left, from node n to node 2n. M is refused before
-    anything runs if the 2M solution would reach MAX_NODES.
+    anything runs if the 2M solution would reach MAX_NODES, or if its
+    n would not be 2n, so that its nodes on [0, M] would not be the M
+    solution's (M = 8.0005, say; no M on the 1/NODES_PER_UNIT grid).
     """
     M = check_positive("M", M)
     if 2.0 * M * NODES_PER_UNIT >= MAX_NODES:
         raise ValueError(f"M = {M} needs a 2M solution on more than {MAX_NODES} "
                          f"grid nodes")
+    if round(2.0 * M * NODES_PER_UNIT) != 2 * round(M * NODES_PER_UNIT):
+        raise ValueError(f"M = {M} puts the 2M solution's nodes off the M "
+                         f"solution's: take M on the 1/{NODES_PER_UNIT} grid")
     solution, solution_2M = truncated_solution(M), truncated_solution(2.0 * M)
     step, f, fp, fpp = solution._star
     lam = solution.lam

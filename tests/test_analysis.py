@@ -356,6 +356,16 @@ def _check_bits(check):
             [x.hex() for x in check.bound], check.empirical_max_error.hex())
 
 
+def _store_bits(M):
+    """_check_bits of rubel_check(M); for an M whose 2M grid misses its
+    nodes (0.209683: 419 steps to its 210), which rubel_check refuses,
+    the bits of the M and 2M solutions that it would have run."""
+    if round(2.0 * M * analysis.NODES_PER_UNIT) % 2:
+        return (_solution_bits(truncated_solution(M)),
+                _solution_bits(truncated_solution(2.0 * M)))
+    return _check_bits(analysis.rubel_check(M))
+
+
 _STORE_M = sorted({*_T_STAR_BITS, *_SECANT_T_STAR, 2.699, 4.0, 8.0, 16.0})
 
 
@@ -364,7 +374,7 @@ def test_cold_and_warm_stores_give_the_same_bits(monkeypatch, backend):
     _use_backend(monkeypatch, backend)
     # the reference never reads the store: every pass fills the buffers
     monkeypatch.setattr(analysis, "_STORE_NODES", 0)
-    want = {M: _check_bits(analysis.rubel_check(M)) for M in _STORE_M}
+    want = {M: _store_bits(M) for M in _STORE_M}
     assert analysis._FIRST_PASSES == {}
     monkeypatch.setattr(analysis, "_STORE_NODES", 1 << 16)
     for M, bits in _T_STAR_BITS.items():
@@ -372,7 +382,7 @@ def test_cold_and_warm_stores_give_the_same_bits(monkeypatch, backend):
     # each M from an empty store
     for M in _STORE_M:
         analysis._FIRST_PASSES.clear()
-        assert _check_bits(analysis.rubel_check(M)) == want[M], M
+        assert _store_bits(M) == want[M], M
         analysis._FIRST_PASSES.clear()
         assert _solution_bits(truncated_solution(M)) == want[M][0], M
     # the store filled in increasing, then in decreasing order of M
@@ -380,7 +390,7 @@ def test_cold_and_warm_stores_give_the_same_bits(monkeypatch, backend):
         analysis._FIRST_PASSES.clear()
         for M in order:
             assert _solution_bits(truncated_solution(M)) == want[M][0], M
-            assert _check_bits(analysis.rubel_check(M)) == want[M], M
+            assert _store_bits(M) == want[M], M
 
 
 @pytest.mark.parametrize("backend", ["active", "pure"])
@@ -577,6 +587,25 @@ def test_rubel_check_refuses_m_like_truncated_solution(monkeypatch, M):
     monkeypatch.setattr(kernels, "fill_blasius_family", _no_fill)
     with pytest.raises(ValueError, match="M must be positive and finite"):
         analysis.rubel_check(M)
+
+
+@pytest.mark.parametrize("M", [8.0005, 6.0005, 2.0015])
+def test_rubel_check_refuses_m_whose_2m_grid_misses_its_nodes(monkeypatch, M):
+    # round(2000 M) is odd, so the 2M grid's nodes fall between the M
+    # grid's: the error would be taken between different eta
+    assert round(2.0 * M * analysis.NODES_PER_UNIT) % 2 == 1
+    monkeypatch.setattr(kernels, "fill_blasius_family", _no_fill)
+    with pytest.raises(ValueError, match=rf"^M = {M} .*1/1000 grid"):
+        analysis.rubel_check(M)
+
+
+@pytest.mark.parametrize("M", [8.0002, 3.0002])
+def test_rubel_check_takes_m_off_the_grid_whose_nodes_coincide(M):
+    # round(2000 M) is twice round(1000 M): the grids share their nodes
+    check = analysis.rubel_check(M)
+    n = check.solution.table.grid.nodes
+    assert 2 * (n - 1) == check.solution_2M.table.grid.nodes - 1
+    assert check.empirical_max_error <= check.bound.bound
 
 
 @pytest.mark.parametrize("backend", ["active", "pure"])

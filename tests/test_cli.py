@@ -386,6 +386,20 @@ def test_rubel_refuses_a_2m_solution_past_the_node_ceiling(capsys, monkeypatch):
                    "100000000 grid nodes\n")
 
 
+def test_rubel_refuses_m_whose_2m_grid_misses_its_nodes(capsys, monkeypatch):
+    # 2M = 16.001 takes 16001 steps, an odd number, so the 2M grid's nodes
+    # miss the M grid's: refused before any fill
+    def no_fill(*args):
+        raise AssertionError("a kernel fill ran")
+
+    monkeypatch.setattr(nitm.kernels, "fill_blasius_family", no_fill)
+    code, out, err = run(capsys, "rubel", "--M", "8.0005")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: M = 8.0005 puts the 2M solution's nodes off the M "
+                   "solution's: take M on the 1/1000 grid\n")
+
+
 # ---------------------------------------------------------------------------
 # configuration and validation
 

@@ -276,21 +276,30 @@ def _fallback_walk_args():
             [offset for _, offset in _FALLBACK_MEMBERS], cfg.lambda_tol)
 
 
-@needs_compiled
-def test_a_block_that_blew_up_walks_again_and_keeps_every_bit():
-    # a block tests for blow-ups once, at its end, and walks again with a
-    # test per node when a lane left the limit: the rows must be the pure
-    # walk's, and each must be the member's row when walked alone, so
-    # that a member that goes on never sees its block's blow-up and a
-    # blow-up is found when it is the only one in its block
-    args = _fallback_walk_args()
+def _assert_pure_and_lone_rows(args):
+    """The compiled walk's rows, each checked against the pure walk's
+    and against its member's row when walked alone."""
     beta, h, stops, seeds, offsets, tol = args
-    assert len(seeds) == LANES + 13
     rows = _walk_rows(_kernels_c, *args)
     assert rows == _walk_rows(_kernels_py, *args)
     for m, seed in enumerate(seeds):
         assert rows[m] == _walk_rows(_kernels_c, beta, h, stops, [seed],
                                      [offsets[m]], tol)[0]
+    return rows
+
+
+@needs_compiled
+def test_a_block_that_blew_up_walks_again_and_keeps_every_bit():
+    # a block tests each lane for a blow-up once, at its end, and a lane
+    # that left the limit steps again alone with a test per node: the
+    # rows must be the pure walk's, and each must be the member's row
+    # when walked alone, so that a member that goes on never sees its
+    # block's blow-up and a blow-up is found when it is the only one in
+    # its block
+    args = _fallback_walk_args()
+    beta, h, stops, seeds, offsets, tol = args
+    assert len(seeds) == LANES + 13
+    rows = _assert_pure_and_lone_rows(args)
     bad = {m: row[3] for m, row in enumerate(rows)
            if row[0] == _kernels_py.BLOWUP}
     assert sorted(bad) == [28, 29, 30, 31, 42, 43, 44]
@@ -305,6 +314,44 @@ def test_a_block_that_blew_up_walks_again_and_keeps_every_bit():
     assert 1 < bad[28] < stops[0] and 1 < bad[42] < stops[0]
     assert stops[0] < bad[30] < stops[1] < bad[44] < stops[2]
     assert abs(_state_at(beta, h, seeds[31], stops[0]).f) <= _kernels_py.BLOWUP_LIMIT
+
+
+# 45 members that all blow up on the default schedule, each at its own
+# node but for the two at node 1: 32 on the first interval, between
+# node 1 and node 395, from (0, 0, -c) for c in [1, 6], all NaN from
+# (1e100, 0, 1e300) and an infinity from (0, 0, 1e150); and 13 whose
+# large offset keeps fp + offset positive, from (0, 0, -c) for c in
+# [0.1, 0.9], between nodes 409 and 850 on the second to the fourth
+# interval, the last of which holds only the member that blows up there
+_EARLY_BLOWUPS = [((0.0, 0.0, -c), 0.0) for c in np.linspace(1.0, 6.0, 30).tolist()]
+_EARLY_BLOWUPS[0:0] = [((1e100, 0.0, 1e300), 0.0)]
+_EARLY_BLOWUPS[16:16] = [((0.0, 0.0, 1e150), 0.0)]
+_LATE_BLOWUPS = [((0.0, 0.0, -c), 1000.0) for c in np.linspace(0.1, 0.9, 13).tolist()]
+
+
+@needs_compiled
+@pytest.mark.parametrize("members", [_EARLY_BLOWUPS + _LATE_BLOWUPS,
+                                     _LATE_BLOWUPS + _EARLY_BLOWUPS],
+                         ids=["early-first", "late-first"])
+def test_a_block_in_which_every_member_blows_up_keeps_every_bit(members):
+    # early first, the first interval's full block of LANES members all
+    # blow up; late first, its partial block of 13 does. Either way each
+    # lane steps again alone to find its node, and every row must be the
+    # pure walk's and the member's row when walked alone
+    cfg = solvers.DEFAULT_CONFIG
+    seeds = [seed for seed, _ in members]
+    assert len(seeds) == LANES + 13
+    rows = _assert_pure_and_lone_rows((0.5, cfg.step, cfg.stops, seeds,
+                                       [offset for _, offset in members],
+                                       cfg.lambda_tol))
+    assert {row[0] for row in rows} == {_kernels_py.BLOWUP}
+    bad = sorted(row[3] for row in rows)
+    assert bad[:2] == [1, 1] and len(set(bad)) == len(bad) - 1
+    assert rows[seeds.index((1e100, 0.0, 1e300))][3] == 1
+    # how many blow up on each interval
+    stops = (0,) + cfg.stops
+    assert [sum(a < b <= c for b in bad) for a, c in zip(stops, stops[1:5])] == [
+        32, 10, 2, 1]
 
 
 def _pad_members():

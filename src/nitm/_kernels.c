@@ -11,6 +11,10 @@
  * each lane once, at the block's end; a lane that left the bound steps
  * again alone through fill, which finds the node. Every lane runs the
  * same operations, so vectorising across lanes changes no bit.
+ * series_check, the wall-series check, steps the classic star IVP
+ * through rk4_step with fill's test per node and stores no node: it
+ * compares each node's f with the wall series as it goes, and fits the
+ * order from the logs it keeps of the window's nodes.
  *
  * On x86-64 Linux with glibc, target_clones builds walk_lanes once for
  * each target of WALK_TARGETS (AVX-512F and AVX2) and once as the
@@ -533,6 +537,123 @@ done:
     return result;
 }
 
+/* The wall-series check: the beta = 1/2 star IVP from (0, 0, 1),
+ * stepped as fill steps it through node n, against the series with
+ * coefficients c (those of eta^2, eta^5, eta^8 and eta^11). Each node's
+ * error is |f - series| at eta = i*h, with series_eval's operations in
+ * its order; the maximum runs over nodes 0 .. n. The window is the
+ * nodes at or past start whose error is above floor, and the order is
+ * the least-squares slope of log err on log eta over it, in the
+ * centred closed form: the means, then sum(dx (y - mean y)) / sum(dx^2),
+ * each summed in node order, as the pure twin sums them. A blow-up ends the steps: bad is then its node,
+ * the maximum and the order NaN and usable 0. */
+static PyObject *
+series_check(PyObject *self, PyObject *args)
+{
+    double h, start, floor_, c[4], *xs = NULL, *ys = NULL;
+    double cf = 0.0, cp = 0.0, cq = 1.0, top = 0.0, order = NAN;
+    PyObject *coeffs_obj, *coeffs, *result = NULL;
+    Py_ssize_t n, i, k, usable = 0, bad = -1;
+
+    if (!PyArg_ParseTuple(args, "dnOdd:series_check", &h, &n, &coeffs_obj,
+                          &start, &floor_))
+        return NULL;
+    if (!(h > 0.0) || !isfinite(h)) {
+        PyErr_SetString(PyExc_ValueError, "h must be positive and finite");
+        return NULL;
+    }
+    if (n < 1 || n > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - 1) {
+        PyErr_Format(PyExc_ValueError, "n = %zd is not a positive node index "
+                     "that fits in memory", n);
+        return NULL;
+    }
+    /* log eta of node 0 and log err of an exact node are -inf */
+    if (!(start > 0.0) || !isfinite(start)) {
+        PyErr_SetString(PyExc_ValueError, "start must be positive and finite");
+        return NULL;
+    }
+    if (!(floor_ >= 0.0) || !isfinite(floor_)) {
+        PyErr_SetString(PyExc_ValueError, "floor must be non-negative and finite");
+        return NULL;
+    }
+    coeffs = PySequence_Fast(coeffs_obj, "coefficients must be a sequence of 4 floats");
+    if (coeffs == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(coeffs) != 4) {
+        PyErr_Format(PyExc_ValueError, "coefficients must be 4 floats, got %zd",
+                     PySequence_Fast_GET_SIZE(coeffs));
+        goto done;
+    }
+    for (k = 0; k < 4; k++) {
+        c[k] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(coeffs, k));
+        if (PyErr_Occurred()) {
+            PyErr_Format(PyExc_TypeError, "coefficients[%zd] must be a float", k);
+            goto done;
+        }
+    }
+    /* log eta and log err of the usable nodes, at most n + 1 */
+    xs = PyMem_New(double, n + 1);
+    ys = PyMem_New(double, n + 1);
+    if (xs == NULL || ys == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    {
+        const double mb = -0.5;
+        const double h2 = 0.5 * h;
+        const double h6 = h / 6.0;
+
+        for (i = 0;; i++) {
+            /* series_eval's operations, in its order */
+            const double eta = (double)i * h;
+            const double e3 = eta * eta * eta;
+            const double series =
+                eta * eta * (c[0] + e3 * (c[1] + e3 * (c[2] + e3 * c[3])));
+            const double err = fabs(cf - series);
+
+            top = err > top ? err : top;
+            if (eta >= start && err > floor_) {
+                xs[usable] = log(eta);
+                ys[usable] = log(err);
+                usable++;
+            }
+            if (i == n)
+                break;
+            rk4_step(mb, h, h2, h6, &cf, &cp, &cq);
+            if (!(fabs(cf) <= BLOWUP_LIMIT && fabs(cp) <= BLOWUP_LIMIT
+                  && fabs(cq) <= BLOWUP_LIMIT)) {
+                bad = i + 1;
+                top = NAN;
+                usable = 0;
+                break;
+            }
+        }
+    }
+    if (usable >= 2) {
+        double mx = 0.0, my = 0.0, sxy = 0.0, sxx = 0.0;
+
+        for (k = 0; k < usable; k++) {
+            mx += xs[k];
+            my += ys[k];
+        }
+        mx /= (double)usable;
+        my /= (double)usable;
+        for (k = 0; k < usable; k++) {
+            const double dx = xs[k] - mx;
+            sxy += dx * (ys[k] - my);
+            sxx += dx * dx;
+        }
+        order = sxy / sxx;
+    }
+    result = Py_BuildValue("(nddn)", bad, top, order, usable);
+done:
+    PyMem_Free(xs);
+    PyMem_Free(ys);
+    Py_DECREF(coeffs);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"fill_blasius_family", fill_blasius_family, METH_VARARGS,
      "fill_blasius_family(beta, f, fp, fpp, h, start, stop)\n--\n\n"
@@ -546,14 +667,19 @@ static PyMethodDef methods[] = {
      "end. Steps lane state only and keeps no node. Returns one\n"
      "(outcome, lambdas, fp_stop, bad) per seed; see\n"
      "nitm._kernels_py.walk_blasius_family."},
+    {"series_check", series_check, METH_VARARGS,
+     "series_check(h, n, coefficients, start, floor)\n--\n\n"
+     "Step the beta = 1/2 star IVP from (0, 0, 1) through node n against\n"
+     "the wall series, keeping no node. Returns (bad, max_deviation,\n"
+     "order, usable); see nitm._kernels_py.series_check."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "nitm._kernels",
-    .m_doc = "Compiled RK4 fill and batched walk for the Blasius family; "
-              "twin of nitm._kernels_py.",
+    .m_doc = "Compiled RK4 fill, batched walk and wall-series check for the "
+              "Blasius family; twin of nitm._kernels_py.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -6,7 +6,12 @@ multiply-add on the compiled side) so that trajectories do not depend
 on which backend was imported. walk_member, the per-member walk of the
 pure walk_blasius_family, also runs every single solve on either
 backend, with that backend's fill; only a single solve keeps its
-buffers.
+buffers. The third entry, series_check, is the wall-series check of
+nitm.analysis.series_deviation: one fill of the classic star IVP, then
+its deviation from the wall series and the fitted order, in plain
+loops. Its sums are += loops, never sum(), which compensates its
+rounding on Python 3.12 and later and so would not be the compiled
+twin's sum in node order.
 """
 
 import math
@@ -127,3 +132,55 @@ def walk_member(fill, beta, h, stops, seed, offset, lambda_tol):
             return ACCEPTED, tuple(lambdas), fp_stop, -1, f, fp, fpp
         start = stop
     return NO_AGREEMENT, tuple(lambdas), fp_stop, -1, None, None, None
+
+
+def series_check(h, n, coefficients, start, floor):
+    """The beta = 1/2 star IVP from (0, 0, 1) through node n, against a wall series.
+
+    coefficients are those of eta^2, eta^5, eta^8 and eta^11. Each
+    node's error is |f - series| at eta = i*h, the series summed with
+    nitm.analysis.series_eval's operations in its order. Returns (bad,
+    max_deviation, order, usable): bad is -1, max_deviation the largest
+    error over nodes 0 .. n, and order the least-squares slope of
+    log err on log eta over the usable nodes, those at or past start
+    whose error is above floor, in the centred closed form: the means,
+    then sum(dx (y - mean y)) / sum(dx^2), each summed in node order.
+    order is NaN when fewer than 2 nodes are usable. After a blow-up,
+    bad is its node (as fill_blasius_family reports it), max_deviation
+    and order are NaN and usable is 0. The compiled twin refuses
+    unusable arguments by name and keeps no node: it compares each one
+    as it steps. start must be positive and floor non-negative, so that
+    every log is of a positive number.
+    """
+    f, fp, fpp = (array("d", (0.0,)) * (n + 1) for _ in range(3))
+    fpp[0] = 1.0
+    bad = fill_blasius_family(0.5, f, fp, fpp, h, 0, n)
+    if bad >= 0:
+        return bad, math.nan, math.nan, 0
+    c2, c5, c8, c11 = coefficients
+    top = 0.0
+    xs, ys = array("d"), array("d")
+    for i, value in enumerate(f):
+        eta = i * h
+        e3 = eta * eta * eta
+        err = abs(value - eta * eta * (c2 + e3 * (c5 + e3 * (c8 + e3 * c11))))
+        if err > top:
+            top = err
+        if eta >= start and err > floor:
+            xs.append(math.log(eta))
+            ys.append(math.log(err))
+    usable = len(xs)
+    if usable < 2:
+        return -1, top, math.nan, usable
+    mx = my = 0.0
+    for x, y in zip(xs, ys):
+        mx += x
+        my += y
+    mx /= usable
+    my /= usable
+    sxy = sxx = 0.0
+    for x, y in zip(xs, ys):
+        dx = x - mx
+        sxy += dx * (y - my)
+        sxx += dx * dx
+    return -1, top, sxy / sxx, usable

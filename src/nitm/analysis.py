@@ -14,6 +14,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .errors import BlowupError, check_finite, check_positive
+# nothing here calls integrate, but the layered benchmark's tracer wraps
+# analysis.integrate, rescale and series_eval by attribute, so each must
+# stay a name of this module for as long as the tracer patches them
 from .ode import MAX_NODES, GridConfig, SolutionTable, StarTableRecord, integrate
 from .scaling import physical_values, rescale
 
@@ -86,25 +89,6 @@ def series_eval(series: BlasiusSeries, eta: float | np.ndarray) -> float | np.nd
     c2, c5, c8, c11 = series.coefficients
     e3 = eta * eta * eta
     return eta * eta * (c2 + e3 * (c5 + e3 * (c8 + e3 * c11)))
-
-
-def _fit_order(etas: np.ndarray, errs: np.ndarray, start: float) -> float:
-    """Least-squares slope of log errs versus log etas from start on.
-
-    The window is the slice of nodes from the first at or past start
-    through the last node, less those whose error is at or below
-    ROUNDOFF_FLOOR. The slope is the closed form sum(dx (y - mean y)) /
-    sum(dx^2) with x = log eta, y = log err and dx = x - mean x.
-    """
-    import numpy as np
-
-    lo = int(np.searchsorted(etas, start))
-    usable = errs[lo:] > ROUNDOFF_FLOOR
-    if np.count_nonzero(usable) < 2:
-        raise ValueError("window leaves too few usable nodes for the fit")
-    x, y = np.log(etas[lo:][usable]), np.log(errs[lo:][usable])
-    dx = x - x.mean()
-    return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
 class RubelBound(NamedTuple):
@@ -383,6 +367,13 @@ def series_deviation(eta_max: float = SERIES_ETA_MAX,
     window, [0.6 eta_max, eta_max]. The fit needs two nodes there where
     the first dropped term, C14 eta^14, clears ROUNDOFF_FLOOR; eta_max
     and step are refused before integrating if the grid has fewer.
+
+    All of it is one kernel pass, kernels.series_check, which keeps no
+    node and imports no numpy: each node's error is |f - series_eval|
+    at eta = i*step, with series_eval's bits, and the order is the
+    least-squares slope of log error on log eta over the window's nodes
+    whose error is above ROUNDOFF_FLOOR, in the centred closed form
+    sum(dx (y - mean y)) / sum(dx^2), summed in node order.
     """
     grid = GridConfig(eta_max=eta_max, step=step)
     # the first node where the series error is predicted above the floor
@@ -394,9 +385,12 @@ def series_deviation(eta_max: float = SERIES_ETA_MAX,
             f"for the order fit, which uses the nodes in [0.6 eta_max, eta_max] "
             f"past eta = {eta_floor:.3g}, where the series error clears "
             f"{ROUNDOFF_FLOOR:g}")
-    import numpy as np
-
-    star = integrate(0.5, (0.0, 0.0, 1.0), grid)
-    etas = star.etas()
-    errs = np.abs(star.f - series_eval(series_coefficients(1.0), etas))
-    return float(errs.max()), _fit_order(etas, errs, 0.6 * eta_max)
+    # looked up at each call, so a kernel patched onto the module is used
+    bad, deviation, order, usable = kernels.series_check(
+        grid.step, grid.nodes - 1, series_coefficients(1.0).coefficients,
+        0.6 * grid.eta_max, ROUNDOFF_FLOOR)
+    if bad >= 0:
+        raise BlowupError(bad * grid.step)
+    if usable < 2:
+        raise ValueError("window leaves too few usable nodes for the fit")
+    return deviation, order

@@ -1,11 +1,13 @@
 """Integration kernel selection.
 
 Uses the compiled kernel nitm._kernels when it is available, otherwise
-the pure-Python twin. An installed extension (built by setup.py) comes
-first. Without one, _kernels.c is compiled once with the C compiler
-Python was built with into this package's __pycache__, where it
-replaces the builds of earlier sources, and later imports load it from
-there. Any failure falls back to the pure kernel and never raises:
+the pure-Python twin. Each has three entries: fill_blasius_family, the
+RK4 fill of one member; walk_blasius_family, the batched walk; and
+series_check, the wall-series check of analysis.series_deviation. An
+installed extension (built by setup.py) comes first. Without one,
+_kernels.c is compiled once with the C compiler Python was built with
+into this package's __pycache__, where it replaces the builds of
+earlier sources, and later imports load it from there. Any failure falls back to the pure kernel and never raises:
 BACKEND names the kernel in use and BACKEND_REASON says why. Setting
 NITM_PURE=1 in the environment forces the fallback (used by the
 benchmark and the backend-equality tests).
@@ -109,6 +111,7 @@ else:
         BACKEND = "compiled"
 fill_blasius_family = _backend.fill_blasius_family
 walk_blasius_family = _backend.walk_blasius_family
+series_check = _backend.series_check
 # the build of the batched walk's block stepper that runs: "avx512f",
 # "avx2" or "default" (the clone the loader picked) or "single" (built
 # without clones); None for the pure backend, which has none

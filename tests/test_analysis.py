@@ -67,26 +67,14 @@ def test_series_eval_array_matches_scalar_calls_bitwise(shear, eta_max, nodes):
     assert series_eval(series, etas).tobytes() == scalars.tobytes()
 
 
-def test_series_deviation_evaluates_series_once(monkeypatch):
-    calls = []
-
-    def counting(series, eta):
-        calls.append(eta)
-        return series_eval(series, eta)
-
-    monkeypatch.setattr(analysis, "series_eval", counting)
-    series_deviation(0.5, 0.5 / 4250)
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("eta_max, step", [(0.3, 2e-4), (0.36, 0.01), (0.5, 0.25)])
 def test_series_deviation_checks_its_fit_window_first(monkeypatch, eta_max, step):
     # the fit needs two window nodes past eta ~ 0.355, where the first
     # dropped term, C14 eta^14, clears the 1e-14 roundoff floor
-    def no_integrate(*args):
-        raise AssertionError("integrated before the window was checked")
+    def no_step(*args):
+        raise AssertionError("stepped before the window was checked")
 
-    monkeypatch.setattr(analysis, "integrate", no_integrate)
+    monkeypatch.setattr(kernels, "series_check", no_step)
     with pytest.raises(ValueError) as err:
         series_deviation(eta_max, step)
     message = str(err.value)

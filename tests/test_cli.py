@@ -596,8 +596,8 @@ def test_value_counts_are_refused_before_anything_is_allocated(
 # solve, then the reads that do need numpy: a table and a --profile. Each
 # step records which of the modules no solve needs are loaded by then;
 # after the table read only the first five, since numpy itself loads
-# inspect and numbers. rubel, which runs last, loads nitm.analysis and no
-# more.
+# inspect and numbers. rubel and series-check, which run last, load
+# nitm.analysis and no more.
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 HEAVY = ("numpy", "click", "fractions", "nitm.analysis", "nitm.models")
@@ -629,6 +629,8 @@ _NUMPY_FREE_COMMANDS = (
     ["critical-b", "--json"],
     ["rubel", "--M", "3"],
     ["rubel", "--M", "4", "--format", "json"],
+    ["series-check"],
+    ["series-check", "--format", "json", "--eta-max", "1.5", "--step", "1e-3"],
 )
 
 
@@ -643,7 +645,8 @@ def test_solve_commands_never_import_numpy(tmp_path):
     seen = json.loads(out.stdout)
     assert seen[:2] == [["import nitm", []], ["solve", []]]
     assert seen[2:-2] == [[" ".join(argv), 0,
-                           ["nitm.analysis"] if argv[0] == "rubel" else []]
+                           ["nitm.analysis"] if argv[0] in ("rubel", "series-check")
+                           else []]
                           for argv in _NUMPY_FREE_COMMANDS]
     # the table still reads, with numpy now loaded, and bit for bit
     want = nitm.solve_auxiliary(nitm.classic_problem()).table.fp[-1]

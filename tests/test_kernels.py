@@ -1,5 +1,6 @@
 """Backend selection, the kernel loader, the compiled kernel's argument
-checks and bit-identity of the two kernels' fills and batched walks."""
+checks and bit-identity of the two kernels' fills, batched walks and
+wall-series checks."""
 
 import ast
 import importlib.machinery
@@ -54,6 +55,7 @@ def test_backend_is_reported():
     assert kernels.BACKEND_REASON
     assert callable(kernels.fill_blasius_family)
     assert callable(kernels.walk_blasius_family)
+    assert callable(kernels.series_check)
 
 
 @needs_compiler
@@ -64,6 +66,7 @@ def test_compiled_backend_is_active_where_a_compiler_is():
     assert _kernels_c is not None
     assert kernels.fill_blasius_family is _kernels_c.fill_blasius_family
     assert kernels.walk_blasius_family is _kernels_c.walk_blasius_family
+    assert kernels.series_check is _kernels_c.series_check
 
 
 def test_pure_kernel_matches_single_python_step():
@@ -500,6 +503,87 @@ def test_compiled_walk_rejects_bad_arguments_by_name(name, value):
     args = dict(_GOOD_WALK, **{name: value})
     with pytest.raises((ValueError, TypeError, IndexError), match=rf"^{name}\b"):
         _kernels_c.walk_blasius_family(*args.values())
+
+
+# the unit-shear wall series that analysis.series_deviation checks against
+_UNIT_SERIES = (0.5, -1.0 / 240.0, 11.0 / 161280.0, -375.0 / 319334400.0)
+
+
+def _series_check_hex(module, h, n, start, floor=1e-14):
+    bad, deviation, order, usable = module.series_check(h, n, _UNIT_SERIES,
+                                                        start, floor)
+    return bad, deviation.hex(), order.hex(), usable
+
+
+@needs_compiled
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=0.4, max_value=0.6),
+       st.integers(min_value=2500, max_value=6000))
+def test_compiled_and_pure_series_checks_are_bit_identical(eta_max, nodes):
+    # series_deviation's grids on the benchmark's fine workload
+    args = (eta_max / nodes, nodes, 0.6 * eta_max)
+    compiled = _series_check_hex(_kernels_c, *args)
+    assert compiled == _series_check_hex(_kernels_py, *args)
+    assert compiled[0] == -1 and compiled[3] >= 2
+
+
+@needs_compiled
+@pytest.mark.parametrize("h, n, start, floor, usable", [
+    # (n - 1) * h rounds past eta_max = 0.4250258030570981
+    (0.000124750749356354, 3407, 0.6 * 0.4250258030570981, 1e-14, 568),
+    (1e-3, 1500, 0.9, 1e-14, 601),      # series-check --eta-max 1.5 --step 1e-3
+    (0.01, 37, 0.355, 1e-14, 2),        # the fewest nodes that fit
+    (0.01, 37, 0.365, 1e-14, 1),        # too few: no order
+    (0.01, 37, 0.2, 1.0, 0),            # none above the floor
+    (1e-4, 5000, 2.0, 1e-14, 0),        # none at or past start
+])
+def test_series_check_edge_grids_are_bit_identical(h, n, start, floor, usable):
+    compiled = _series_check_hex(_kernels_c, h, n, start, floor)
+    assert compiled == _series_check_hex(_kernels_py, h, n, start, floor)
+    assert compiled[0] == -1 and compiled[3] == usable
+    assert math.isnan(float.fromhex(compiled[2])) == (usable < 2)
+
+
+@needs_compiled
+@pytest.mark.parametrize("h", [1.0, 3.0, 10.0])
+def test_series_check_blows_up_at_the_fills_node(h):
+    n = 50
+    bad = _run_fill(_kernels_py, 0.5, (0.0, 0.0, 1.0), h, n)[0]
+    assert 0 < bad <= n
+    nan = math.nan.hex()
+    for module in (_kernels_c, _kernels_py):
+        assert _series_check_hex(module, h, n, 0.5) == (bad, nan, nan, 0)
+
+
+_GOOD_SERIES_CHECK = {"h": 1e-3, "n": 500, "coefficients": _UNIT_SERIES,
+                      "start": 0.3, "floor": 1e-14}
+
+
+@needs_compiled
+@pytest.mark.parametrize("name, value", [
+    ("h", 0.0),
+    ("h", -1e-3),
+    ("h", math.nan),
+    ("h", math.inf),
+    ("n", 0),
+    ("n", -1),
+    ("n", sys.maxsize),
+    ("coefficients", ()),
+    ("coefficients", _UNIT_SERIES[:3]),
+    ("coefficients", _UNIT_SERIES + (0.0,)),
+    ("coefficients", 5),
+    ("coefficients", ("a", 0.0, 0.0, 0.0)),
+    ("start", 0.0),
+    ("start", math.nan),
+    ("start", math.inf),
+    ("floor", -1e-14),
+    ("floor", math.nan),
+    ("floor", math.inf),
+])
+def test_compiled_series_check_rejects_bad_arguments_by_name(name, value):
+    args = dict(_GOOD_SERIES_CHECK, **{name: value})
+    with pytest.raises((ValueError, TypeError), match=rf"^{name}\b"):
+        _kernels_c.series_check(*args.values())
 
 
 def test_setup_py_compiles_with_the_loader_flags():

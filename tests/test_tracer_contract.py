@@ -29,7 +29,11 @@ def test_traced_run_checks_out_and_unpatches(monkeypatch):
 
     assert traced.solve_checks() == ([], [])
     metrics = traced.metrics()
-    assert metrics["ode.integrate.calls"] > 0
+    # series_deviation steps its own kernel entry, and no call left in
+    # the package goes through analysis.integrate or series_eval, which
+    # stay patchable names all the same
+    assert metrics["ode.integrate.calls"] == 0
+    assert metrics["analysis.series_eval.calls"] == 0
     # sweep walks its rows together, by solvers._walk_stars and the batched
     # kernel entry, and never calls solve_auxiliary
     assert metrics["solvers.solve_auxiliary.calls"] == 1
